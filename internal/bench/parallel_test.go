@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/scan"
 	"repro/internal/shard"
+	"repro/internal/syncidx"
 	"repro/internal/workload"
 )
 
@@ -61,19 +63,22 @@ func TestRunParallelMixed(t *testing.T) {
 func TestRunReadScaling(t *testing.T) {
 	data := dataset.Uniform(2000, 35)
 	queries := workload.Uniform(dataset.Universe(), 60, 1e-3, 36)
-	build := func(disableShared bool) func(bool) QueryIndex {
-		return func(converged bool) QueryIndex {
-			ix := shard.New(data, shard.Config{Shards: 1, DisableSharedReads: disableShared})
-			if converged {
-				ix.Complete()
-			}
-			return ix
-		}
-	}
 	points, err := RunReadScaling(ReadScalingConfig{
 		Engines: []ReadScaleEngine{
-			{Name: "exclusive", Build: build(true)},
-			{Name: "shared", Build: build(false)},
+			{Name: "exclusive", Build: func(converged bool) QueryIndex {
+				ix := core.New(data, core.Config{})
+				if converged {
+					ix.Complete()
+				}
+				return syncidx.Wrap(ix)
+			}},
+			{Name: "shared", Build: func(converged bool) QueryIndex {
+				ix := shard.New(data, shard.Config{Shards: 1})
+				if converged {
+					ix.Complete()
+				}
+				return ix
+			}},
 		},
 		Queries:    queries,
 		Goroutines: []int{1, 2},

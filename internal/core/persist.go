@@ -135,26 +135,6 @@ func (ix *Index) SaveVersion(w io.Writer, v *Version) error {
 	return bw.Flush()
 }
 
-// saveV1 writes the legacy single-gob format. It is kept (unexported) so
-// tests can exercise the v1 load path and the v1→v2 migration without
-// checked-in binary fixtures.
-func (ix *Index) saveV1(w io.Writer) error {
-	v := ix.live.Load()
-	snap := snapshot{
-		Version: snapshotVersion,
-		Cfg:     ix.cfg,
-		Data:    ix.data.Objects(make([]geom.Object, 0, ix.data.Len())),
-		Pending: v.pending,
-		Deleted: deletedIDs(v.deleted),
-		MaxExt:  v.maxExt,
-		DataMBB: v.dataMBB,
-		Tau:     ix.tau,
-		Root:    encodeList(ix.root),
-		Stats:   ix.Stats(),
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
 // Load reconstructs an index previously serialized with Save, accepting
 // both the version-2 columnar format and legacy version-1 gob snapshots.
 func Load(r io.Reader) (*Index, error) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"strings"
 	"testing"
 
@@ -10,6 +12,26 @@ import (
 	"repro/internal/scan"
 	"repro/internal/workload"
 )
+
+// saveV1 writes the legacy single-gob format — the fixture writer behind
+// the v1 load and v1→v2 migration tests (only the v1 reader is product
+// code), so they need no checked-in binary fixtures.
+func (ix *Index) saveV1(w io.Writer) error {
+	v := ix.live.Load()
+	snap := snapshot{
+		Version: snapshotVersion,
+		Cfg:     ix.cfg,
+		Data:    ix.data.Objects(make([]geom.Object, 0, ix.data.Len())),
+		Pending: v.pending,
+		Deleted: deletedIDs(v.deleted),
+		MaxExt:  v.maxExt,
+		DataMBB: v.dataMBB,
+		Tau:     ix.tau,
+		Root:    encodeList(ix.root),
+		Stats:   ix.Stats(),
+	}
+	return gob.NewEncoder(w).Encode(&snap)
+}
 
 func TestPersistRoundTrip(t *testing.T) {
 	data := dataset.Uniform(5000, 1001)

@@ -3,9 +3,13 @@
 // cracked again — so the steady state the paper celebrates is a read-mostly
 // structure that should be queried under shared access, not behind an
 // exclusive lock. The entry points below pin a version (an atomic load of
-// the MVCC head — see version.go) and walk the slice hierarchy without
-// mutating anything: no finalization, no child creation, no cracking, no
-// plain-counter stats. A query whose touched region is fully refined is
+// the MVCC head — see version.go) and walk that version's slice hierarchy
+// without mutating anything: no finalization, no child creation, no
+// cracking, no plain-counter stats. There is one such walk (walkRefined);
+// range queries, counts, the KNN and delete position probes and pinned-
+// version reads differ only in the leaf action they hand it, and the
+// closure costs nothing measurable — the converged path stays at zero
+// allocations. A query whose touched region is fully refined is
 // answered in place against the pinned version's view — lanes plus visible
 // deltas — regardless of how many appends and deletes race with it. Only a
 // slice that still needs structural work makes the walk bail out so the
@@ -74,180 +78,25 @@ func (ix *Index) Converged() bool {
 // bail. On a converged index the call is allocation-free when out has
 // capacity.
 func (ix *Index) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
-	start := len(out)
-	v := ix.live.Load()
-	e := ix.epoch.Load()
-	if v.table.Len() > 0 && !q.IsEmpty() {
-		var ok bool
-		out, ok = ix.queryListVisible(q, ix.root, 0, v.deleted, out, ix.sampleHeat())
-		if !ok || ix.epoch.Load() != e {
-			return out[:start], false
-		}
-	}
-	// The version's pending objects are unindexed until Flush; scanning
-	// them linearly is read-only, so the shared path serves them too.
-	if len(v.pending) > 0 && !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					out = append(out, v.pending[i].ID)
-				}
-			}
-		}
-	}
-	// Honors DisableStats like every other counter — and keeps the one
-	// shared cache line off the hot path when instrumentation is off.
-	if !ix.noStats {
-		ix.sharedQueries.Add(1)
-	}
-	return out, true
+	return ix.queryAtVersion(ix.live.Load(), q, out)
 }
 
-// queryAtVersion answers q against an arbitrary pinned version's view — the
-// harness entry point for auditing that a pinned read sees exactly the
-// writes published at or before its pin. For a current-generation version
-// it reuses the live walk; for a version whose table was superseded by a
-// Flush it walks the frozen generation the version captured. Same locking
-// contract as QueryShared.
+// queryAtVersion answers q against v's view: the live version for
+// QueryShared, an arbitrary pinned one for the visibility harness auditing
+// that a pinned read sees exactly the writes published at or before its
+// pin. The walk runs over the generation v captured — the live lanes and
+// hierarchy until a Flush supersedes them, the frozen ones afterwards.
+// Same locking contract as QueryShared.
 func (ix *Index) queryAtVersion(v *Version, q geom.Box, out []int32) ([]int32, bool) {
-	root := v.root
-	if v.table.Len() > 0 && !q.IsEmpty() && root != nil {
-		var ok bool
-		out, ok = ix.queryTableVisible(v.table, q, root, 0, v.deleted, out)
-		if !ok {
-			return out, false
-		}
+	start := len(out)
+	ok := ix.walkVersion(v, q, func(lo, hi int) {
+		out = v.table.ScanIntersectVisible(lo, hi, q, v.deleted, out)
+	})
+	if !ok {
+		return out[:start], false
 	}
-	if len(v.pending) > 0 && !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					out = append(out, v.pending[i].ID)
-				}
-			}
-		}
-	}
-	return out, true
-}
-
-// queryListVisible is the read-only mirror of queryList with the version's
-// tombstone filter fused into the bottom-level scan (colstore's
-// ScanIntersectVisible appends surviving IDs directly — no position
-// translation pass). Any slice the exclusive path would have to touch —
-// finalize, give a child, or crack — aborts the walk instead. heat is
-// threaded as a parameter (not an Index field) because any number of
-// shared walks run concurrently; the only mutation a sampled walk performs
-// is the atomic touch counter, which is still "read-only" structurally.
-func (ix *Index) queryListVisible(q geom.Box, list *sliceList, dim int, del map[int32]struct{}, out []int32, heat bool) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false // needs finalization or cracking: exclusive work
-		}
-		s.touchHeat(heat)
-		if dim == geom.Dims-1 {
-			out = ix.data.ScanIntersectVisible(s.lo, s.hi, q, del, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false // lazy child creation is exclusive work
-		}
-		var ok bool
-		out, ok = ix.queryListVisible(q, s.children, dim+1, del, out, heat)
-		if !ok {
-			return out, false
-		}
-	}
-	return out, true
-}
-
-// queryTableVisible is queryListVisible against an explicit (possibly
-// superseded) table — the frozen-generation walk behind queryAtVersion and
-// SaveVersion consistency checks. It records no heat.
-func (ix *Index) queryTableVisible(t tableLike, q geom.Box, list *sliceList, dim int, del map[int32]struct{}, out []int32) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false
-		}
-		if dim == geom.Dims-1 {
-			out = t.ScanIntersectVisible(s.lo, s.hi, q, del, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false
-		}
-		var ok bool
-		out, ok = ix.queryTableVisible(t, q, s.children, dim+1, del, out)
-		if !ok {
-			return out, false
-		}
-	}
-	return out, true
-}
-
-// tableLike is the slice of the colstore API the frozen-generation walk
-// needs; it exists so the walk is explicit about touching only v.table.
-type tableLike interface {
-	ScanIntersectVisible(lo, hi int, q geom.Box, dead map[int32]struct{}, out []int32) []int32
-}
-
-// queryListShared is the position-collecting read-only walk (no tombstone
-// filtering — callers that need the raw lane positions, like the KNN
-// ranking and the shared delete locator, post-filter by ID).
-func (ix *Index) queryListShared(q geom.Box, list *sliceList, dim int, out []int32, heat bool) ([]int32, bool) {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
-	var i int
-	if fastPath {
-		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
-	}
-	for ; i < len(list.slices); i++ {
-		s := list.slices[i]
-		if fastPath && s.box.Min[dim] > q.Max[dim] {
-			break
-		}
-		if !s.box.Intersects(q) {
-			continue
-		}
-		if !s.refined {
-			return out, false // needs finalization or cracking: exclusive work
-		}
-		s.touchHeat(heat)
-		if dim == geom.Dims-1 {
-			out = ix.data.ScanIntersect(s.lo, s.hi, q, out)
-			continue
-		}
-		if s.children == nil {
-			return out, false // lazy child creation is exclusive work
-		}
-		var ok bool
-		out, ok = ix.queryListShared(q, s.children, dim+1, out, heat)
-		if !ok {
-			return out, false
-		}
-	}
+	v.eachPending(q, func(id int32) { out = append(out, id) })
+	ix.noteShared()
 	return out, true
 }
 
@@ -258,38 +107,64 @@ func (ix *Index) queryListShared(q geom.Box, list *sliceList, dim int, out []int
 // cardinality or how many deletes are in flight.
 func (ix *Index) CountShared(q geom.Box) (int, bool) {
 	v := ix.live.Load()
-	e := ix.epoch.Load()
 	n := 0
-	if v.table.Len() > 0 && !q.IsEmpty() {
-		var ok bool
-		n, ok = ix.countListShared(q, ix.root, 0, v.deleted, ix.sampleHeat())
-		if !ok || ix.epoch.Load() != e {
-			return 0, false
-		}
+	ok := ix.walkVersion(v, q, func(lo, hi int) {
+		n += v.table.CountIntersectVisible(lo, hi, q, v.deleted)
+	})
+	if !ok {
+		return 0, false
 	}
-	if !q.IsEmpty() {
-		for i := range v.pending {
-			if v.pending[i].Intersects(q) {
-				if _, dead := v.deleted[v.pending[i].ID]; !dead {
-					n++
-				}
-			}
-		}
-	}
-	if !ix.noStats {
-		ix.sharedQueries.Add(1)
-	}
+	v.eachPending(q, func(int32) { n++ })
+	ix.noteShared()
 	return n, true
 }
 
-// countListShared mirrors queryListVisible but only counts matches.
-func (ix *Index) countListShared(q geom.Box, list *sliceList, dim int, del map[int32]struct{}, heat bool) (int, bool) {
+// walkVersion runs the read-only walk for q over v's base generation,
+// bracketed by the crack-epoch validation of the safety contract above. It
+// reports false when a touched slice still needs exclusive work or the
+// structure moved under the walk; what leaf accumulated is then meaningless.
+func (ix *Index) walkVersion(v *Version, q geom.Box, leaf func(lo, hi int)) bool {
+	if v.table.Len() == 0 || q.IsEmpty() {
+		return true
+	}
+	e := ix.epoch.Load()
+	return ix.walkRefined(q, v.root, 0, ix.sampleHeat(), leaf) && ix.epoch.Load() == e
+}
+
+// positionsShared collects the raw lane positions of v's rows intersecting
+// q — no tombstone filtering: the KNN ranking and the shared delete locator
+// post-filter by ID — and never records heat. It reports false when the
+// walk needs exclusive work.
+func (ix *Index) positionsShared(v *Version, q geom.Box, pos []int32) ([]int32, bool) {
+	ok := ix.walkRefined(q, v.root, 0, false, func(lo, hi int) {
+		pos = v.table.ScanIntersect(lo, hi, q, pos)
+	})
+	return pos, ok
+}
+
+// noteShared counts one query answered on the shared path. It honors
+// DisableStats like every other counter — and keeps the one shared cache
+// line off the hot path when instrumentation is off.
+func (ix *Index) noteShared() {
+	if !ix.noStats {
+		ix.sharedQueries.Add(1)
+	}
+}
+
+// walkRefined is the read-only mirror of queryList — Algorithm 1 with every
+// mutation taken out. Any slice the exclusive path would have to touch —
+// finalize, give a child, or crack — aborts the walk instead; what happens
+// at a bottom-level slice is the caller's leaf action (scan, count, collect
+// positions), so every shared entry point shares this one descent. heat is
+// threaded as a parameter (not an Index field) because any number of
+// shared walks run concurrently; the only mutation a sampled walk performs
+// is the atomic touch counter, which is still "read-only" structurally.
+func (ix *Index) walkRefined(q geom.Box, list *sliceList, dim int, heat bool, leaf func(lo, hi int)) bool {
 	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
 	var i int
 	if fastPath {
 		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
 	}
-	n := 0
 	for ; i < len(list.slices); i++ {
 		s := list.slices[i]
 		if fastPath && s.box.Min[dim] > q.Max[dim] {
@@ -299,23 +174,21 @@ func (ix *Index) countListShared(q geom.Box, list *sliceList, dim int, del map[i
 			continue
 		}
 		if !s.refined {
-			return 0, false
+			return false // needs finalization or cracking: exclusive work
 		}
 		s.touchHeat(heat)
 		if dim == geom.Dims-1 {
-			n += ix.data.CountIntersectVisible(s.lo, s.hi, q, del)
+			leaf(s.lo, s.hi)
 			continue
 		}
 		if s.children == nil {
-			return 0, false
+			return false // lazy child creation is exclusive work
 		}
-		c, ok := ix.countListShared(q, s.children, dim+1, del, heat)
-		if !ok {
-			return 0, false
+		if !ix.walkRefined(q, s.children, dim+1, heat, leaf) {
+			return false
 		}
-		n += c
 	}
-	return n, true
+	return true
 }
 
 // KNNShared answers a k-nearest-neighbor query on the shared read path
@@ -344,9 +217,7 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	if n == 0 {
 		// Everything lives in pending: rank it directly.
 		nn := ix.rankVisible(nil, v, p, k)
-		if !ix.noStats {
-			ix.sharedQueries.Add(1)
-		}
+		ix.noteShared()
 		return nn, true
 	}
 	side := math.Cbrt(span.Volume() * 2 * float64(k) / float64(n))
@@ -362,7 +233,7 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	var pos []int32
 	var ok bool
 	for {
-		pos, ok = ix.queryListShared(geom.BoxAt(p, side), ix.root, 0, pos[:0], false)
+		pos, ok = ix.positionsShared(v, geom.BoxAt(p, side), pos[:0])
 		if !ok {
 			return nil, false
 		}
@@ -375,7 +246,7 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	if len(nn) < k {
 		// Tombstones (or a far-away p) starved the probe cube: widen to
 		// everything so the ranking below is exact.
-		pos, ok = ix.queryListShared(span.Expand(geom.Point{1, 1, 1}), ix.root, 0, pos[:0], false)
+		pos, ok = ix.positionsShared(v, span.Expand(geom.Point{1, 1, 1}), pos[:0])
 		if !ok {
 			return nil, false
 		}
@@ -383,7 +254,7 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	}
 	if len(nn) >= k {
 		radius := math.Sqrt(nn[k-1].DistSq)
-		pos, ok = ix.queryListShared(geom.BoxAt(p, 2*radius+1e-9), ix.root, 0, pos[:0], false)
+		pos, ok = ix.positionsShared(v, geom.BoxAt(p, 2*radius+1e-9), pos[:0])
 		if !ok {
 			return nil, false
 		}
@@ -392,8 +263,6 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	if ix.epoch.Load() != e {
 		return nil, false
 	}
-	if !ix.noStats {
-		ix.sharedQueries.Add(1)
-	}
+	ix.noteShared()
 	return nn, true
 }

@@ -124,6 +124,98 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 	}
 }
 
+// TestOneWalkEquivalence answers the same seeded boxes through every entry
+// point that shares the read-only walk — QueryShared, CountShared, the
+// position probe behind KNNShared and DeleteShared, and queryAtVersion on a
+// pin that a Flush has since superseded — plus the exclusive Query, with
+// pending inserts and tombstones (indexed and pending) present, and holds
+// all of them to the scan oracle.
+func TestOneWalkEquivalence(t *testing.T) {
+	data := dataset.Uniform(6000, 11)
+	ix := New(dataset.Clone(data), Config{})
+	ix.Complete()
+	boxes := workload.Uniform(dataset.Universe(), 96, 2e-3, 12)
+
+	live := dataset.Clone(data)
+	for i, q := range boxes[:32] {
+		o := geom.Object{Box: geom.BoxAt(q.Center(), 2), ID: int32(700_000 + i)}
+		ix.Append(o)
+		live = append(live, o)
+	}
+	dead := map[int32]bool{}
+	for _, o := range append(dataset.Clone(data[:40]), live[len(data):len(data)+8]...) {
+		if found, ok := ix.DeleteShared(o.ID, o.Box); !found || !ok {
+			t.Fatalf("DeleteShared(%d) = %v, %v on a converged index", o.ID, found, ok)
+		}
+		dead[o.ID] = true
+	}
+	var visible []geom.Object
+	for _, o := range live {
+		if !dead[o.ID] {
+			visible = append(visible, o)
+		}
+	}
+	sc := scan.New(visible)
+
+	v := ix.PinVersion()
+	defer v.Release()
+	for i, q := range boxes {
+		want := sc.Query(q, nil)
+		got, ok := ix.QueryShared(q, nil)
+		if !ok {
+			t.Fatalf("box %d: QueryShared bailed", i)
+		}
+		assertSameIDs(t, got, want)
+		if n, ok := ix.CountShared(q); !ok || n != len(want) {
+			t.Fatalf("box %d: CountShared = %d, %v, scan = %d", i, n, ok, len(want))
+		}
+		pos, ok := ix.positionsShared(v, q, nil)
+		if !ok {
+			t.Fatalf("box %d: position probe bailed", i)
+		}
+		var ids []int32
+		for _, p := range pos {
+			if id := v.table.ID[p]; !dead[id] {
+				ids = append(ids, id)
+			}
+		}
+		v.eachPending(q, func(id int32) { ids = append(ids, id) })
+		assertSameIDs(t, ids, want)
+		assertSameIDs(t, ix.Query(q, nil), want)
+	}
+
+	// An empty box touches nothing — lanes or pending — on every path.
+	none := geom.EmptyBox()
+	if got, ok := ix.QueryShared(none, nil); !ok || len(got) != 0 {
+		t.Fatalf("QueryShared(empty) = %v, %v", got, ok)
+	}
+	if n, ok := ix.CountShared(none); !ok || n != 0 {
+		t.Fatalf("CountShared(empty) = %d, %v", n, ok)
+	}
+	if got := ix.Query(none, nil); len(got) != 0 {
+		t.Fatalf("Query(empty) = %v", got)
+	}
+
+	// Writes after the pin, then a Flush: the pin keeps its superseded
+	// generation and must still answer as of the pin; the live index moves on.
+	late := geom.Object{Box: geom.BoxAt(boxes[0].Center(), 2), ID: 800_000}
+	ix.Append(late)
+	ix.Delete(visible[0].ID, visible[0].Box)
+	ix.Flush()
+	if v.table == ix.data {
+		t.Fatal("Flush under a pin did not supersede the pinned generation")
+	}
+	after := scan.New(append(dataset.Clone(visible[1:]), late))
+	for i, q := range boxes {
+		got, ok := ix.queryAtVersion(v, q, nil)
+		if !ok {
+			t.Fatalf("box %d: queryAtVersion bailed on a superseded pin", i)
+		}
+		assertSameIDs(t, got, sc.Query(q, nil))
+		assertSameIDs(t, ix.Query(q, nil), after.Query(q, nil))
+	}
+}
+
 // TestCountSharedMatchesCount pins Count's shared-walk fast path: exact on
 // a converged index (with and without tombstones/pending) and refusing
 // cleanly on a cold one.

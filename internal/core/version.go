@@ -81,6 +81,22 @@ func (v *Version) Seq() uint64 { return v.seq }
 func (v *Version) PendingLen() int { return len(v.pending) }
 func (v *Version) DeletedLen() int { return len(v.deleted) }
 
+// eachPending calls hit with the ID of every pending object of v that
+// intersects q and is not tombstoned. Appended objects are unindexed until
+// Flush, so every query — exclusive or shared — scans them linearly.
+func (v *Version) eachPending(q geom.Box, hit func(id int32)) {
+	if q.IsEmpty() {
+		return
+	}
+	for i := range v.pending {
+		if v.pending[i].Intersects(q) {
+			if _, dead := v.deleted[v.pending[i].ID]; !dead {
+				hit(v.pending[i].ID)
+			}
+		}
+	}
+}
+
 // Release unpins the version and lets garbage collection splice it out of
 // the chain. Call exactly once per PinVersion, holding at least the shared
 // lock (the same contract as PinVersion).
@@ -221,24 +237,7 @@ func (ix *Index) AppendVersioned(objs ...geom.Object) uint64 {
 func (ix *Index) deleteVersioned(id int32) uint64 {
 	ix.verMu.Lock()
 	defer ix.verMu.Unlock()
-	cur := ix.live.Load()
-	del := make(map[int32]struct{}, len(cur.deleted)+1)
-	for k := range cur.deleted {
-		del[k] = struct{}{}
-	}
-	del[id] = struct{}{}
-	nv := &Version{
-		seq:     cur.seq + 1,
-		pending: cur.pending,
-		deleted: del,
-		maxExt:  cur.maxExt,
-		dataMBB: cur.dataMBB,
-		table:   cur.table,
-		root:    cur.root,
-		tau:     cur.tau,
-	}
-	ix.publishLocked(nv)
-	return nv.seq
+	return ix.deleteSharedLocked(ix.live.Load(), id)
 }
 
 // DeleteShared removes the object with the given ID without taking the
@@ -279,12 +278,12 @@ func (ix *Index) deleteSharedSeq(id int32, hint geom.Box) (seq uint64, found, ok
 	// Locate in the indexed lanes via the read-only walk. Positions are
 	// stable for the whole call: structural reorganization needs the
 	// exclusive lock the caller's shared lock excludes.
-	pos, walkOK := ix.queryListShared(hint, ix.root, 0, nil, false)
+	pos, walkOK := ix.positionsShared(cur, hint, nil)
 	if !walkOK {
 		return 0, false, false
 	}
 	for _, p := range pos {
-		if ix.data.ID[p] == id {
+		if cur.table.ID[p] == id {
 			// Re-take verMu and re-check under it: a concurrent writer may
 			// have tombstoned id between the scan above and now.
 			ix.verMu.Lock()

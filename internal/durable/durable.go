@@ -90,9 +90,7 @@ const (
 // Options configures Open.
 type Options struct {
 	// Shard carries the engine's runtime knobs (Workers, CrackBudget,
-	// DisableSharedReads, SubConfig), applied both when bootstrapping and
-	// when restoring. Shard.New must be nil — persistence requires the
-	// default QUASII sub-indexes.
+	// SubConfig), applied both when bootstrapping and when restoring.
 	Shard shard.Config
 	// Bootstrap supplies the initial dataset when the directory holds no
 	// snapshot yet. Nil bootstraps an empty index.
@@ -248,9 +246,6 @@ func walName(seq uint64) string     { return fmt.Sprintf("wal-%07d.log", seq) }
 // the initial data and an initial checkpoint is written before Open
 // returns, so a crash immediately after Open loses nothing.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.Shard.New != nil {
-		return nil, shard.ErrNotPersistable
-	}
 	s := &Store{dir: dir, opts: opts}
 	s.fs = opts.FS
 	if s.fs == nil {
@@ -785,14 +780,15 @@ func (s *Store) checkpointPinned() (uint64, error) {
 	return newSeq, nil
 }
 
-// rotateTo writes snapshot newSeq from the LIVE index, opens its (empty)
+// rotateTo writes snapshot newSeq from the live index, opens its (empty)
 // WAL, and atomically points CURRENT at the new generation — in that
 // order, so a failure at any step leaves the store entirely on the
 // previous generation, and a crash at any instant recovers a consistent
 // generation. It is the Open-time rotation (bootstrap and WAL-chain
-// roll-forward, both single-threaded — no updates exist to pause); the
-// runtime checkpoint is checkpointPinned, which snapshots pinned versions
-// instead. The caller retires the previous generation's files.
+// roll-forward, both single-threaded — no updates exist to pause), so it
+// pins and writes back to back; the runtime checkpoint (checkpointPinned)
+// uses the same pinned writer but lets updates flow between the two. The
+// caller retires the previous generation's files.
 func (s *Store) rotateTo(newSeq uint64) error {
 	tmp := filepath.Join(s.dir, snapDirName(newSeq)+".tmp")
 	final := filepath.Join(s.dir, snapDirName(newSeq))
@@ -802,7 +798,12 @@ func (s *Store) rotateTo(newSeq uint64) error {
 	if err := s.fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	if err := s.ix.SnapshotFS(tmp, s.fs); err != nil {
+	pins, err := s.ix.PinVersions()
+	if err == nil {
+		err = s.ix.SnapshotPinnedFS(tmp, s.fs, pins)
+		pins.Release()
+	}
+	if err != nil {
 		s.fs.RemoveAll(tmp)
 		return err
 	}

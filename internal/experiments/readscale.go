@@ -3,8 +3,9 @@
 // R-tree-like behaviour because converged slices are never cracked again;
 // this experiment measures whether the serving stack actually cashes that
 // in — whether queries over a converged shard scale with client goroutines
-// on the shared read path, against the exclusive-lock baseline
-// (shard.Config.DisableSharedReads) that serializes them.
+// on the shared read path, against the exclusive-lock baseline that
+// serializes them: QUASII behind one global mutex (syncidx.Wrap), the same
+// engine the throughput experiment prints as its mutex series.
 
 package experiments
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/syncidx"
 )
 
 // ReadScaling sweeps client goroutines over one shard in two phases
@@ -38,22 +40,23 @@ func ReadScaling(w io.Writer, sc Scale) (*Result, error) {
 	}
 	gs = append(gs, maxG)
 
-	build := func(disableShared, converged bool) bench.QueryIndex {
-		ix := shard.New(data, shard.Config{
-			Shards:             1,
-			Workers:            1,
-			DisableSharedReads: disableShared,
-			SubConfig:          core.Config{DisableStats: sc.NoStats},
-		})
-		if converged {
-			ix.Complete()
-		}
-		return ix
-	}
+	sub := core.Config{DisableStats: sc.NoStats}
 	cfg := bench.ReadScalingConfig{
 		Engines: []bench.ReadScaleEngine{
-			{Name: "exclusive", Build: func(conv bool) bench.QueryIndex { return build(true, conv) }},
-			{Name: "shared", Build: func(conv bool) bench.QueryIndex { return build(false, conv) }},
+			{Name: "exclusive", Build: func(converged bool) bench.QueryIndex {
+				ix := core.New(data, sub)
+				if converged {
+					ix.Complete()
+				}
+				return syncidx.Wrap(ix)
+			}},
+			{Name: "shared", Build: func(converged bool) bench.QueryIndex {
+				ix := shard.New(data, shard.Config{Shards: 1, Workers: 1, SubConfig: sub})
+				if converged {
+					ix.Complete()
+				}
+				return ix
+			}},
 		},
 		Queries:    queries,
 		Goroutines: gs,

@@ -70,7 +70,7 @@ func (b *batcher) do(ctx context.Context, q geom.Box, tr *telemetry.Trace) ([]in
 		var err error
 		b.adm.execTraced(tr, func() {
 			t0 := time.Now()
-			out, err = b.ix.QueryTracedCtx(ctx, q, shard.GetResultBuf(), tr)
+			out, err = b.ix.QueryCtx(ctx, q, shard.GetResultBuf(), tr)
 			tr.StageSince(telemetry.StageFanout, t0)
 		})
 		b.mOccupancy.Observe(1)
@@ -139,7 +139,10 @@ func (b *batcher) run(bt *batch) {
 
 	b.adm.exec(func() {
 		bt.execStart = time.Now()
-		bt.results = b.ix.QueryBatchTraced(boxes, bt.traces)
+		// The leader coalesces many clients, so no single client's
+		// context governs the batch: it runs uncancellable, and the error
+		// is therefore always nil.
+		bt.results, _ = b.ix.QueryBatchCtx(context.Background(), boxes, bt.traces)
 		fanout := time.Since(bt.execStart)
 		for _, tr := range bt.traces {
 			tr.AddStage(telemetry.StageFanout, fanout)

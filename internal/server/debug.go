@@ -86,11 +86,13 @@ func debugSlices(list []core.SliceReport) []DebugSliceJSON {
 // DebugTileJSON is one shard's snapshot on the debug wire: the tile identity
 // plus the sub-index report flattened in.
 type DebugTileJSON struct {
-	Shard     string       `json:"shard"`
-	Tile      DebugBoxJSON `json:"tile"`
-	Bounds    DebugBoxJSON `json:"bounds"`
-	Objects   int          `json:"objects"`
-	Supported bool         `json:"supported"`
+	Shard   string       `json:"shard"`
+	Tile    DebugBoxJSON `json:"tile"`
+	Bounds  DebugBoxJSON `json:"bounds"`
+	Objects int          `json:"objects"`
+	// Supported is always true (every sub-index is a QUASII index); the
+	// field stays because strict decoders of this schema carry it.
+	Supported bool `json:"supported"`
 
 	Pending         int              `json:"pending"`
 	Deleted         int              `json:"deleted"`
@@ -115,7 +117,7 @@ type DebugIndexResponse struct {
 	// (after clamping ?maxdepth= to [1, dims]).
 	MaxDepth int `json:"max_depth"`
 	// Converged, Slices, SlicesRefined and TotalHeat aggregate over every
-	// tile whose sub-index supports introspection.
+	// tile.
 	Converged     bool  `json:"converged"`
 	Slices        int   `json:"slices"`
 	SlicesRefined int   `json:"slices_refined"`
@@ -184,27 +186,24 @@ func (s *Server) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
 			Tile:      debugBox(t.Tile),
 			Bounds:    debugBox(t.Bounds),
 			Objects:   t.Objects,
-			Supported: t.Supported,
+			Supported: true,
+
+			Pending:         t.Index.Pending,
+			Deleted:         t.Index.Deleted,
+			Tau:             t.Index.Tau,
+			Epoch:           t.Index.Epoch,
+			Converged:       t.Index.Converged,
+			Slices:          t.Index.Slices,
+			SlicesRefined:   t.Index.SlicesRefined,
+			HeatSampleEvery: t.Index.HeatSampleEvery,
+			TotalHeat:       t.Index.TotalHeat,
+			MaxHeat:         t.Index.MaxHeat,
+			Root:            debugSlices(t.Index.Root),
 		}
-		if t.Supported {
-			tile.Pending = t.Index.Pending
-			tile.Deleted = t.Index.Deleted
-			tile.Tau = t.Index.Tau
-			tile.Epoch = t.Index.Epoch
-			tile.Converged = t.Index.Converged
-			tile.Slices = t.Index.Slices
-			tile.SlicesRefined = t.Index.SlicesRefined
-			tile.HeatSampleEvery = t.Index.HeatSampleEvery
-			tile.TotalHeat = t.Index.TotalHeat
-			tile.MaxHeat = t.Index.MaxHeat
-			tile.Root = debugSlices(t.Index.Root)
-			resp.Slices += t.Index.Slices
-			resp.SlicesRefined += t.Index.SlicesRefined
-			resp.TotalHeat += t.Index.TotalHeat
-			resp.Converged = resp.Converged && t.Index.Converged
-		} else {
-			resp.Converged = false
-		}
+		resp.Slices += t.Index.Slices
+		resp.SlicesRefined += t.Index.SlicesRefined
+		resp.TotalHeat += t.Index.TotalHeat
+		resp.Converged = resp.Converged && t.Index.Converged
 		resp.Tiles = append(resp.Tiles, tile)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -219,24 +218,22 @@ func (s *Server) handleDebugHeat(w http.ResponseWriter, r *http.Request) {
 	for i := range rep.Tiles {
 		t := &rep.Tiles[i]
 		row := HeatTileJSON{Shard: t.Shard, Objects: t.Objects}
-		if t.Supported {
-			row.Converged = t.Index.Converged
-			row.TotalHeat = t.Index.TotalHeat
-			slices, refined, heat := t.Index.HeatByLevel()
-			row.Levels = make([]HeatCellJSON, geom.Dims)
-			for lvl := 0; lvl < geom.Dims; lvl++ {
-				row.Levels[lvl] = HeatCellJSON{
-					Level:   lvl,
-					Slices:  slices[lvl],
-					Refined: refined[lvl],
-					Heat:    heat[lvl],
-				}
+		row.Converged = t.Index.Converged
+		row.TotalHeat = t.Index.TotalHeat
+		slices, refined, heat := t.Index.HeatByLevel()
+		row.Levels = make([]HeatCellJSON, geom.Dims)
+		for lvl := 0; lvl < geom.Dims; lvl++ {
+			row.Levels[lvl] = HeatCellJSON{
+				Level:   lvl,
+				Slices:  slices[lvl],
+				Refined: refined[lvl],
+				Heat:    heat[lvl],
 			}
-			if t.Index.HeatSampleEvery > resp.HeatSampleEvery {
-				resp.HeatSampleEvery = t.Index.HeatSampleEvery
-			}
-			resp.TotalHeat += t.Index.TotalHeat
 		}
+		if t.Index.HeatSampleEvery > resp.HeatSampleEvery {
+			resp.HeatSampleEvery = t.Index.HeatSampleEvery
+		}
+		resp.TotalHeat += t.Index.TotalHeat
 		resp.Tiles = append(resp.Tiles, row)
 	}
 	writeJSON(w, http.StatusOK, resp)

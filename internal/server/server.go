@@ -679,7 +679,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var err error
 	s.adm.execTraced(tr, func() {
 		t0 := traceNow(tr)
-		results, err = s.ix.QueryBatchTracedCtx(ctx, boxes, traces)
+		results, err = s.ix.QueryBatchCtx(ctx, boxes, traces)
 		tr.StageSince(telemetry.StageFanout, t0)
 	})
 	if err != nil {
@@ -736,13 +736,9 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 			nn[i] = NeighborJSON{ID: n.ID, DistSq: n.DistSq}
 		}
 	})
-	if err != nil {
+	if err != nil { // KNNCtx fails only when ctx ends
 		s.tracer.Finish(tr)
-		if ctxErr(err) {
-			s.writeCancelled(w, err)
-			return
-		}
-		writeJSON(w, http.StatusNotImplemented, ErrorResponse{Error: err.Error()})
+		s.writeCancelled(w, err)
 		return
 	}
 	tr.SetResults(len(nn))
@@ -853,15 +849,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: found})
 }
 
-// updateErrStatus maps an update failure onto an HTTP status: a sub-index
-// without update support is a permanent 501, a degraded store (persistent
-// disk failure, writes suspended while reads keep serving) is 503 so
-// clients back off and retry once the disk heals, anything else (WAL I/O
-// failure, a store mid-shutdown) is a retryable-by-semantics 500.
+// updateErrStatus maps an update failure onto an HTTP status: a degraded
+// store (persistent disk failure, writes suspended while reads keep
+// serving) is 503 so clients back off and retry once the disk heals,
+// anything else (WAL I/O failure, a store mid-shutdown, a quarantined
+// shard) is a retryable-by-semantics 500.
 func updateErrStatus(err error) int {
-	if errors.Is(err, shard.ErrNotUpdatable) {
-		return http.StatusNotImplemented
-	}
 	if errors.Is(err, ioerr.ErrDegraded) {
 		return http.StatusServiceUnavailable
 	}

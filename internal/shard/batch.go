@@ -7,6 +7,7 @@
 package shard
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -22,19 +23,25 @@ import (
 // identical to calling Query on each box in order. Safe for concurrent use,
 // including concurrently with Query.
 func (ix *Index) QueryBatch(queries []geom.Box) [][]int32 {
-	return ix.QueryBatchTraced(queries, nil)
+	results, _ := ix.QueryBatchCtx(context.Background(), queries, nil)
+	return results
 }
 
-// QueryBatchTraced is QueryBatch with sampled stage traces attached: traces,
-// when non-nil, is indexed like queries and carries the trace of each
-// sampled query (nil entries — the common case — are untraced). The serving
-// layer aligns it with the coalesced batch it hands down.
-func (ix *Index) QueryBatchTraced(queries []geom.Box, traces []*telemetry.Trace) [][]int32 {
+// QueryBatchCtx is QueryBatch with cooperative cancellation and optional
+// sampled stage traces. The drain loop checks the context before claiming
+// each query, so a cancelled batch stops within one query per worker; when
+// err != nil, unanswered entries are nil and answered ones are valid (the
+// serving layer still recycles them). traces, when non-nil, is indexed like
+// queries and carries the trace of each sampled query (nil entries — the
+// common case — are untraced); the serving layer aligns it with the
+// coalesced batch it hands down.
+func (ix *Index) QueryBatchCtx(ctx context.Context, queries []geom.Box, traces []*telemetry.Trace) ([][]int32, error) {
+	ctx = cancellable(ctx)
 	results := make([][]int32, len(queries))
 	var next atomic.Int64
 	drain := func() {
 		var hit []*shardEntry
-		for {
+		for cancelled(ctx) == nil {
 			qi := int(next.Add(1)) - 1
 			if qi >= len(queries) {
 				return
@@ -48,8 +55,10 @@ func (ix *Index) QueryBatchTraced(queries []geom.Box, traces []*telemetry.Trace)
 			tr.SetFanout(len(hit))
 			// Result buffers come from the engine's pool; callers that are
 			// done with them can hand them back via RecycleResults (the
-			// HTTP server does after encoding each response).
-			results[qi] = querySerial(hit, queries[qi], GetResultBuf(), tr)
+			// HTTP server does after encoding each response). One query's
+			// shards are probed to the end once claimed: cancellation is
+			// query-granular here.
+			results[qi], _ = querySerial(nil, hit, queries[qi], GetResultBuf(), tr)
 		}
 	}
 	helpers := ix.workers
@@ -74,5 +83,5 @@ func (ix *Index) QueryBatchTraced(queries []geom.Box, traces []*telemetry.Trace)
 	}
 	drain()
 	wg.Wait()
-	return results
+	return results, cancelled(ctx)
 }

@@ -11,14 +11,6 @@ import (
 	"repro/internal/geom"
 )
 
-// Inspector is satisfied by sub-indexes that expose a hierarchy snapshot
-// (core.Index does). Sub-indexes built by a custom Config.New without the
-// method still appear in the report — tile bounds and object count — with
-// Supported false.
-type Inspector interface {
-	Inspect(maxDepth int) core.InspectReport
-}
-
 // TileReport is one shard's slice of the engine report.
 type TileReport struct {
 	// Shard names the tile: "0".."N-1" for the spatial shards in build
@@ -31,9 +23,6 @@ type TileReport struct {
 	Bounds geom.Box `json:"bounds"`
 	// Objects counts rows in the shard's sub-index.
 	Objects int `json:"objects"`
-	// Supported reports whether the sub-index implements Inspector; when
-	// false, Index is the zero report.
-	Supported bool `json:"supported"`
 	// Index is the sub-index hierarchy snapshot.
 	Index core.InspectReport `json:"index"`
 }
@@ -74,10 +63,7 @@ func (ix *Index) Inspect(maxDepth int) IndexReport {
 		t := TileReport{Shard: name, Tile: sh.tile, Bounds: sh.boundsBox()}
 		sh.mu.RLock()
 		t.Objects = sh.sub.Len()
-		if insp, ok := sh.sub.(Inspector); ok {
-			t.Supported = true
-			t.Index = insp.Inspect(maxDepth)
-		}
+		t.Index = sh.sub.Inspect(maxDepth)
 		sh.mu.RUnlock()
 		rep.Objects += t.Objects
 		rep.Tiles = append(rep.Tiles, t)

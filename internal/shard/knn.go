@@ -8,32 +8,11 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 )
-
-// NearestNeighborer is the optional interface a sub-index must satisfy for
-// the sharded engine to answer KNN. The default QUASII sub-indexes
-// (core.Index, which answers kNN with expanding range queries) satisfy it.
-type NearestNeighborer interface {
-	KNN(p geom.Point, k int) []core.Neighbor
-}
-
-// SharedNearestNeighborer is the optional sub-index interface that answers
-// KNN on the shared read path: KNNShared must be read-only (safe under the
-// shard's read lock, concurrently with other shared calls) and report
-// ok == false when the probed region still needs exclusive refinement.
-// The default QUASII sub-indexes satisfy it.
-type SharedNearestNeighborer interface {
-	KNNShared(p geom.Point, k int) ([]core.Neighbor, bool)
-}
-
-// ErrNoKNN is returned by KNN when the shard sub-indexes (built by a custom
-// Config.New) do not satisfy NearestNeighborer.
-var ErrNoKNN = errors.New("shard: sub-index does not support KNN (NearestNeighborer)")
 
 // KNN returns the k objects nearest to p (by minimum box distance), closest
 // first, with IDs as a deterministic tie-break. Shards are probed nearest
@@ -45,25 +24,17 @@ var ErrNoKNN = errors.New("shard: sub-index does not support KNN (NearestNeighbo
 // effect, like every QUASII query) when the probed region is still cold.
 // Safe for concurrent use; concurrent updates may or may not be reflected.
 func (ix *Index) KNN(p geom.Point, k int) ([]core.Neighbor, error) {
-	return ix.knn(nil, p, k)
+	return ix.KNNCtx(context.Background(), p, k)
 }
 
 // KNNCtx is KNN with cooperative cancellation: the context is checked
 // between shard probes (never inside one — a probe holds a shard lock and
 // is not interruptible), and a cancelled search returns ctx.Err() with the
-// neighbors merged so far. A nil or never-cancellable context delegates to
-// the plain path.
+// neighbors merged so far. Probes run through the panic-isolating helpers
+// in resilience.go: a shard that panics is quarantined and skipped, and the
+// search carries on.
 func (ix *Index) KNNCtx(ctx context.Context, p geom.Point, k int) ([]core.Neighbor, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return ix.knn(nil, p, k)
-	}
-	return ix.knn(ctx, p, k)
-}
-
-// knn is the shared branch-and-bound body; ctx may be nil (no cancellation).
-// Probes run through the panic-isolating helpers in resilience.go: a shard
-// that panics is quarantined and skipped, and the search carries on.
-func (ix *Index) knn(ctx context.Context, p geom.Point, k int) ([]core.Neighbor, error) {
+	ctx = cancellable(ctx)
 	if k <= 0 {
 		return nil, nil
 	}
@@ -82,33 +53,18 @@ func (ix *Index) knn(ctx context.Context, p geom.Point, k int) ([]core.Neighbor,
 		if len(best) >= k && c.d > best[len(best)-1].DistSq {
 			break
 		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return best, err
-			}
+		if err := cancelled(ctx); err != nil {
+			return best, err
 		}
 		if c.sh.quarantined.Load() {
 			continue
 		}
-		var found []core.Neighbor
-		done := false
-		if c.sh.sharedNN != nil {
-			var healthy bool
-			found, done, healthy = c.sh.knnSharedProbe(p, k)
-			if !healthy {
-				continue
-			}
+		found, done, healthy := c.sh.knnSharedProbe(p, k)
+		if healthy && !done {
+			found, healthy = c.sh.knnExclusiveProbe(p, k)
 		}
-		if !done {
-			nn, ok := c.sh.sub.(NearestNeighborer)
-			if !ok {
-				return nil, ErrNoKNN
-			}
-			var healthy bool
-			found, healthy = c.sh.knnExclusiveProbe(nn, p, k)
-			if !healthy {
-				continue
-			}
+		if !healthy {
+			continue
 		}
 		best = mergeNeighbors(best, found, k)
 	}

@@ -2,11 +2,12 @@ package shard
 
 // BenchmarkQueryConvergedParallel is the headline measurement of the
 // concurrent read-path engine: steady-state (converged) queries against ONE
-// shard from a sweep of client goroutines, with the shared read path on
-// (the RWMutex engine) and off (the exclusive-lock baseline every query
-// serialized behind before this engine existed). On a multi-core machine
-// the shared variant scales with GOMAXPROCS while the exclusive baseline
-// stays flat; BENCH_PR4.json records a measured comparison.
+// shard from a sweep of client goroutines, through the shared read path
+// (the RWMutex engine) and through the exclusive-lock baseline every query
+// serialized behind before this engine existed — the same QUASII index
+// behind one global mutex (syncidx.Wrap). On a multi-core machine the
+// shared variant scales with GOMAXPROCS while the exclusive baseline stays
+// flat; BENCH_PR4.json records a measured comparison.
 
 import (
 	"sync"
@@ -15,19 +16,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/syncidx"
 	"repro/internal/workload"
 )
 
-func benchConvergedParallel(b *testing.B, disableShared bool, goroutines int) {
+func benchConvergedParallel(b *testing.B, exclusive bool, goroutines int) {
 	const n = 200_000
 	data := dataset.Uniform(n, 45)
-	ix := New(data, Config{
-		Shards:             1,
-		Workers:            1,
-		DisableSharedReads: disableShared,
-		SubConfig:          core.Config{DisableStats: true},
-	})
-	ix.Complete()
+	sub := core.Config{DisableStats: true}
+	var ix interface {
+		Query(q geom.Box, out []int32) []int32
+	}
+	if exclusive {
+		c := core.New(data, sub)
+		c.Complete()
+		ix = syncidx.Wrap(c)
+	} else {
+		s := New(data, Config{Shards: 1, Workers: 1, SubConfig: sub})
+		s.Complete()
+		ix = s
+	}
 	queries := workload.Uniform(dataset.Universe(), 1024, 1e-4, 46)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,9 +61,9 @@ func benchConvergedParallel(b *testing.B, disableShared bool, goroutines int) {
 
 func BenchmarkQueryConvergedParallel(b *testing.B) {
 	for _, bc := range []struct {
-		name          string
-		disableShared bool
-		goroutines    int
+		name       string
+		exclusive  bool
+		goroutines int
 	}{
 		{"exclusive/g=1", true, 1},
 		{"exclusive/g=2", true, 2},
@@ -66,7 +75,7 @@ func BenchmarkQueryConvergedParallel(b *testing.B) {
 		{"shared/g=8", false, 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			benchConvergedParallel(b, bc.disableShared, bc.goroutines)
+			benchConvergedParallel(b, bc.exclusive, bc.goroutines)
 		})
 	}
 }

@@ -2,14 +2,16 @@
 // JSON manifest binding them together; Restore reassembles the engine from
 // a snapshot directory without re-partitioning or re-refining anything.
 //
-// Per-shard files are written concurrently, each under its shard's read
-// lock, so a snapshot rides the same shared read path as converged queries:
-// it blocks no readers and is blocked only by in-flight cracking or update
-// writers on the shard it is currently copying. Because shards are locked
-// one at a time, a standalone Snapshot concurrent with updates is per-shard
-// consistent but not a cross-shard point-in-time cut; callers that need a
-// precise cut (internal/durable does, to bound its write-ahead log) must
-// pause updates around the call — queries can keep flowing.
+// Every snapshot is written from pinned MVCC versions: PinVersions pins
+// each shard's current version, SnapshotPinnedFS serializes exactly those
+// views — per-shard files written concurrently, each under its shard's read
+// lock, so the writer rides with converged queries and version-publishing
+// updates and is blocked only by in-flight cracking — and Release lets the
+// superseded versions go. Snapshot is that sequence in one call. Because
+// shards are pinned one at a time, the set is per-shard consistent but not
+// a cross-shard point-in-time cut; callers that need a precise cut
+// (internal/durable does, to bound its write-ahead log) hold updates for
+// the duration of PinVersions only — microseconds — and write afterwards.
 //
 // The manifest records what the sub-index snapshots cannot: the build-time
 // STR tile of each shard (which routes inserts), the live bounding box
@@ -23,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -35,35 +36,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/geom"
 )
-
-// Saver is the optional sub-index interface behind Snapshot. The default
-// QUASII sub-indexes (core.Index) satisfy it.
-type Saver interface {
-	Save(w io.Writer) error
-}
-
-// ErrNotPersistable is returned by Snapshot when a shard's sub-index (built
-// by a custom Config.New) does not satisfy Saver, and by Restore when the
-// config requests custom sub-indexes (snapshot files always decode into the
-// default QUASII sub-indexes).
-var ErrNotPersistable = errors.New("shard: sub-index does not support persistence (Saver)")
-
-// VersionPinner is the optional sub-index interface behind pinned
-// (zero-pause) snapshots: PinVersion pins the current MVCC version against
-// garbage collection and SaveVersion serializes exactly that version's
-// view, both while later updates keep publishing new versions. The default
-// QUASII sub-indexes (core.Index) qualify. Both methods must be called
-// under the shard's read lock (the engine's PinVersions/SnapshotPinnedFS
-// handle that).
-type VersionPinner interface {
-	PinVersion() *core.Version
-	SaveVersion(w io.Writer, v *core.Version) error
-}
-
-// ErrNotVersioned is returned by PinVersions when a shard's sub-index does
-// not satisfy VersionPinner; callers fall back to the pause-and-Snapshot
-// checkpoint discipline.
-var ErrNotVersioned = errors.New("shard: sub-index does not support versioned snapshots (VersionPinner)")
 
 // ManifestName is the file binding a snapshot directory together. It is
 // written last, so a directory without it is an aborted snapshot.
@@ -128,100 +100,18 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.snap", i) }
 
 const overflowFileName = "overflow.snap"
 
-// Snapshot writes the engine's state into dir (which must exist): one
-// snapshot file per shard — written concurrently, each under its shard's
-// read lock — plus the manifest, written last and only if every shard file
-// succeeded. Every file is fsynced before Snapshot returns; directory-entry
-// durability (fsync of dir itself, atomic rename into place) is left to the
-// caller.
+// Snapshot writes the engine's state into dir (which must exist): it pins
+// every shard's current version, writes one snapshot file per shard plus
+// the manifest (see SnapshotPinnedFS), and releases the pins. Every file is
+// fsynced before Snapshot returns; directory-entry durability (fsync of dir
+// itself, atomic rename into place) is left to the caller.
 func (ix *Index) Snapshot(dir string) error {
-	return ix.SnapshotFS(dir, faultfs.OS{})
-}
-
-// SnapshotFS is Snapshot over an injectable file system — the durable
-// store threads its (possibly fault-injecting) FS through here so
-// checkpoint rotation is exercised by the same fault rules as the WAL.
-func (ix *Index) SnapshotFS(dir string, fsys faultfs.FS) error {
-	type job struct {
-		sh     *shardEntry
-		file   string
-		bounds geom.Box // live bounds captured under the shard's read lock
-		err    error
-	}
-	// A quarantined shard vetoes the whole snapshot: its sub-index just
-	// demonstrated it cannot be trusted (a probe panicked mid-walk), and
-	// persisting it would promote a transient in-memory corruption into
-	// every future restart. Callers keep the previous generation instead.
-	jobs := make([]*job, 0, len(ix.shards)+1)
-	for i, sh := range ix.shards {
-		if sh.quarantined.Load() {
-			return fmt.Errorf("snapshot refused, shard %d: %w", i, ErrQuarantined)
-		}
-		jobs = append(jobs, &job{sh: sh, file: shardFileName(i)})
-	}
-	overflow := ix.overflow.Load()
-	if overflow != nil {
-		if overflow.quarantined.Load() {
-			return fmt.Errorf("snapshot refused, overflow shard: %w", ErrQuarantined)
-		}
-		jobs = append(jobs, &job{sh: overflow, file: overflowFileName})
-	}
-
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		sub, ok := j.sh.sub.(Saver)
-		if !ok {
-			return ErrNotPersistable
-		}
-		wg.Add(1)
-		go func(j *job, sub Saver) {
-			defer wg.Done()
-			j.bounds, j.err = writeShardFile(fsys, filepath.Join(dir, j.file), j.sh, sub)
-		}(j, sub)
-	}
-	wg.Wait()
-
-	m := manifest{Version: manifestVersion, TileMBB: boxToManifest(ix.tileMBB)}
-	for _, j := range jobs {
-		if j.err != nil {
-			return j.err
-		}
-		if j.sh == overflow {
-			m.Overflow = &overflowEntry{File: j.file, Bounds: boxToManifest(j.bounds)}
-			continue
-		}
-		m.Shards = append(m.Shards, shardRecord{
-			File: j.file, Tile: boxToManifest(j.sh.tile), Bounds: boxToManifest(j.bounds),
-		})
-	}
-	return writeManifest(fsys, filepath.Join(dir, ManifestName), &m)
-}
-
-// writeShardFile saves one sub-index to path under its shard's read lock
-// and fsyncs the file. It returns the shard's live bounds as captured under
-// that lock: every object in the saved file had its bounds extension
-// completed before it was appended (Insert grows bounds before taking the
-// shard lock), so bounds read here are guaranteed to cover the file — read
-// before the lock they could miss a racing insert, and a restored engine
-// would then skip the shard on queries its objects intersect.
-func writeShardFile(fsys faultfs.FS, path string, sh *shardEntry, sub Saver) (geom.Box, error) {
-	f, err := fsys.Create(path)
+	ps, err := ix.PinVersions()
 	if err != nil {
-		return geom.Box{}, err
+		return err
 	}
-	sh.mu.RLock()
-	bounds := sh.boundsBox()
-	err = sub.Save(f)
-	sh.mu.RUnlock()
-	if err != nil {
-		f.Close()
-		return bounds, fmt.Errorf("saving %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return bounds, err
-	}
-	return bounds, f.Close()
+	defer ps.Release()
+	return ix.SnapshotPinnedFS(dir, faultfs.OS{}, ps)
 }
 
 func writeManifest(fsys faultfs.FS, path string, m *manifest) error {
@@ -246,7 +136,6 @@ func writeManifest(fsys faultfs.FS, path string, m *manifest) error {
 // needs about it, captured under the shard's read lock at pin time.
 type pinnedShard struct {
 	sh       *shardEntry
-	pin      VersionPinner
 	ver      *core.Version
 	file     string
 	tile     geom.Box
@@ -267,13 +156,14 @@ type PinSet struct {
 
 // PinVersions pins every shard's current MVCC version — each under its
 // shard's read lock, shards visited one at a time — and returns the set.
-// Like Snapshot, the pin refuses a quarantined engine (a poisoned
-// structure must never reach a checkpoint) and, like Snapshot, the set is
-// per-shard consistent but not a cross-shard point-in-time cut; the
-// durable store brackets PinVersions with its own update cut to get one.
-// An overflow shard created after PinVersions returns is not in the set
-// (objects routed there after the cut belong to the next checkpoint's log
-// anyway). Returns ErrNotVersioned when a sub-index cannot pin.
+// The pin refuses a quarantined engine with ErrQuarantined: a sub-index
+// that just panicked mid-walk cannot be trusted, and persisting it would
+// promote a transient in-memory corruption into every future restart;
+// callers keep the previous generation instead. The set is per-shard
+// consistent but not a cross-shard point-in-time cut; the durable store
+// brackets PinVersions with its own update cut to get one. An overflow
+// shard created after PinVersions returns is not in the set (objects
+// routed there after the cut belong to the next checkpoint's log anyway).
 func (ix *Index) PinVersions() (*PinSet, error) {
 	ps := &PinSet{tileMBB: ix.tileMBB}
 	fail := func(err error) (*PinSet, error) {
@@ -284,16 +174,18 @@ func (ix *Index) PinVersions() (*PinSet, error) {
 		if sh.quarantined.Load() {
 			return fmt.Errorf("pin refused, %s: %w", file, ErrQuarantined)
 		}
-		pin, ok := sh.sub.(VersionPinner)
-		if !ok {
-			return ErrNotVersioned
-		}
+		// Bounds are read under the same lock as the pin: every object in
+		// the pinned version had its bounds extension completed before it
+		// was appended (Insert grows bounds before taking the shard lock),
+		// so they cover the file — read before the lock they could miss a
+		// racing insert, and a restored engine would then skip the shard on
+		// queries its objects intersect.
 		sh.mu.RLock()
-		ver := pin.PinVersion()
+		ver := sh.sub.PinVersion()
 		bounds := sh.boundsBox()
 		sh.mu.RUnlock()
 		ps.pins = append(ps.pins, pinnedShard{
-			sh: sh, pin: pin, ver: ver, file: file, tile: tile, bounds: bounds, overflow: overflow,
+			sh: sh, ver: ver, file: file, tile: tile, bounds: bounds, overflow: overflow,
 		})
 		return nil
 	}
@@ -336,19 +228,16 @@ func (ps *PinSet) Release() {
 	}
 }
 
-// SnapshotPinned writes the pinned versions into dir — the zero-pause
-// counterpart of Snapshot: the files describe exactly the state at pin
-// time no matter how many updates landed since.
-func (ix *Index) SnapshotPinned(dir string, ps *PinSet) error {
-	return ix.SnapshotPinnedFS(dir, faultfs.OS{}, ps)
-}
-
-// SnapshotPinnedFS is SnapshotPinned over an injectable file system. Shard
-// files are written concurrently, each under its shard's read lock (the
-// pinned version's lanes may still be reorganized in place by cracking on
-// the live generation; the read lock excludes that). A shard quarantined
-// since the pin vetoes the snapshot, exactly as in SnapshotFS: its pinned
-// version shares storage with the structure that just panicked.
+// SnapshotPinnedFS writes the pinned versions into dir over an injectable
+// file system — the durable store threads its (possibly fault-injecting) FS
+// through here so checkpoint rotation is exercised by the same fault rules
+// as the WAL. The files describe exactly the state at pin time no matter
+// how many updates landed since: one file per shard, written concurrently,
+// each under its shard's read lock (the pinned version's lanes may still be
+// reorganized in place by cracking on the live generation; the read lock
+// excludes that), then the manifest, written last and only if every shard
+// file succeeded. A shard quarantined since the pin vetoes the snapshot:
+// its pinned version shares storage with the structure that just panicked.
 func (ix *Index) SnapshotPinnedFS(dir string, fsys faultfs.FS, ps *PinSet) error {
 	type job struct {
 		p   *pinnedShard
@@ -398,7 +287,7 @@ func writePinnedShardFile(fsys faultfs.FS, path string, p *pinnedShard) error {
 		return err
 	}
 	p.sh.mu.RLock()
-	err = p.pin.SaveVersion(f, p.ver)
+	err = p.sh.sub.SaveVersion(f, p.ver)
 	p.sh.mu.RUnlock()
 	if err != nil {
 		f.Close()
@@ -415,14 +304,9 @@ func writePinnedShardFile(fsys faultfs.FS, path string, p *pinnedShard) error {
 // Snapshot. Shard files are loaded concurrently. The restored engine keeps
 // the snapshot's spatial layout (tiles, live bounds, overflow shard) and
 // every sub-index's accumulated refinement; cfg supplies the runtime knobs
-// exactly as for New (Workers, CrackBudget, DisableSharedReads, and
-// SubConfig for shards created after restore, i.e. a fresh overflow).
-// cfg.New must be nil: snapshot files always decode into the default QUASII
-// sub-indexes.
+// exactly as for New (Workers, CrackBudget, and SubConfig for shards
+// created after restore, i.e. a fresh overflow).
 func Restore(dir string, cfg Config) (*Index, error) {
-	if cfg.New != nil {
-		return nil, ErrNotPersistable
-	}
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("reading snapshot manifest: %w", err)
@@ -438,23 +322,10 @@ func Restore(dir string, cfg Config) (*Index, error) {
 		return nil, errors.New("snapshot manifest lists no shards")
 	}
 
-	sub := cfg.SubConfig
-	ix := &Index{
-		shards: make([]*shardEntry, len(m.Shards)),
-		build:  func(objs []geom.Object) Queryable { return core.New(objs, sub) },
-	}
+	ix := newEngine(cfg, len(m.Shards), coreBuilder(cfg.SubConfig))
 	ix.tileMBB, err = boxFromManifest(m.TileMBB)
 	if err != nil {
 		return nil, err
-	}
-	ix.crackBudget = cfg.CrackBudget
-	if ix.crackBudget == 0 {
-		ix.crackBudget = DefaultCrackBudget
-	}
-	ix.noShared = cfg.DisableSharedReads
-	ix.versionHorizon = cfg.VersionHorizon
-	if ix.versionHorizon == 0 {
-		ix.versionHorizon = DefaultVersionHorizon
 	}
 
 	errs := make([]error, len(m.Shards)+1)
@@ -509,15 +380,13 @@ func Restore(dir string, cfg Config) (*Index, error) {
 		}
 	}
 
-	ix.workers = effectiveWorkers(cfg.Workers, len(ix.shards))
-	ix.sem = make(chan struct{}, ix.workers)
 	n := 0
 	ix.forEach(func(sh *shardEntry) { n += sh.sub.Len() })
 	ix.count.Store(int64(n))
 	return ix, nil
 }
 
-func loadShardFile(path string) (Queryable, error) {
+func loadShardFile(path string) (subIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -531,7 +400,7 @@ func loadShardFile(path string) (Queryable, error) {
 }
 
 // effectiveWorkers resolves the Config.Workers default: min(shard count,
-// GOMAXPROCS), at least 1. Shared by New and Restore.
+// GOMAXPROCS), at least 1.
 func effectiveWorkers(requested, shards int) int {
 	if requested >= 1 {
 		return requested

@@ -160,34 +160,6 @@ func TestSnapshotConcurrentWithQueries(t *testing.T) {
 	}
 }
 
-func TestSnapshotRequiresSaver(t *testing.T) {
-	data := dataset.Uniform(100, 76)
-	ix := New(data, Config{Shards: 2, New: func(objs []geom.Object) Queryable {
-		return plainQueryable{objs}
-	}})
-	if err := ix.Snapshot(t.TempDir()); err != ErrNotPersistable {
-		t.Fatalf("Snapshot with non-Saver subs: err=%v, want ErrNotPersistable", err)
-	}
-	if _, err := Restore(t.TempDir(), Config{New: func(objs []geom.Object) Queryable {
-		return plainQueryable{objs}
-	}}); err != ErrNotPersistable {
-		t.Fatalf("Restore with custom New: err=%v, want ErrNotPersistable", err)
-	}
-}
-
-// plainQueryable is a minimal sub-index without persistence support.
-type plainQueryable struct{ objs []geom.Object }
-
-func (p plainQueryable) Len() int { return len(p.objs) }
-func (p plainQueryable) Query(q geom.Box, out []int32) []int32 {
-	for i := range p.objs {
-		if p.objs[i].Intersects(q) {
-			out = append(out, p.objs[i].ID)
-		}
-	}
-	return out
-}
-
 func TestRestoreRejectsMissingManifest(t *testing.T) {
 	if _, err := Restore(t.TempDir(), Config{}); err == nil {
 		t.Fatal("restore from empty dir succeeded")

@@ -1,10 +1,10 @@
 // Panic isolation for the sharded engine. A sub-index that panics mid-probe
-// (a corrupted slice hierarchy, an out-of-bounds walk, a bug in a custom
-// Config.New index) must not take the whole serving process down or — worse —
-// leave its shard mutex locked forever so every later query hangs. Every
-// probe into a sub-index therefore runs through one of the helpers below:
-// the panic is recovered, the shard is quarantined, and the engine carries
-// on over the remaining shards.
+// (a corrupted slice hierarchy, an out-of-bounds walk) must not take the
+// whole serving process down or — worse — leave its shard mutex locked
+// forever so every later query hangs. Every probe into a sub-index
+// therefore runs through one of the helpers below: the panic is recovered,
+// the shard is quarantined, and the engine carries on over the remaining
+// shards.
 //
 // Quarantine is fail-stop at shard granularity: once poisoned, a shard is
 // skipped by queries, KNN, updates, Len/Stats walks and Flush (its objects
@@ -32,7 +32,7 @@ import (
 )
 
 // ErrQuarantined is returned by Insert when the target shard has been
-// quarantined after a sub-index panic, and by Snapshot/SnapshotFS when any
+// quarantined after a sub-index panic, and by Snapshot/PinVersions when any
 // shard is quarantined (a poisoned structure must not be persisted).
 var ErrQuarantined = errors.New("shard: quarantined after sub-index panic")
 
@@ -75,7 +75,7 @@ func (sh *shardEntry) sharedProbe(q geom.Box, out []int32) (res []int32, ok, hea
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	res, ok = sh.shared.QueryShared(q, out)
+	res, ok = sh.sub.QueryShared(q, out)
 	healthy = true
 	return
 }
@@ -90,11 +90,7 @@ func (sh *shardEntry) exclusiveProbe(q geom.Box, out []int32) (res []int32, heal
 	}()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.budgeted != nil && sh.crackBudget >= 0 {
-		res = sh.budgeted.QueryBudgeted(q, out, sh.crackBudget)
-	} else {
-		res = sh.sub.Query(q, out)
-	}
+	res = sh.sub.QueryBudgeted(q, out, sh.crackBudget) // budget < 0: unlimited
 	healthy = true
 	return
 }
@@ -108,13 +104,13 @@ func (sh *shardEntry) knnSharedProbe(p geom.Point, k int) (found []core.Neighbor
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	found, done = sh.sharedNN.KNNShared(p, k)
+	found, done = sh.sub.KNNShared(p, k)
 	healthy = true
 	return
 }
 
 // knnExclusiveProbe is exclusiveProbe for the KNN refining path.
-func (sh *shardEntry) knnExclusiveProbe(nn NearestNeighborer, p geom.Point, k int) (found []core.Neighbor, healthy bool) {
+func (sh *shardEntry) knnExclusiveProbe(p geom.Point, k int) (found []core.Neighbor, healthy bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.poison(r)
@@ -122,32 +118,19 @@ func (sh *shardEntry) knnExclusiveProbe(nn NearestNeighborer, p geom.Point, k in
 	}()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	found = nn.KNN(p, k)
+	found = sh.sub.KNN(p, k)
 	healthy = true
 	return
 }
 
-// appendProbe applies one insert under the write lock with panic isolation.
-// healthy == false means the append panicked mid-mutation: the shard is
-// quarantined and the object must be considered not stored.
-func (sh *shardEntry) appendProbe(up Updatable, o geom.Object) (healthy bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.poison(r)
-		}
-	}()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	up.Append(o)
-	return true
-}
-
 // appendSharedProbe applies one insert under the READ lock with panic
-// isolation — the MVCC fast path: a versioned sub-index publishes the
-// append as a new immutable version (writers serialize on the sub-index's
-// own version mutex), so concurrent shared readers keep flowing and only
-// structural work (cracking, Flush) ever takes the shard's write lock.
-func (sh *shardEntry) appendSharedProbe(vu VersionedUpdatable, o geom.Object) (healthy bool) {
+// isolation: the sub-index publishes the append as a new immutable version
+// (writers serialize on the sub-index's own version mutex), so concurrent
+// shared readers keep flowing and only structural work (cracking, Flush)
+// ever takes the shard's write lock. healthy == false means the append
+// panicked mid-mutation: the shard is quarantined and the object must be
+// considered not stored.
+func (sh *shardEntry) appendSharedProbe(o geom.Object) (healthy bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.poison(r)
@@ -155,7 +138,7 @@ func (sh *shardEntry) appendSharedProbe(vu VersionedUpdatable, o geom.Object) (h
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	vu.Append(o)
+	sh.sub.Append(o)
 	return true
 }
 
@@ -163,7 +146,7 @@ func (sh *shardEntry) appendSharedProbe(vu VersionedUpdatable, o geom.Object) (h
 // isolation. handled == false means the sub-index could not resolve the
 // delete read-only (an unconverged region needs the exclusive locate path)
 // and the caller must escalate to deleteProbe.
-func (sh *shardEntry) deleteSharedProbe(vu VersionedUpdatable, id int32, hint geom.Box) (found, handled, healthy bool) {
+func (sh *shardEntry) deleteSharedProbe(id int32, hint geom.Box) (found, handled, healthy bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.poison(r)
@@ -171,13 +154,13 @@ func (sh *shardEntry) deleteSharedProbe(vu VersionedUpdatable, id int32, hint ge
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	found, handled = vu.DeleteShared(id, hint)
+	found, handled = sh.sub.DeleteShared(id, hint)
 	healthy = true
 	return
 }
 
 // deleteProbe applies one delete under the write lock with panic isolation.
-func (sh *shardEntry) deleteProbe(up Updatable, id int32, hint geom.Box) (found, healthy bool) {
+func (sh *shardEntry) deleteProbe(id int32, hint geom.Box) (found, healthy bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.poison(r)
@@ -185,7 +168,7 @@ func (sh *shardEntry) deleteProbe(up Updatable, id int32, hint geom.Box) (found,
 	}()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	found = up.Delete(id, hint)
+	found = sh.sub.Delete(id, hint)
 	healthy = true
 	return
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,70 +11,69 @@ import (
 	"repro/internal/telemetry"
 )
 
-// bomb is a minimal sub-index whose operations can be armed to panic,
-// standing in for a corrupted structure. It satisfies Queryable, Updatable
-// and NearestNeighborer with linear scans — slow but obviously correct, so
-// the tests measure the engine's isolation behaviour, not the index.
+// bomb is a real QUASII sub-index whose probes can be armed to panic,
+// standing in for a corrupted structure. It embeds *core.Index — so a
+// disarmed bomb is exactly what production runs — and overrides the four
+// read-locked entry points (QueryShared, Append, DeleteShared, KNNShared)
+// and the write-locked ones behind them (QueryBudgeted, Delete, KNN). On the
+// tiny unconverged test data every shared walk reports "needs refinement",
+// so arming only an exclusive method drives the engine through the full
+// probe ladder before it trips.
 type bomb struct {
-	objs                                   []geom.Object
-	armQuery, armAppend, armDelete, armKNN bool
+	*core.Index
+	objs []geom.Object // build-time contents, for bombFor
+
+	armQueryShared, armAppend, armDeleteShared, armKNNShared bool
+	armQuery, armDelete, armKNN                              bool
 }
 
-func (b *bomb) Len() int { return len(b.objs) }
+func (b *bomb) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
+	if b.armQueryShared {
+		panic("bomb: shared query")
+	}
+	return b.Index.QueryShared(q, out)
+}
 
-func (b *bomb) Query(q geom.Box, out []int32) []int32 {
+func (b *bomb) QueryBudgeted(q geom.Box, out []int32, budget int) []int32 {
 	if b.armQuery {
 		panic("bomb: query")
 	}
-	for _, o := range b.objs {
-		if o.Box.Intersects(q) {
-			out = append(out, o.ID)
-		}
-	}
-	return out
+	return b.Index.QueryBudgeted(q, out, budget)
 }
 
 func (b *bomb) Append(objs ...geom.Object) {
 	if b.armAppend {
 		panic("bomb: append")
 	}
-	b.objs = append(b.objs, objs...)
+	b.Index.Append(objs...)
+}
+
+func (b *bomb) DeleteShared(id int32, hint geom.Box) (found, ok bool) {
+	if b.armDeleteShared {
+		panic("bomb: shared delete")
+	}
+	return b.Index.DeleteShared(id, hint)
 }
 
 func (b *bomb) Delete(id int32, hint geom.Box) bool {
 	if b.armDelete {
 		panic("bomb: delete")
 	}
-	for i, o := range b.objs {
-		if o.ID == id {
-			b.objs = append(b.objs[:i], b.objs[i+1:]...)
-			return true
-		}
-	}
-	return false
+	return b.Index.Delete(id, hint)
 }
 
-func (b *bomb) Flush()       {}
-func (b *bomb) Pending() int { return 0 }
+func (b *bomb) KNNShared(p geom.Point, k int) ([]core.Neighbor, bool) {
+	if b.armKNNShared {
+		panic("bomb: shared knn")
+	}
+	return b.Index.KNNShared(p, k)
+}
 
 func (b *bomb) KNN(p geom.Point, k int) []core.Neighbor {
 	if b.armKNN {
 		panic("bomb: knn")
 	}
-	ns := make([]core.Neighbor, 0, len(b.objs))
-	for _, o := range b.objs {
-		ns = append(ns, core.Neighbor{ID: o.ID, DistSq: o.Box.MinDistSq(p)})
-	}
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].DistSq != ns[j].DistSq {
-			return ns[i].DistSq < ns[j].DistSq
-		}
-		return ns[i].ID < ns[j].ID
-	})
-	if len(ns) > k {
-		ns = ns[:k]
-	}
-	return ns
+	return b.Index.KNN(p, k)
 }
 
 // bombObjects builds two well-separated clusters so a 2-shard STR partition
@@ -90,17 +88,15 @@ func bombObjects() []geom.Object {
 }
 
 // bombIndex builds a 2-shard engine over bombObjects with bomb sub-indexes
-// and returns the engine plus the constructed bombs in build order.
+// (through newIndex's build hook) and returns the engine plus the
+// constructed bombs in build order.
 func bombIndex(t *testing.T) (*Index, []*bomb) {
 	t.Helper()
 	var bombs []*bomb
-	ix := New(bombObjects(), Config{
-		Shards: 2,
-		New: func(data []geom.Object) Queryable {
-			b := &bomb{objs: append([]geom.Object(nil), data...)}
-			bombs = append(bombs, b)
-			return b
-		},
+	ix := newIndex(bombObjects(), Config{Shards: 2}, func(data []geom.Object) subIndex {
+		b := &bomb{Index: core.New(data, core.Config{}), objs: append([]geom.Object(nil), data...)}
+		bombs = append(bombs, b)
+		return b
 	})
 	if len(bombs) != 2 || ix.NumShards() != 2 {
 		t.Fatalf("want 2 bomb shards, got %d shards, %d bombs", ix.NumShards(), len(bombs))
@@ -233,6 +229,73 @@ func TestKNNSkipsPanickingShard(t *testing.T) {
 	}
 }
 
+// TestReadLockedProbesQuarantine arms each read-locked probe in turn — the
+// probes every production request enters first — and proves the panic is
+// recovered inside it: the shard is quarantined, its lock is released (a
+// write-locked Flush on the same engine returns), and the other shard keeps
+// answering.
+func TestReadLockedProbesQuarantine(t *testing.T) {
+	all := geom.BoxAt(geom.Point{50, 0, 0}, 1000)
+	for _, tc := range []struct {
+		name string
+		arm  func(b *bomb)
+		trip func(t *testing.T, ix *Index)
+	}{
+		{"sharedProbe", func(b *bomb) { b.armQueryShared = true }, func(t *testing.T, ix *Index) {
+			if got := idSet(ix.Query(all, nil)); got[1] || !got[11] {
+				t.Fatalf("query across a panicking shared probe = %v", got)
+			}
+		}},
+		{"appendSharedProbe", func(b *bomb) { b.armAppend = true }, func(t *testing.T, ix *Index) {
+			err := ix.Insert(geom.Object{Box: geom.BoxAt(geom.Point{1, 0, 0}, 0.4), ID: 99})
+			if !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("Insert into panicking shard: %v, want ErrQuarantined", err)
+			}
+		}},
+		{"deleteSharedProbe", func(b *bomb) { b.armDeleteShared = true }, func(t *testing.T, ix *Index) {
+			if found, err := ix.Delete(11, all); err != nil || !found {
+				t.Fatalf("Delete across a panicking shared probe: found=%v err=%v", found, err)
+			}
+		}},
+		{"knnSharedProbe", func(b *bomb) { b.armKNNShared = true }, func(t *testing.T, ix *Index) {
+			got, err := ix.KNN(geom.Point{0, 0, 0}, 2)
+			if err != nil || len(got) != 2 || got[0].ID != 11 || got[1].ID != 12 {
+				t.Fatalf("KNN across a panicking shared probe = %+v, %v", got, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, bombs := bombIndex(t)
+			reg := telemetry.NewRegistry()
+			ix.Instrument(reg)
+			tc.arm(bombFor(t, bombs, 1))
+			tc.trip(t, ix)
+			if q := ix.Quarantined(); q != 1 {
+				t.Fatalf("Quarantined() = %d, want 1", q)
+			}
+			if v := ix.mPanics.Value(); v != 1 {
+				t.Fatalf("quasii_shard_panics_total = %d, want 1", v)
+			}
+			// The poisoned shard's lock must be free: take it for writing.
+			for _, sh := range ix.shards {
+				sh.mu.Lock()
+				sh.mu.Unlock()
+			}
+			// The healthy shard still answers reads and accepts writes.
+			far := geom.BoxAt(geom.Point{100, 0, 0}, 10)
+			if got := idSet(ix.Query(far, nil)); !got[12] || !got[13] || !got[14] {
+				t.Fatalf("healthy shard stopped answering: %v", got)
+			}
+			if err := ix.Insert(geom.Object{Box: geom.BoxAt(geom.Point{101, 0, 0}, 0.4), ID: 77}); err != nil {
+				t.Fatalf("healthy shard refused an insert: %v", err)
+			}
+			if got := idSet(ix.Query(far, nil)); !got[77] {
+				t.Fatalf("insert into the healthy shard invisible: %v", got)
+			}
+		})
+	}
+}
+
 func TestPanicMetrics(t *testing.T) {
 	ix, bombs := bombIndex(t)
 	reg := telemetry.NewRegistry()
@@ -260,7 +323,7 @@ func TestQueryCtx(t *testing.T) {
 	all := geom.BoxAt(geom.Point{50, 0, 0}, 1000)
 
 	plain := idSet(ix.Query(all, nil))
-	got, err := ix.QueryCtx(context.Background(), all, nil)
+	got, err := ix.QueryCtx(context.Background(), all, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +333,17 @@ func TestQueryCtx(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.QueryCtx(cancelled, all, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ix.QueryCtx(cancelled, all, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryCtx(cancelled) err = %v, want context.Canceled", err)
 	}
-	if _, err := ix.QueryBatchCtx(cancelled, []geom.Box{all, all}); !errors.Is(err, context.Canceled) {
+	if _, err := ix.QueryBatchCtx(cancelled, []geom.Box{all, all}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryBatchCtx(cancelled) err = %v, want context.Canceled", err)
 	}
 	if _, err := ix.KNNCtx(cancelled, geom.Point{0, 0, 0}, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("KNNCtx(cancelled) err = %v, want context.Canceled", err)
 	}
 
-	res, err := ix.QueryBatchCtx(context.Background(), []geom.Box{all})
+	res, err := ix.QueryBatchCtx(context.Background(), []geom.Box{all}, nil)
 	if err != nil || len(res) != 1 || len(res[0]) != 8 {
 		t.Fatalf("QueryBatchCtx(Background): res=%v err=%v", res, err)
 	}
@@ -299,7 +362,7 @@ func TestQueryCtxMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Not yet cancelled: the cancellable path must produce full results.
-	got, err := ix.QueryTracedCtx(ctx, all, nil, nil)
+	got, err := ix.QueryCtx(ctx, all, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

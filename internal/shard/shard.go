@@ -2,8 +2,7 @@
 // single-threaded indexes of this module. The input objects are spatially
 // partitioned into P shards by STR-style tiling (sort-tile-recursive, the
 // same packing discipline the R-tree bulk loader uses), each shard gets its
-// own sub-index — QUASII by default, any constructor via Config.New — and
-// its own mutex.
+// own QUASII sub-index (core.Index) and its own mutex.
 //
 // Concurrency comes from three directions:
 //
@@ -31,12 +30,19 @@
 // system without touching the cracking code itself.
 //
 // The engine also accepts live updates (see Insert, Delete, Flush in
-// update.go) and k-nearest-neighbor queries (KNN in knn.go) when the
-// sub-indexes support them, which the default QUASII sub-indexes do.
+// update.go) and k-nearest-neighbor queries (KNN in knn.go).
+//
+// Every shard operation is one probe ladder: the read-locked shared probe
+// first, then — only when the sub-index reports unfinished refinement — the
+// write-locked, crack-budgeted exclusive probe. Every data change is an
+// MVCC version published under the read lock, and every snapshot is
+// written from pinned versions; there is no unversioned path.
 package shard
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,29 +53,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Queryable is the interface a shard's sub-index must satisfy. It matches
-// the module-wide Index interface (quasii.Index).
-type Queryable interface {
+// subIndex is the method set the engine calls on a shard's sub-index. The
+// one production implementation is *core.Index; it stays an interface only
+// so in-package tests can substitute a sub-index that panics on demand (see
+// resilience_test.go) through newIndex's build hook.
+type subIndex interface {
 	Len() int
-	Query(q geom.Box, out []int32) []int32
-}
-
-// SharedQueryable is the optional sub-index interface behind the concurrent
-// read path. QueryShared must be a read-only query: safe to run from any
-// number of goroutines at once (the engine holds the shard's read lock),
-// returning ok == false when the touched region still needs exclusive
-// refinement work. Epoch must move on every structural mutation and stand
-// still otherwise. The default QUASII sub-indexes (core.Index) qualify.
-type SharedQueryable interface {
+	// Reads: the shared walk reports ok == false when the touched region
+	// still needs refinement, which only the exclusive calls perform.
 	QueryShared(q geom.Box, out []int32) ([]int32, bool)
-	Epoch() uint64
-}
-
-// BudgetedQueryable is the optional sub-index interface that bounds the
-// mutation work of one exclusive query (see Config.CrackBudget). The
-// default QUASII sub-indexes qualify.
-type BudgetedQueryable interface {
 	QueryBudgeted(q geom.Box, out []int32, budget int) []int32
+	KNNShared(p geom.Point, k int) ([]core.Neighbor, bool)
+	KNN(p geom.Point, k int) []core.Neighbor
+	// Updates: Append and DeleteShared publish versions under the shard's
+	// read lock; Delete and Flush need the write lock.
+	Append(objs ...geom.Object)
+	DeleteShared(id int32, hint geom.Box) (found, ok bool)
+	Delete(id int32, hint geom.Box) bool
+	Flush()
+	Complete()
+	// Pinned snapshots.
+	PinVersion() *core.Version
+	SaveVersion(w io.Writer, v *core.Version) error
+	// Observation.
+	Pending() int
+	Deleted() int
+	LiveVersions() int
+	Epoch() uint64
+	Stats() core.Stats
+	Inspect(maxDepth int) core.InspectReport
+	CheckInvariants() error
 }
 
 // Config controls sharding. The zero value is usable: GOMAXPROCS shards,
@@ -88,44 +101,24 @@ type Config struct {
 	// taken), which is the right mode when inter-query concurrency already
 	// saturates the cores.
 	Workers int
-	// New constructs the sub-index over one shard's objects. The slice is
-	// owned by the sub-index (QUASII-style: it may be reorganized in
-	// place). Nil selects QUASII with SubConfig. A custom constructor must
-	// tolerate an empty input slice: the engine builds the overflow shard
-	// for out-of-bounds inserts from no objects. Sub-indexes that
-	// additionally satisfy Updatable (resp. NearestNeighborer) enable
-	// Insert/Delete/Flush (resp. KNN) on the sharded index.
-	New func(data []geom.Object) Queryable
-	// SubConfig configures the default QUASII sub-indexes when New is nil.
+	// SubConfig configures the QUASII sub-index of every shard.
 	SubConfig core.Config
 	// CrackBudget bounds the crack (partition) passes one exclusive query
-	// may perform on a shard whose sub-index supports QueryBudgeted: the
-	// query refines up to that many passes and answers the rest by
-	// scanning, leaving the remainder to later queries. This keeps write
-	// sections short so concurrent shared readers are never stuck behind a
-	// cold region. 0 selects DefaultCrackBudget; negative disables the
-	// bound (every exclusive query refines to completion, the pre-RWMutex
-	// behaviour).
+	// may perform on a shard: the query refines up to that many passes and
+	// answers the rest by scanning, leaving the remainder to later queries.
+	// This keeps write sections short so concurrent shared readers are
+	// never stuck behind a cold region. 0 selects DefaultCrackBudget;
+	// negative disables the bound (every exclusive query refines to
+	// completion, the pre-RWMutex behaviour).
 	CrackBudget int
-	// DisableSharedReads forces every query through the exclusive path
-	// even when the sub-index supports QueryShared. It exists for ablation
-	// benchmarks (the exclusive-lock baseline) and as an escape hatch. It
-	// also disables the versioned (read-locked) update path: writers fall
-	// back to the exclusive probes, matching the ablation baseline.
-	DisableSharedReads bool
-	// VersionHorizon bounds the MVCC version chain a sub-index may retain
-	// (live version plus pinned predecessors). CheckInvariants fails when a
-	// chain exceeds it — a longer chain means a leaked pin, since the
-	// engine's own pins (checkpoints) hold at most one predecessor per
-	// shard at a time. 0 selects DefaultVersionHorizon; negative disables
-	// the check.
-	VersionHorizon int
 }
 
-// DefaultVersionHorizon is the version-chain bound when Config.VersionHorizon
-// is 0. A healthy engine holds 1 version per shard when quiescent and 2
-// during a checkpoint; 8 leaves room for stacked snapshot readers in tests
-// without masking a real pin leak.
+// DefaultVersionHorizon bounds the MVCC version chain a sub-index may
+// retain (live version plus pinned predecessors); CheckInvariants fails
+// beyond it, because a longer chain means a leaked pin. A healthy engine
+// holds 1 version per shard when quiescent and 2 during a checkpoint; 8
+// leaves room for stacked snapshot readers in tests without masking a real
+// leak.
 const DefaultVersionHorizon = 8
 
 // DefaultCrackBudget is the per-query crack budget when Config.CrackBudget
@@ -135,8 +128,7 @@ const DefaultVersionHorizon = 8
 const DefaultCrackBudget = 64
 
 // Stats aggregates the state and work counters of all shards. Core sums the
-// QUASII work counters of every sub-index that exposes them (sub-indexes
-// built by a custom Config.New without a Stats method contribute zeros).
+// QUASII work counters of every sub-index.
 type Stats struct {
 	Shards       int        // number of spatial shards (excluding overflow)
 	Objects      int        // total live objects indexed (including overflow)
@@ -150,9 +142,6 @@ type Stats struct {
 	Core         core.Stats // summed QUASII work counters
 }
 
-// statser is satisfied by sub-indexes that report QUASII work counters.
-type statser interface{ Stats() core.Stats }
-
 // shardEntry is one spatial shard: a sub-index behind its own read-write
 // lock, the fixed bounding box of the objects assigned to it at build time
 // (the tile, which routes inserts), and the live bounding box actually
@@ -162,23 +151,15 @@ type statser interface{ Stats() core.Stats }
 // QUASII's own maxExt bookkeeping): deletions never shrink it, which is
 // conservative but always correct.
 //
-// The lock discipline: the shared query path (shared/sharedNN, when the
-// sub-index supports it) runs under mu.RLock — many queries through one
-// shard in parallel — while anything that may mutate the sub-index (the
-// exclusive query fallback, updates, flushes) takes mu.Lock.
+// The lock discipline: the shared probes — reads and version-publishing
+// updates — run under mu.RLock, many through one shard in parallel, while
+// anything that reorganizes the sub-index (the exclusive query fallback,
+// the locating Delete, Flush, Complete) takes mu.Lock.
 type shardEntry struct {
-	mu   sync.RWMutex
-	sub  Queryable
-	tile geom.Box // build-time STR tile MBB; immutable, routes inserts
-
-	// Optional capabilities of sub, resolved once at construction so the
-	// hot path carries no type assertions; nil when unsupported (or when
-	// Config.DisableSharedReads turned the read path off).
-	shared      SharedQueryable
-	sharedNN    SharedNearestNeighborer
-	budgeted    BudgetedQueryable
-	versioned   VersionedUpdatable
-	crackBudget int // per-exclusive-query crack budget; < 0 = unlimited
+	mu          sync.RWMutex
+	sub         subIndex
+	tile        geom.Box // build-time STR tile MBB; immutable, routes inserts
+	crackBudget int      // per-exclusive-query crack budget; < 0 = unlimited
 
 	// Path counters, shared by all entries of one engine and nil until
 	// Instrument attaches a registry (telemetry counters no-op on nil, so
@@ -217,16 +198,14 @@ func (sh *shardEntry) extendBounds(b geom.Box) {
 // Index is a sharded spatial index. It satisfies the module-wide Index
 // interface and is safe for concurrent use.
 type Index struct {
-	shards  []*shardEntry
-	build   func([]geom.Object) Queryable
+	shards []*shardEntry
+	// build constructs the sub-index of a shard created after construction
+	// (the lazy overflow shard) exactly like the build-time ones.
+	build   func([]geom.Object) subIndex
 	tileMBB geom.Box // union of the build-time tiles; routes inserts
 	workers int
-	// crackBudget and noShared carry the Config knobs to shards built after
-	// construction (the lazy overflow shard).
+	// crackBudget is the resolved Config.CrackBudget every entry inherits.
 	crackBudget int
-	noShared    bool
-	// versionHorizon bounds the MVCC chain per sub-index; < 0 disables.
-	versionHorizon int
 	// sem globally bounds intra-query fan-out goroutines across all
 	// concurrent Query calls. Slots are never acquired nested, so the
 	// semaphore cannot deadlock.
@@ -257,62 +236,58 @@ type Index struct {
 // sub-index per shard. The input slice is copied; the caller keeps its
 // original order.
 func New(data []geom.Object, cfg Config) *Index {
+	return newIndex(data, cfg, coreBuilder(cfg.SubConfig))
+}
+
+// coreBuilder is the production build hook: a QUASII index per shard.
+func coreBuilder(sub core.Config) func([]geom.Object) subIndex {
+	return func(objs []geom.Object) subIndex { return core.New(objs, sub) }
+}
+
+// newIndex is New with the sub-index constructor exposed — the hook the
+// quarantine tests use to arm a shard; production always passes coreBuilder.
+func newIndex(data []geom.Object, cfg Config, build func([]geom.Object) subIndex) *Index {
 	p := cfg.Shards
 	if p < 1 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	build := cfg.New
-	if build == nil {
-		sub := cfg.SubConfig
-		build = func(objs []geom.Object) Queryable { return core.New(objs, sub) }
-	}
 	parts := partition(data, p)
-	ix := &Index{shards: make([]*shardEntry, len(parts)), build: build, tileMBB: geom.EmptyBox()}
-	ix.crackBudget = cfg.CrackBudget
-	if ix.crackBudget == 0 {
-		ix.crackBudget = DefaultCrackBudget
-	}
-	ix.noShared = cfg.DisableSharedReads
-	ix.versionHorizon = cfg.VersionHorizon
-	if ix.versionHorizon == 0 {
-		ix.versionHorizon = DefaultVersionHorizon
-	}
+	ix := newEngine(cfg, len(parts), build)
 	for i, part := range parts {
 		sh := ix.newEntry(build(part), geom.MBB(part))
 		sh.bounds.Store(&sh.tile)
 		ix.shards[i] = sh
 		ix.tileMBB = ix.tileMBB.Extend(sh.tile)
 	}
-	ix.workers = effectiveWorkers(cfg.Workers, len(ix.shards))
-	ix.sem = make(chan struct{}, ix.workers)
 	ix.count.Store(int64(len(data)))
 	return ix
 }
 
-// newEntry wraps a sub-index into a shard entry, resolving its optional
-// shared-path capabilities once.
-func (ix *Index) newEntry(sub Queryable, tile geom.Box) *shardEntry {
-	sh := &shardEntry{sub: sub, tile: tile, crackBudget: ix.crackBudget}
-	// Inherit the engine's path counters so entries created after
-	// Instrument (the lazy overflow shard) report like the rest.
-	sh.mShared = ix.mShared
-	sh.mExclusive = ix.mExclusive
-	sh.mPanics = ix.mPanics
-	if !ix.noShared {
-		if sq, ok := sub.(SharedQueryable); ok {
-			sh.shared = sq
-		}
-		if nn, ok := sub.(SharedNearestNeighborer); ok {
-			sh.sharedNN = nn
-		}
-		if vu, ok := sub.(VersionedUpdatable); ok {
-			sh.versioned = vu
-		}
+// newEngine resolves cfg into an engine with n empty shard slots; New and
+// Restore fill them in.
+func newEngine(cfg Config, n int, build func([]geom.Object) subIndex) *Index {
+	ix := &Index{
+		shards:      make([]*shardEntry, n),
+		build:       build,
+		tileMBB:     geom.EmptyBox(),
+		workers:     effectiveWorkers(cfg.Workers, n),
+		crackBudget: cfg.CrackBudget,
 	}
-	if bq, ok := sub.(BudgetedQueryable); ok {
-		sh.budgeted = bq
+	if ix.crackBudget == 0 {
+		ix.crackBudget = DefaultCrackBudget
 	}
-	return sh
+	ix.sem = make(chan struct{}, ix.workers)
+	return ix
+}
+
+// newEntry wraps a sub-index into a shard entry. It inherits the engine's
+// path counters so entries created after Instrument (the lazy overflow
+// shard) report like the rest.
+func (ix *Index) newEntry(sub subIndex, tile geom.Box) *shardEntry {
+	return &shardEntry{
+		sub: sub, tile: tile, crackBudget: ix.crackBudget,
+		mShared: ix.mShared, mExclusive: ix.mExclusive, mPanics: ix.mPanics,
+	}
 }
 
 // NumShards returns the effective spatial shard count (≤ Config.Shards for
@@ -397,71 +372,51 @@ func (ix *Index) collect(sh *shardEntry, st *Stats) int {
 	defer sh.mu.RUnlock()
 	n := sh.sub.Len()
 	st.Objects += n
-	if s, ok := sh.sub.(statser); ok {
-		cs := s.Stats()
-		st.Core.Queries += cs.Queries
-		st.Core.Cracks += cs.Cracks
-		st.Core.CrackedObjects += cs.CrackedObjects
-		st.Core.SlicesCreated += cs.SlicesCreated
-		st.Core.SlicesRefined += cs.SlicesRefined
-		st.Core.ObjectsTested += cs.ObjectsTested
-		st.Core.ResultObjects += cs.ResultObjects
-		st.Core.SharedQueries += cs.SharedQueries
-	}
-	if up, ok := sh.sub.(Updatable); ok {
-		st.Pending += up.Pending()
-	}
-	if d, ok := sh.sub.(interface{ Deleted() int }); ok {
-		st.Deleted += d.Deleted()
-	}
-	if lv, ok := sh.sub.(interface{ LiveVersions() int }); ok {
-		st.VersionsLive += lv.LiveVersions()
-	}
+	cs := sh.sub.Stats()
+	st.Core.Queries += cs.Queries
+	st.Core.Cracks += cs.Cracks
+	st.Core.CrackedObjects += cs.CrackedObjects
+	st.Core.SlicesCreated += cs.SlicesCreated
+	st.Core.SlicesRefined += cs.SlicesRefined
+	st.Core.ObjectsTested += cs.ObjectsTested
+	st.Core.ResultObjects += cs.ResultObjects
+	st.Core.SharedQueries += cs.SharedQueries
+	st.Pending += sh.sub.Pending()
+	st.Deleted += sh.sub.Deleted()
+	st.VersionsLive += sh.sub.LiveVersions()
 	return n
 }
 
-// Complete finishes all outstanding refinement in every sub-index that
-// supports it (the default QUASII sub-indexes do), shard by shard under
-// each shard's write lock. Afterwards — until the next update — every query
-// rides the shared read path, so Complete is the idle-time lever that turns
-// an adaptive engine into its fully concurrent converged form.
+// Complete finishes all outstanding refinement in every sub-index, shard by
+// shard under each shard's write lock. Afterwards — until the next Flush —
+// every query rides the shared read path, so Complete is the idle-time
+// lever that turns an adaptive engine into its fully concurrent converged
+// form.
 func (ix *Index) Complete() {
 	ix.forEach(func(sh *shardEntry) {
-		if c, ok := sh.sub.(interface{ Complete() }); ok {
-			sh.mu.Lock()
-			c.Complete()
-			sh.mu.Unlock()
-		}
+		sh.mu.Lock()
+		sh.sub.Complete()
+		sh.mu.Unlock()
 	})
 }
 
-// CheckInvariants validates the structural invariants of every sub-index
-// that exposes them (the default QUASII sub-indexes do), under each shard's
-// write lock so a quiesced check sees a frozen structure, and bounds every
-// sub-index's MVCC version chain by Config.VersionHorizon (a longer chain
-// means a leaked pin). It returns the first violation found. Intended for
-// tests and stress harnesses.
+// CheckInvariants validates the structural invariants of every sub-index,
+// under each shard's write lock so a quiesced check sees a frozen
+// structure, and bounds every sub-index's MVCC version chain by
+// DefaultVersionHorizon (a longer chain means a leaked pin). It returns the
+// first violation found. Intended for tests and stress harnesses.
 func (ix *Index) CheckInvariants() error {
 	var err error
 	ix.forEach(func(sh *shardEntry) {
 		if err != nil {
 			return
 		}
-		if ci, ok := sh.sub.(interface{ CheckInvariants() error }); ok {
-			sh.mu.Lock()
-			err = ci.CheckInvariants()
-			sh.mu.Unlock()
-			if err != nil {
-				return
-			}
-		}
-		if lv, ok := sh.sub.(interface{ LiveVersions() int }); ok && ix.versionHorizon > 0 {
-			sh.mu.RLock()
-			n := lv.LiveVersions()
-			sh.mu.RUnlock()
-			if n > ix.versionHorizon {
-				err = fmt.Errorf("shard: version chain holds %d versions, horizon is %d (leaked pin?)", n, ix.versionHorizon)
-			}
+		sh.mu.Lock()
+		err = sh.sub.CheckInvariants()
+		n := sh.sub.LiveVersions()
+		sh.mu.Unlock()
+		if err == nil && n > DefaultVersionHorizon {
+			err = fmt.Errorf("shard: version chain holds %d versions, horizon is %d (leaked pin?)", n, DefaultVersionHorizon)
 		}
 	})
 	return err
@@ -486,9 +441,8 @@ func (ix *Index) overlapping(q geom.Box, hit []*shardEntry) []*shardEntry {
 // path under the read lock (converged regions answer fully in parallel),
 // then — only if the shared walk found unfinished refinement — the
 // exclusive path under the write lock, crack-budgeted so the write section
-// stays short. Sub-indexes without shared support keep the old exclusive
-// behaviour. tr, when non-nil, receives per-path stage durations (a sampled
-// trace); the untraced path pays only the nil checks.
+// stays short. tr, when non-nil, receives per-path stage durations (a
+// sampled trace); the untraced path pays only the nil checks.
 // Both probes run through the panic-isolating helpers in resilience.go: a
 // sub-index that panics quarantines its shard and the query carries on with
 // the caller's buffer untouched, exactly as if the shard had not overlapped.
@@ -496,31 +450,28 @@ func queryShard(sh *shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []
 	if sh.quarantined.Load() {
 		return out
 	}
-	if sh.shared != nil {
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		res, ok, healthy := sh.sharedProbe(q, out)
-		if tr != nil {
-			tr.StageSince(telemetry.StageShared, t0)
-		}
-		if !healthy {
-			return out
-		}
-		if ok {
-			sh.mShared.Inc()
-			if tr != nil {
-				tr.AddSharedProbe()
-			}
-			return res
-		}
-	}
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	res, healthy := sh.exclusiveProbe(q, out)
+	res, ok, healthy := sh.sharedProbe(q, out)
+	if tr != nil {
+		tr.StageSince(telemetry.StageShared, t0)
+	}
+	if !healthy {
+		return out
+	}
+	if ok {
+		sh.mShared.Inc()
+		if tr != nil {
+			tr.AddSharedProbe()
+		}
+		return res
+	}
+	if tr != nil {
+		t0 = time.Now()
+	}
+	res, healthy = sh.exclusiveProbe(q, out)
 	if !healthy {
 		return out
 	}
@@ -538,26 +489,58 @@ func queryShard(sh *shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []
 // per-shard results in shard order, so the output order is deterministic.
 // Safe for concurrent use.
 func (ix *Index) Query(q geom.Box, out []int32) []int32 {
-	return ix.QueryTraced(q, out, nil)
+	out, _ = ix.QueryCtx(context.Background(), q, out, nil)
+	return out
 }
 
-// QueryTraced is Query with a sampled stage trace attached: tr (which may
-// be nil — the common, unsampled case) receives the fan-out width and the
-// per-shard shared/exclusive stage durations. The serving layer threads the
-// trace of a sampled request down here; everyone else calls Query.
-func (ix *Index) QueryTraced(q geom.Box, out []int32, tr *telemetry.Trace) []int32 {
+// cancellable returns ctx when it can ever be cancelled and nil otherwise
+// (a nil or Background-like context), so the checks between probes cost the
+// hot path one nil comparison each.
+func cancellable(ctx context.Context) context.Context {
+	if ctx == nil || ctx.Done() == nil {
+		return nil
+	}
+	return ctx
+}
+
+// cancelled reports why a cancellable context ended, nil while it has not.
+func cancelled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// QueryCtx is Query with cooperative cancellation and an optional sampled
+// stage trace. The serving layer threads each request's context down here
+// so a client that disconnects (or blows its deadline) stops consuming
+// shard probes; tr (nil in the common, unsampled case) receives the fan-out
+// width and the per-shard shared/exclusive stage durations.
+//
+// Cancellation is probe-granular: the context is checked between shard
+// probes, never inside one — a probe holds a shard lock and finishes what
+// it started, so a cancelled query costs at most one more probe. When
+// err != nil the returned slice is partial and must be discarded. Pooled
+// per-shard buffers always go back to the pool and the fan-out always waits
+// for its goroutines before returning, cancelled or not, so a cancelled
+// query never leaves a goroutine writing into a recycled buffer.
+func (ix *Index) QueryCtx(ctx context.Context, q geom.Box, out []int32, tr *telemetry.Trace) ([]int32, error) {
+	ctx = cancellable(ctx)
+	if err := cancelled(ctx); err != nil {
+		return out, err
+	}
 	var hitBuf [16]*shardEntry
 	hit := ix.overlapping(q, hitBuf[:0])
 	ix.mFanout.Observe(float64(len(hit)))
 	tr.SetFanout(len(hit))
 	switch len(hit) {
 	case 0:
-		return out
+		return out, nil
 	case 1:
-		return queryShard(hit[0], q, out, tr)
+		return queryShard(hit[0], q, out, tr), nil
 	}
 	if ix.workers <= 1 {
-		return querySerial(hit, q, out, tr)
+		return querySerial(ctx, hit, q, out, tr)
 	}
 	// Per-shard scratch results come from the engine's buffer pool and are
 	// returned after the merge, so steady-state fan-out performs no slice
@@ -568,7 +551,11 @@ func (ix *Index) QueryTraced(q geom.Box, out []int32, tr *telemetry.Trace) []int
 		results = make([]*[]int32, len(hit))
 	}
 	var wg sync.WaitGroup
+	var err error
 	for k := 1; k < len(hit); k++ {
+		if err = cancelled(ctx); err != nil {
+			break // results[k:] stay nil; the merge below skips them
+		}
 		// Acquire a pool slot without blocking: when concurrent queries
 		// already saturate the pool, waiting for a slot is strictly worse
 		// than answering the shard inline on this goroutine.
@@ -593,24 +580,36 @@ func (ix *Index) QueryTraced(q geom.Box, out []int32, tr *telemetry.Trace) []int
 	// The calling goroutine handles the first shard itself instead of
 	// blocking idle, appending straight into out; it holds no semaphore
 	// slot, so the pool bound applies to the spawned goroutines only.
-	out = queryShard(hit[0], q, out, tr)
+	if err == nil {
+		if err = cancelled(ctx); err == nil {
+			out = queryShard(hit[0], q, out, tr)
+		}
+	}
 	wg.Wait()
 	// Merge in shard order: the output order is deterministic regardless of
 	// which shards ran on the pool.
 	for _, r := range results[1:len(hit)] {
-		out = append(out, (*r)...)
+		if r == nil {
+			continue
+		}
+		if err == nil {
+			out = append(out, (*r)...)
+		}
 		putIDBuf(r)
 	}
-	return out
+	return out, err
 }
 
-// querySerial answers q against every hit shard inline, in shard order.
-// QueryBatch uses it too: with many in-flight queries, inter-query
-// parallelism already saturates the cores, and per-query fan-out would only
-// add goroutine churn.
-func querySerial(hit []*shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []int32 {
+// querySerial answers q against every hit shard inline, in shard order,
+// checking ctx between shards. QueryBatchCtx uses it too: with many
+// in-flight queries, inter-query parallelism already saturates the cores,
+// and per-query fan-out would only add goroutine churn.
+func querySerial(ctx context.Context, hit []*shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) ([]int32, error) {
 	for _, sh := range hit {
+		if err := cancelled(ctx); err != nil {
+			return out, err
+		}
 		out = queryShard(sh, q, out, tr)
 	}
-	return out
+	return out, nil
 }

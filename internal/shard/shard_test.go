@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/scan"
 	"repro/internal/workload"
 )
@@ -123,28 +122,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				t.Error("aggregated core stats recorded no queries")
 			}
 		})
-	}
-}
-
-// TestCustomSubIndex verifies Config.New plugs in a non-QUASII sub-index.
-func TestCustomSubIndex(t *testing.T) {
-	data := dataset.Uniform(2000, 5)
-	ix := New(data, Config{
-		Shards: 8,
-		New:    func(objs []geom.Object) Queryable { return rtree.New(objs, rtree.Config{}) },
-	})
-	oracle := scan.New(data)
-	var got, want []int32
-	for _, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 3) {
-		got = sortedIDs(ix.Query(q, got[:0]))
-		want = sortedIDs(oracle.Query(q, want[:0]))
-		if !equalIDs(got, want) {
-			t.Fatalf("got %d IDs, want %d", len(got), len(want))
-		}
-	}
-	// R-tree sub-indexes expose no core stats; aggregation must yield zeros.
-	if st := ix.Stats(); st.Core.Queries != 0 {
-		t.Errorf("expected zero core stats for R-tree shards, got %+v", st.Core)
 	}
 }
 

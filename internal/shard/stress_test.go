@@ -164,8 +164,7 @@ func TestStressMultiShard(t *testing.T) {
 }
 
 // TestSharedPathEngaged verifies that a converged engine actually answers
-// on the shared read path (SharedQueries counts) and that
-// DisableSharedReads pins everything to the exclusive path.
+// on the shared read path (SharedQueries counts).
 func TestSharedPathEngaged(t *testing.T) {
 	base := dataset.Uniform(3000, 15)
 	boxes := workload.Uniform(dataset.Universe(), 64, 1e-3, 16)
@@ -181,15 +180,6 @@ func TestSharedPathEngaged(t *testing.T) {
 	}
 	if st.Core.Queries != 0 {
 		t.Fatalf("converged engine still ran %d exclusive queries", st.Core.Queries)
-	}
-
-	off := New(dataset.Clone(base), Config{Shards: 2, DisableSharedReads: true})
-	off.Complete()
-	for _, q := range boxes {
-		off.Query(q, nil)
-	}
-	if st := off.Stats(); st.Core.SharedQueries != 0 {
-		t.Fatalf("DisableSharedReads engine answered %d queries on the shared path", st.Core.SharedQueries)
 	}
 }
 

@@ -90,9 +90,7 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 			s.perShard = append(s.perShard, shardSnap{
 				live: n, pending: st.Pending - p0, deleted: st.Deleted - d0,
 			})
-			if sh.shared != nil {
-				s.epochs += sh.shared.Epoch()
-			}
+			s.epochs += sh.sub.Epoch()
 		}
 		if sh := ix.overflow.Load(); sh != nil {
 			if sh.quarantined.Load() {
@@ -103,9 +101,7 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 				s.overflow = shardSnap{
 					live: st.OverflowLen, pending: st.Pending - p0, deleted: st.Deleted - d0,
 				}
-				if sh.shared != nil {
-					s.epochs += sh.shared.Epoch()
-				}
+				s.epochs += sh.sub.Epoch()
 			}
 		}
 		s.st = st

@@ -1,13 +1,13 @@
 // Live updates on the sharded engine: Insert and Delete route each object
 // to the shard owning its tile and delegate to the sub-index's own update
-// machinery (for the default QUASII sub-indexes that is core.Index.Append /
-// Delete / Flush: arrivals are buffered and scanned by every query until a
-// Flush folds them in, deletions tombstone immediately).
+// machinery (core.Index.Append / DeleteShared / Delete / Flush: arrivals
+// are buffered and scanned by every query until a Flush folds them in,
+// deletions tombstone immediately).
 //
 // # Consistency contract
 //
-// Each object lives in exactly one shard. With the default MVCC sub-indexes
-// (core.Index), data changes are versioned: an Insert or Delete publishes a
+// Each object lives in exactly one shard, and data changes are versioned
+// (see core/version.go): an Insert or Delete publishes a
 // new immutable version with an atomic pointer swap under the shard's READ
 // lock, so writers never evict concurrent readers — only structural work
 // (cracking, Flush) takes the write lock. The engine provides per-object
@@ -23,79 +23,33 @@
 // query until Flush folds them into the indexed arrays. Shard bounding
 // boxes only ever grow — deleting the outermost object does not shrink the
 // box — which keeps concurrent routing lock-free and is conservative but
-// always correct. Sub-indexes that satisfy only Updatable (not
-// VersionedUpdatable) keep the pre-MVCC behaviour: every update runs under
-// the write lock.
+// always correct.
 
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/geom"
 )
 
-// Updatable is the optional interface a sub-index must satisfy for the
-// sharded engine to accept Insert/Delete/Flush. The default QUASII
-// sub-indexes (core.Index) satisfy it.
-type Updatable interface {
-	Queryable
-	Append(objs ...geom.Object)
-	Delete(id int32, hint geom.Box) bool
-	Flush()
-	Pending() int
-}
-
-// ErrNotUpdatable is returned by Insert, Delete and Flush when the shard
-// sub-indexes (built by a custom Config.New) do not satisfy Updatable.
-var ErrNotUpdatable = errors.New("shard: sub-index does not support updates (Updatable)")
-
-// VersionedUpdatable is the optional sub-index interface behind the
-// non-blocking (MVCC) update path. An implementation must publish data
-// changes as immutable versions so that Append and DeleteShared are safe
-// under the shard's READ lock, concurrent with any number of shared
-// readers: Append appends to a copy-on-write pending delta, DeleteShared
-// publishes a tombstone without reorganizing the structure (ok == false
-// when it cannot — the engine escalates to the write-locked Delete).
-// DataVersion returns the current version sequence number and LiveVersions
-// the chain length (live version plus pinned predecessors). The default
-// QUASII sub-indexes (core.Index) qualify.
-type VersionedUpdatable interface {
-	Updatable
-	DeleteShared(id int32, hint geom.Box) (found, ok bool)
-	DataVersion() uint64
-	LiveVersions() int
-}
-
 // Insert routes each object to the shard owning its tile — the spatial
 // shard whose build-time tile box is nearest to the object's center, or the
 // overflow shard when the center falls outside the union of all tiles —
 // and appends it there. The shard's live bounding box is grown first, so a
-// query that starts after Insert returns cannot miss the object. With
-// versioned sub-indexes the append runs under the shard's read lock — it
-// publishes a new version instead of mutating shared state, so concurrent
-// readers are never evicted. Safe for concurrent use. Returns
-// ErrNotUpdatable when the sub-indexes do not support updates.
+// query that starts after Insert returns cannot miss the object. The append
+// runs under the shard's read lock — it publishes a new version instead of
+// mutating shared state, so concurrent readers are never evicted. Safe for
+// concurrent use. Fails with ErrQuarantined when the owning shard panicked.
 func (ix *Index) Insert(objs ...geom.Object) error {
 	for i := range objs {
 		sh, err := ix.route(&objs[i])
 		if err != nil {
 			return err
 		}
-		up, ok := sh.sub.(Updatable)
-		if !ok {
-			return ErrNotUpdatable
-		}
 		sh.extendBounds(objs[i].Box)
-		healthy := false
-		if sh.versioned != nil {
-			healthy = sh.appendSharedProbe(sh.versioned, objs[i])
-		} else {
-			healthy = sh.appendProbe(up, objs[i])
-		}
-		if !healthy {
+		if !sh.appendSharedProbe(objs[i]) {
 			return fmt.Errorf("%w (insert of id %d dropped)", ErrQuarantined, objs[i].ID)
 		}
 		ix.count.Add(1)
@@ -152,11 +106,7 @@ func (ix *Index) ensureOverflow() (*shardEntry, error) {
 		}
 		return sh, nil
 	}
-	sub := ix.build(nil)
-	if _, ok := sub.(Updatable); !ok {
-		return nil, ErrNotUpdatable
-	}
-	sh := ix.newEntry(sub, geom.EmptyBox())
+	sh := ix.newEntry(ix.build(nil), geom.EmptyBox())
 	empty := geom.EmptyBox()
 	sh.bounds.Store(&empty)
 	ix.overflow.Store(sh)
@@ -166,28 +116,17 @@ func (ix *Index) ensureOverflow() (*shardEntry, error) {
 // Delete removes the object with the given ID, using hint (typically the
 // object's own box, as in core.Index.Delete) to locate it: every shard
 // whose live bounds intersect the hint is probed in shard order until one
-// reports the object found. With versioned sub-indexes the tombstone is
-// first attempted under the shard's read lock (DeleteShared publishes a
-// new version without blocking readers); only when the sub-index cannot
-// locate the object read-only — an unconverged region — does the probe
-// escalate to the write lock. It reports whether an object was deleted.
-// Safe for concurrent use.
+// reports the object found. The tombstone is first attempted under the
+// shard's read lock (DeleteShared publishes a new version without blocking
+// readers); only when the sub-index cannot locate the object read-only — an
+// unconverged region — does the probe escalate to the write lock. It
+// reports whether an object was deleted. Safe for concurrent use.
 func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 	var hitBuf [16]*shardEntry
 	for _, sh := range ix.overlapping(hint, hitBuf[:0]) {
-		up, ok := sh.sub.(Updatable)
-		if !ok {
-			return false, ErrNotUpdatable
-		}
-		var found, healthy bool
-		if sh.versioned != nil {
-			var handled bool
-			found, handled, healthy = sh.deleteSharedProbe(sh.versioned, id, hint)
-			if healthy && !handled {
-				found, healthy = sh.deleteProbe(up, id, hint)
-			}
-		} else {
-			found, healthy = sh.deleteProbe(up, id, hint)
+		found, handled, healthy := sh.deleteSharedProbe(id, hint)
+		if healthy && !handled {
+			found, healthy = sh.deleteProbe(id, hint)
 		}
 		if !healthy {
 			continue // shard just quarantined itself; probe the rest
@@ -203,32 +142,26 @@ func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 // Flush folds pending inserts into every shard's indexed array and compacts
 // tombstoned deletions, shard by shard under each shard's lock (queries on
 // other shards proceed meanwhile). Queries against a flushed QUASII shard
-// rebuild its refinement incrementally, as after construction.
+// rebuild its refinement incrementally, as after construction. The error is
+// always nil: it dates from pluggable sub-indexes that could refuse updates,
+// and the signature is kept for the callers that check it.
 func (ix *Index) Flush() error {
-	var err error
 	ix.forEach(func(sh *shardEntry) {
-		up, ok := sh.sub.(Updatable)
-		if !ok {
-			err = ErrNotUpdatable
-			return
-		}
 		sh.mu.Lock()
-		up.Flush()
+		sh.sub.Flush()
 		sh.mu.Unlock()
 	})
-	return err
+	return nil
 }
 
 // Pending returns the total number of appended objects not yet folded into
-// the shards' indexed arrays. Sub-indexes without update support count 0.
+// the shards' indexed arrays.
 func (ix *Index) Pending() int {
 	n := 0
 	ix.forEach(func(sh *shardEntry) {
-		if up, ok := sh.sub.(Updatable); ok {
-			sh.mu.RLock()
-			n += up.Pending()
-			sh.mu.RUnlock()
-		}
+		sh.mu.RLock()
+		n += sh.sub.Pending()
+		sh.mu.RUnlock()
 	})
 	return n
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/scan"
 	"repro/internal/workload"
 )
@@ -258,32 +256,5 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 	if len(all) != len(live) {
 		t.Errorf("KNN with huge k returned %d, want %d", len(all), len(live))
-	}
-}
-
-// TestNotUpdatable: custom sub-indexes without update (or KNN) support make
-// the respective operations fail with the sentinel errors.
-func TestNotUpdatable(t *testing.T) {
-	data := dataset.Uniform(500, 81)
-	ix := New(data, Config{
-		Shards: 4,
-		New:    func(objs []geom.Object) Queryable { return rtree.New(objs, rtree.Config{}) },
-	})
-	if err := ix.Insert(data[0]); !errors.Is(err, ErrNotUpdatable) {
-		t.Errorf("Insert err = %v, want ErrNotUpdatable", err)
-	}
-	if _, err := ix.Delete(data[0].ID, data[0].Box); !errors.Is(err, ErrNotUpdatable) {
-		t.Errorf("Delete err = %v, want ErrNotUpdatable", err)
-	}
-	if err := ix.Flush(); !errors.Is(err, ErrNotUpdatable) {
-		t.Errorf("Flush err = %v, want ErrNotUpdatable", err)
-	}
-
-	scanIx := New(data, Config{
-		Shards: 4,
-		New:    func(objs []geom.Object) Queryable { return scan.New(objs) },
-	})
-	if _, err := scanIx.KNN(geom.Point{1, 2, 3}, 3); !errors.Is(err, ErrNoKNN) {
-		t.Errorf("KNN err = %v, want ErrNoKNN", err)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/faultfs"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
@@ -99,7 +100,7 @@ func TestPinnedSnapshotSeesPinState(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := ix.SnapshotPinned(dir, ps); err != nil {
+	if err := ix.SnapshotPinnedFS(dir, faultfs.OS{}, ps); err != nil {
 		t.Fatal(err)
 	}
 	ps.Release()
@@ -265,7 +266,7 @@ func TestAckedWriteVisibility(t *testing.T) {
 
 // TestStressVersionedCheckpointMatrix extends the -race stress matrix with
 // checkpoint pinning: queries, KNN probes, inserts, deletes and flushes run
-// concurrently with PinVersions/SnapshotPinned/Release cycles, on
+// concurrently with PinVersions/SnapshotPinnedFS/Release cycles, on
 // GOMAXPROCS 1 and 4. CheckInvariants — which asserts no version chain
 // exceeds the GC horizon — closes every round, and quiescence must collapse
 // every chain back to a single live version per shard.
@@ -277,7 +278,7 @@ func TestStressVersionedCheckpointMatrix(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 
 			base := dataset.Uniform(4000, 29)
-			ix := New(dataset.Clone(base), Config{Shards: 2, VersionHorizon: 8})
+			ix := New(dataset.Clone(base), Config{Shards: 2})
 			boxes := workload.Uniform(dataset.Universe(), 100, 1e-3, 31)
 
 			var wg sync.WaitGroup
@@ -329,7 +330,7 @@ func TestStressVersionedCheckpointMatrix(t *testing.T) {
 						return
 					}
 					if i%2 == 0 {
-						if err := ix.SnapshotPinned(t.TempDir(), ps); err != nil {
+						if err := ix.SnapshotPinnedFS(t.TempDir(), faultfs.OS{}, ps); err != nil {
 							t.Errorf("checkpoint %d: snapshot: %v", i, err)
 							ps.Release()
 							return

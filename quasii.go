@@ -309,27 +309,19 @@ type (
 	// under a bounded crack budget (ShardedConfig.CrackBudget).
 	Sharded = shard.Index
 	// ShardedConfig configures sharding. The zero value selects GOMAXPROCS
-	// shards, an equally sized worker pool, QUASII sub-indexes, and the
-	// default per-query crack budget; see CrackBudget and
-	// DisableSharedReads for the concurrency knobs.
+	// shards, an equally sized worker pool, QUASII sub-indexes with the
+	// paper's defaults (SubConfig), and the default per-query crack budget
+	// (CrackBudget, the one concurrency knob).
 	ShardedConfig = shard.Config
 	// ShardedStats aggregates per-shard sizes and QUASII work counters
 	// (Core.SharedQueries counts queries answered on the shared read path).
 	ShardedStats = shard.Stats
-	// ShardQueryable is the interface a custom ShardedConfig.New sub-index
-	// constructor must return; every index in this package satisfies it.
-	ShardQueryable = shard.Queryable
-	// ShardSharedQueryable is the optional sub-index interface behind the
-	// concurrent (read-locked) query path of the sharded engine. QUASII
-	// sub-indexes satisfy it; custom constructors may too.
-	ShardSharedQueryable = shard.SharedQueryable
 )
 
 // NewSharded partitions data into spatial shards (STR tiling) and builds one
-// sub-index per shard. The input slice is copied; the caller keeps it.
-// Beyond Query/QueryBatch, the sharded index accepts live updates (Insert,
-// Delete, Flush) and kNN queries when its sub-indexes support them — the
-// default QUASII sub-indexes do.
+// QUASII sub-index per shard. The input slice is copied; the caller keeps
+// it. Beyond Query/QueryBatch, the sharded index accepts live updates
+// (Insert, Delete, Flush) and kNN queries.
 func NewSharded(data []Object, cfg ShardedConfig) *Sharded { return shard.New(data, cfg) }
 
 // The network serving subsystem (internal/server): an HTTP/JSON query
@@ -348,12 +340,6 @@ type (
 	// lifecycle logging (Logger, a *log/slog.Logger; nil discards).
 	// The zero value is production-usable.
 	ServerConfig = server.Config
-	// ShardUpdatable is the optional sub-index interface behind
-	// Sharded.Insert/Delete/Flush.
-	ShardUpdatable = shard.Updatable
-	// ShardNearestNeighborer is the optional sub-index interface behind
-	// Sharded.KNN.
-	ShardNearestNeighborer = shard.NearestNeighborer
 )
 
 // NewServer wires the HTTP query service over a sharded index.
@@ -404,8 +390,7 @@ func Load(r io.Reader) (*QUASII, error) { return core.Load(r) }
 
 // RestoreSharded reassembles a sharded index from a snapshot directory
 // written by Sharded.Snapshot. cfg supplies the runtime knobs exactly as
-// for NewSharded; cfg.New must be nil (snapshots always decode into QUASII
-// sub-indexes).
+// for NewSharded.
 func RestoreSharded(dir string, cfg ShardedConfig) (*Sharded, error) {
 	return shard.Restore(dir, cfg)
 }

@@ -180,18 +180,4 @@ func TestShardedPublicAPI(t *testing.T) {
 	if st.Objects != len(data) || st.Core.Queries == 0 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
-
-	// Custom sub-index: an R-tree per shard.
-	rt := quasii.NewSharded(data, quasii.ShardedConfig{
-		Shards: 4,
-		New: func(objs []quasii.Object) quasii.ShardQueryable {
-			return quasii.NewRTree(objs, quasii.RTreeConfig{})
-		},
-	})
-	for qi, q := range queries {
-		want = sortedIDs(oracle.Query(q, want[:0]))
-		if got := sortedIDs(rt.Query(q, nil)); !equalIDs(got, want) {
-			t.Fatalf("rtree-sharded query %d: got %d results, scan %d", qi, len(got), len(want))
-		}
-	}
 }
