@@ -37,6 +37,12 @@
 //     released (letting the sub-indexes garbage-collect the superseded
 //     versions), and generations beyond the retention window are deleted.
 //
+// Open runs the same rotation for its own two cases (generation 1 of an
+// empty directory; rolling a WAL chain forward), so WAL-create → cut →
+// publish → CURRENT holds there too. CURRENT moves last: a bootstrap that
+// crashes after creating the WAL leaves no CURRENT, and the next Open
+// bootstraps again over the debris.
+//
 // A crash before the CURRENT rename recovers from the old snapshot plus
 // the WAL CHAIN: the old generation's complete WAL followed by any
 // successor WALs a mid-checkpoint crash left behind (records are numbered
@@ -52,6 +58,10 @@
 // correct but mid-chain (live WAL one generation ahead of CURRENT); the
 // next successful checkpoint — or recovery — reconverges, which is why
 // generation numbers may skip after a failed attempt.
+//
+// Insert, Delete and Apply share one log-then-apply body (update) and, with
+// WAL replay, one opcode dispatch (apply); every rotation is
+// checkpointPinned and every publish InstallCurrent.
 package durable
 
 import (
@@ -289,14 +299,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("restoring snapshot %d: %w", seq, err)
 		}
-		// One pass over the log: replay the intact records, truncate the
-		// torn tail, keep the handle open for appending.
-		var replayed int
-		s.log, replayed, err = wal.OpenReplayFS(s.fs, filepath.Join(dir, walName(seq)), s.walPolicy(), s.applyRecord)
-		if err != nil {
-			return nil, fmt.Errorf("replaying wal %d: %w", seq, err)
-		}
-		s.walSeq = seq
 		if err := s.scanGenerations(); err != nil {
 			return nil, fmt.Errorf("scanning generations: %w", err)
 		}
@@ -307,31 +309,31 @@ func Open(dir string, opts Options) (*Store, error) {
 			startSeq = 1
 			s.genStart[seq] = 1
 		}
-		next := startSeq + uint64(replayed)
-		// A crash (or failure) mid-checkpoint leaves successor WALs past
-		// the CURRENT generation: records accepted after that checkpoint's
-		// cut. Replay the whole chain in order — numbering is positional,
-		// so the chain continues exactly where the previous WAL stopped.
-		chain := 0
-		for {
-			g := s.walSeq + 1
+		// Replay the WAL chain in order: the CURRENT generation's log, then
+		// any successor WALs a crash (or failure) mid-checkpoint left past
+		// it — records accepted after that checkpoint's cut; numbering is
+		// positional, so each log continues where the previous one stopped.
+		// One pass per log replays, truncates the torn tail and keeps the
+		// (last) handle open for appending.
+		next := startSeq
+		for g := seq; ; g++ {
 			path := filepath.Join(dir, walName(g))
-			if _, statErr := os.Stat(path); statErr != nil {
-				break
+			if g > seq {
+				if _, statErr := os.Stat(path); statErr != nil {
+					break
+				}
+				s.registerGen(g, next)
+				s.log.Close()
 			}
-			s.registerGen(g, next)
-			oldLog := s.log
 			var n int
 			s.log, n, err = wal.OpenReplayFS(s.fs, path, s.walPolicy(), s.applyRecord)
 			if err != nil {
-				return nil, fmt.Errorf("replaying successor wal %d: %w", g, err)
+				return nil, fmt.Errorf("replaying wal %d: %w", g, err)
 			}
-			oldLog.Close()
 			next += uint64(n)
-			replayed += n
 			s.walSeq = g
-			chain++
 		}
+		replayed, chain := int(next-startSeq), int(s.walSeq-seq)
 		s.nextSeq.Store(next)
 		s.restoreSeq = seq
 		s.restoreReplayed = int64(replayed)
@@ -355,17 +357,20 @@ func Open(dir string, opts Options) (*Store, error) {
 			// CURRENT naming its snapshot) restored. The rolled-forward
 			// snapshot contains every replayed record, so the superseded
 			// chain retires at the next GC.
-			oldLog := s.log
-			if err := s.rotateTo(s.walSeq + 1); err != nil {
+			if _, err := s.checkpointPinned(); err != nil {
+				s.log.Close()
 				return nil, fmt.Errorf("rolling forward wal chain: %w", err)
 			}
-			oldLog.Close()
-			s.gcGenerations()
 			s.logger.Info("rolled forward interrupted checkpoint",
 				"snapshot_seq", s.seq, "chain_replayed", chain)
 		}
 		s.restoreSeconds = time.Since(start).Seconds()
 	}
+	// DurabilityStats reports checkpoints since Open: the rotations Open
+	// itself ran (bootstrap, roll-forward) are recovery, not checkpoints.
+	s.ckptCount.Store(0)
+	s.ckptLastNS.Store(0)
+	s.ckptPauseNS.Store(0)
 
 	if s.walPolicy() == wal.SyncInterval {
 		every := opts.FsyncEvery
@@ -400,24 +405,35 @@ func (s *Store) walPolicy() wal.SyncPolicy {
 
 // applyRecord replays one WAL record into the index.
 func (s *Store) applyRecord(r *wal.Record) error {
-	switch r.Op {
-	case wal.OpInsert:
-		return s.ix.Insert(r.Objects...)
-	case wal.OpDelete:
-		_, err := s.ix.Delete(r.ID, r.Hint)
-		return err
-	}
-	return fmt.Errorf("unknown wal opcode %d", r.Op)
+	_, err := s.apply(r)
+	return err
 }
 
-// bootstrap builds the index from Options.Bootstrap and writes snapshot 1.
+// apply is the one opcode dispatch into the index, shared by WAL replay,
+// the live update path and replicated records.
+func (s *Store) apply(r *wal.Record) (found bool, err error) {
+	switch r.Op {
+	case wal.OpInsert:
+		return false, s.ix.Insert(r.Objects...)
+	case wal.OpDelete:
+		return s.ix.Delete(r.ID, r.Hint)
+	}
+	return false, fmt.Errorf("unknown wal opcode %d", r.Op)
+}
+
+// bootstrap builds the index from Options.Bootstrap and checkpoints it as
+// generation 1 through the same rotation the runtime uses.
 func (s *Store) bootstrap() error {
 	var data []geom.Object
 	if s.opts.Bootstrap != nil {
 		data = s.opts.Bootstrap()
 	}
 	s.ix = shard.New(data, s.opts.Shard)
-	return s.rotateTo(1)
+	_, err := s.checkpointPinned()
+	if err != nil && s.log != nil {
+		s.log.Close()
+	}
+	return err
 }
 
 // Index returns the underlying sharded index. Queries (Query, QueryBatch,
@@ -458,35 +474,7 @@ func (s *Store) RecoveryInfo() (snapshotSeq uint64, walRecordsReplayed int64, bo
 // operation is not applied — the index holds exactly the acknowledged
 // writes).
 func (s *Store) Insert(objs ...geom.Object) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		return ioerr.ErrDegraded
-	}
-	s.updMu.RLock()
-	s.opMu.Lock()
-	err := s.appendRetry(func() error { return s.log.AppendInsert(objs) })
-	logged := err == nil
-	if logged {
-		// The record is durable: it owns the next global sequence number
-		// whether or not the in-memory apply below succeeds (replay and
-		// replication both serve from the log, not the index).
-		s.nextSeq.Add(1)
-		err = s.ix.Insert(objs...)
-	}
-	s.opMu.Unlock()
-	s.updMu.RUnlock()
-	if logged {
-		s.broadcastUpdate()
-	}
-	if err == nil {
-		s.noteUpdate()
-		return nil
-	}
-	if !logged {
-		return s.degradeOn(err)
-	}
+	_, err := s.update(&wal.Record{Op: wal.OpInsert, Objects: objs})
 	return err
 }
 
@@ -494,20 +482,37 @@ func (s *Store) Insert(objs ...geom.Object) error {
 // the hint semantics), logging before applying. Degraded-mode and retry
 // semantics match Insert.
 func (s *Store) Delete(id int32, hint geom.Box) (bool, error) {
+	return s.update(&wal.Record{Op: wal.OpDelete, ID: id, Hint: hint})
+}
+
+// Apply durably applies one decoded record — what a replication follower
+// does with each record the leader ships. Semantics match Insert/Delete.
+func (s *Store) Apply(r *wal.Record) error {
+	_, err := s.update(r)
+	return err
+}
+
+// update is the one log-then-apply body behind Insert, Delete and Apply.
+func (s *Store) update(r *wal.Record) (found bool, err error) {
 	if s.closed.Load() {
 		return false, ErrClosed
 	}
 	if s.degraded.Load() {
 		return false, ioerr.ErrDegraded
 	}
+	if r.Op != wal.OpInsert && r.Op != wal.OpDelete {
+		return false, fmt.Errorf("durable: unknown wal opcode %d", r.Op)
+	}
 	s.updMu.RLock()
 	s.opMu.Lock()
-	err := s.appendRetry(func() error { return s.log.AppendDelete(id, hint) })
+	err = s.appendRetry(r)
 	logged := err == nil
-	var found bool
 	if logged {
+		// The record is durable: it owns the next global sequence number
+		// whether or not the in-memory apply below succeeds (replay and
+		// replication both serve from the log, not the index).
 		s.nextSeq.Add(1)
-		found, err = s.ix.Delete(id, hint)
+		found, err = s.apply(r)
 	}
 	s.opMu.Unlock()
 	s.updMu.RUnlock()
@@ -524,6 +529,14 @@ func (s *Store) Delete(id int32, hint geom.Box) (bool, error) {
 	return found, err
 }
 
+// logRecord appends r to the live WAL. The caller has checked the opcode.
+func (s *Store) logRecord(r *wal.Record) error {
+	if r.Op == wal.OpInsert {
+		return s.log.AppendInsert(r.Objects)
+	}
+	return s.log.AppendDelete(r.ID, r.Hint)
+}
+
 // appendRetry runs one WAL append, retrying transiently-classified
 // failures (ENOSPC, EAGAIN, EINTR — the append self-repaired, the file is
 // still trustworthy) with exponential backoff, at most Options.
@@ -531,8 +544,8 @@ func (s *Store) Delete(id int32, hint geom.Box) (bool, error) {
 // return immediately: retrying against a file in unknown state is how
 // acknowledged writes get lost. Called with opMu held, so the backoff
 // sleeps stall only other writers, never reads.
-func (s *Store) appendRetry(append func() error) error {
-	err := append()
+func (s *Store) appendRetry(r *wal.Record) error {
+	err := s.logRecord(r)
 	if err == nil {
 		return nil
 	}
@@ -553,7 +566,7 @@ func (s *Store) appendRetry(append func() error) error {
 		s.mRetries.Inc()
 		s.logger.Warn("retrying wal append after transient failure",
 			"attempt", i+1, "err", err)
-		if err = append(); err == nil {
+		if err = s.logRecord(r); err == nil {
 			return nil
 		}
 	}
@@ -668,13 +681,13 @@ func (s *Store) Checkpoint() (uint64, error) {
 }
 
 // checkpointPinned is the zero-pause rotation (phases per the package doc:
-// prepare → cut → publish → retire). Caller holds ckptMu; updMu is taken
+// prepare → cut → publish → retire). Caller holds ckptMu or is Open (single-
+// threaded; at bootstrap there is no predecessor log); updMu is taken
 // exclusively only for the cut and the final generation swap.
 func (s *Store) checkpointPinned() (uint64, error) {
 	start := time.Now()
 	newSeq := s.walSeq + 1
 	tmp := filepath.Join(s.dir, snapDirName(newSeq)+".tmp")
-	final := filepath.Join(s.dir, snapDirName(newSeq))
 
 	// Phase 1 — prepare, updates flowing: the successor WAL and the
 	// snapshot staging directory. A failure here leaves the store entirely
@@ -738,16 +751,7 @@ func (s *Store) checkpointPinned() (uint64, error) {
 		s.fs.RemoveAll(tmp)
 		return fail(err)
 	}
-	if err := s.fs.RemoveAll(final); err != nil {
-		return fail(err)
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		return fail(err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fail(err)
-	}
-	if err := writeCurrent(s.fs, s.dir, newSeq); err != nil {
+	if err := InstallCurrent(s.fs, s.dir, tmp, newSeq); err != nil {
 		return fail(err)
 	}
 
@@ -759,7 +763,9 @@ func (s *Store) checkpointPinned() (uint64, error) {
 	s.seq = newSeq
 	s.gcGenerations()
 	s.updMu.Unlock()
-	oldLog.Close()
+	if oldLog != nil {
+		oldLog.Close()
+	}
 	s.updates.Store(0)
 	elapsed := time.Since(start)
 	s.ckptCount.Add(1)
@@ -778,69 +784,6 @@ func (s *Store) checkpointPinned() (uint64, error) {
 		"elapsed_ms", elapsed.Milliseconds(),
 		"update_pause_us", pause.Microseconds())
 	return newSeq, nil
-}
-
-// rotateTo writes snapshot newSeq from the live index, opens its (empty)
-// WAL, and atomically points CURRENT at the new generation — in that
-// order, so a failure at any step leaves the store entirely on the
-// previous generation, and a crash at any instant recovers a consistent
-// generation. It is the Open-time rotation (bootstrap and WAL-chain
-// roll-forward, both single-threaded — no updates exist to pause), so it
-// pins and writes back to back; the runtime checkpoint (checkpointPinned)
-// uses the same pinned writer but lets updates flow between the two. The
-// caller retires the previous generation's files.
-func (s *Store) rotateTo(newSeq uint64) error {
-	tmp := filepath.Join(s.dir, snapDirName(newSeq)+".tmp")
-	final := filepath.Join(s.dir, snapDirName(newSeq))
-	if err := s.fs.RemoveAll(tmp); err != nil {
-		return err
-	}
-	if err := s.fs.MkdirAll(tmp, 0o755); err != nil {
-		return err
-	}
-	pins, err := s.ix.PinVersions()
-	if err == nil {
-		err = s.ix.SnapshotPinnedFS(tmp, s.fs, pins)
-		pins.Release()
-	}
-	if err != nil {
-		s.fs.RemoveAll(tmp)
-		return err
-	}
-	// Persist the generation's start sequence alongside the shard files so
-	// a follower restoring this snapshot knows where its WAL tail begins.
-	// No update can land mid-rotation (the caller holds updMu exclusively),
-	// so nextSeq is exact.
-	if err := writeReplMeta(s.fs, tmp, s.nextSeq.Load()); err != nil {
-		s.fs.RemoveAll(tmp)
-		return err
-	}
-	if err := s.fs.RemoveAll(final); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return err
-	}
-	log, err := wal.CreateFS(s.fs, filepath.Join(s.dir, walName(newSeq)), s.walPolicy())
-	if err != nil {
-		return err
-	}
-	if s.walMetrics != nil {
-		log.SetMetrics(s.walMetrics)
-	}
-	if err := writeCurrent(s.fs, s.dir, newSeq); err != nil {
-		log.Close()
-		s.fs.Remove(filepath.Join(s.dir, walName(newSeq)))
-		return err
-	}
-	s.log = log
-	s.seq = newSeq
-	s.walSeq = newSeq
-	s.registerGen(newSeq, s.nextSeq.Load())
-	return nil
 }
 
 // Close checkpoints (so restart needs no WAL replay) and releases the WAL.
@@ -863,9 +806,7 @@ func (s *Store) Close() error {
 	seq, err := s.checkpointPinned()
 	if err != nil {
 		s.logger.Error("final checkpoint on close failed", "err", err)
-		if s.log != nil {
-			s.log.Close()
-		}
+		s.log.Close()
 		return err
 	}
 	s.logger.Info("durable store closed", "snapshot_seq", seq)
@@ -906,29 +847,4 @@ func readCurrent(fsys faultfs.FS, dir string) (uint64, bool, error) {
 		return 0, false, fmt.Errorf("parsing %s: %w", currentName, err)
 	}
 	return seq, true, nil
-}
-
-// writeCurrent atomically points CURRENT at seq: write a temp file, fsync,
-// rename over, fsync the directory.
-func writeCurrent(fsys faultfs.FS, dir string, seq uint64) error {
-	tmp := filepath.Join(dir, currentName+".tmp")
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", seq); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, currentName)); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/geom"
 	"repro/internal/shard"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -292,5 +293,54 @@ func TestBootstrapEmptyStore(t *testing.T) {
 	}
 	if got := store.Index().Query(geom.BoxAt(geom.Point{1, 1, 1}, 2), nil); len(got) != 1 {
 		t.Fatalf("insert into empty store invisible: %v", got)
+	}
+}
+
+// TestApplyIsTheLoggedUpdatePath: Apply takes a decoded record through the
+// same log-then-apply body as Insert and Delete — the record is in the WAL
+// (it survives a hard stop), owns a sequence number, and an opcode the
+// format does not define is refused before anything is logged, without
+// degrading the store.
+func TestApplyIsTheLoggedUpdatePath(t *testing.T) {
+	base := dataset.Uniform(200, 83)
+	dir := t.TempDir()
+	opts := Options{Shard: shard.Config{Shards: 2}, Bootstrap: func() []geom.Object { return base }}
+	store, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := geom.Object{ID: 9_000_001, Box: base[0].Box}
+	b := geom.Object{ID: 9_000_002, Box: base[1].Box}
+	for _, rec := range []wal.Record{
+		{Op: wal.OpInsert, Objects: []geom.Object{a, b}},
+		{Op: wal.OpDelete, ID: a.ID, Hint: a.Box},
+	} {
+		if err := store.Apply(&rec); err != nil {
+			t.Fatalf("Apply(op %d): %v", rec.Op, err)
+		}
+	}
+	if err := store.Apply(&wal.Record{Op: 0x7f}); err == nil {
+		t.Fatal("Apply accepted an undefined opcode")
+	}
+	if deg, reason := store.Degraded(); deg {
+		t.Fatalf("undefined opcode degraded the store: %s", reason)
+	}
+	if got := store.NextSeq(); got != 3 {
+		t.Fatalf("NextSeq = %d after two applied records, want 3", got)
+	}
+
+	// Hard stop (no Close), reopen: both records replay from the WAL.
+	reopened, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	ids := sortedCopy(reopened.Index().Query(dataset.Universe(), nil))
+	has := func(id int32) bool {
+		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+		return i < len(ids) && ids[i] == id
+	}
+	if has(a.ID) || !has(b.ID) || len(ids) != len(base)+1 {
+		t.Fatalf("after replay: has(a)=%v has(b)=%v len=%d, want false true %d", has(a.ID), has(b.ID), len(ids), len(base)+1)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -54,19 +55,7 @@ func writeReplMeta(fsys faultfs.FS, dir string, startSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	f, err := fsys.Create(filepath.Join(dir, replMetaName))
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return faultfs.WriteFileSync(fsys, filepath.Join(dir, replMetaName), append(raw, '\n'), false)
 }
 
 // readReplMeta returns the generation's start sequence. A missing file is a
@@ -122,8 +111,8 @@ func (s *Store) retain() uint64 {
 	return uint64(k)
 }
 
-// registerGen records a generation's start sequence. Called by rotateTo
-// once the generation is live.
+// registerGen records a generation's start sequence. Called at a
+// checkpoint's cut, when the generation's WAL goes live.
 func (s *Store) registerGen(gen, startSeq uint64) {
 	s.genMu.Lock()
 	s.genStart[gen] = startSeq
@@ -240,8 +229,8 @@ func (s *Store) AcquireWAL(seq uint64) (gen, startSeq uint64, path string, relea
 }
 
 // Directory-layout helpers for follower bootstrap: a follower fetches a
-// leader generation, installs it under these names, points CURRENT at it
-// with InstallCurrent, and hands the directory to Open.
+// leader generation into a staging directory, publishes it with
+// InstallCurrent, and hands the directory to Open.
 
 // SnapshotDir returns the snapshot directory path for generation gen.
 func SnapshotDir(dir string, gen uint64) string {
@@ -255,13 +244,25 @@ func WALPath(dir string, gen uint64) string {
 
 // HasState reports whether dir holds an installed generation (a readable
 // CURRENT file).
-func HasState(dir string) (bool, error) {
-	_, ok, err := readCurrent(faultfs.OS{}, dir)
+func HasState(fsys faultfs.FS, dir string) (bool, error) {
+	_, ok, err := readCurrent(fsys, dir)
 	return ok, err
 }
 
-// InstallCurrent atomically points dir's CURRENT at generation gen. The
-// generation's snapshot directory must already be in place and synced.
-func InstallCurrent(dir string, gen uint64) error {
-	return writeCurrent(faultfs.OS{}, dir, gen)
+// InstallCurrent publishes the complete, synced snapshot directory staged
+// as generation gen of dir — the one publish sequence behind checkpoints and
+// follower bootstrap: rename into place, fsync the parent, then atomically
+// point CURRENT at it. A crash before that leaves CURRENT on its old target.
+func InstallCurrent(fsys faultfs.FS, dir, staged string, gen uint64) error {
+	final := filepath.Join(dir, snapDirName(gen))
+	if err := fsys.RemoveAll(final); err != nil {
+		return err
+	}
+	if err := fsys.Rename(staged, final); err != nil {
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return err
+	}
+	return faultfs.WriteFileSync(fsys, filepath.Join(dir, currentName), []byte(strconv.FormatUint(gen, 10)+"\n"), true)
 }

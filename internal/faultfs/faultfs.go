@@ -107,6 +107,36 @@ func (OS) SyncDir(dir string) error {
 	return err
 }
 
+// WriteFileSync writes data to path and fsyncs the file — the one
+// create→write→fsync→close sequence behind every small durable file (CURRENT,
+// REPLMETA.json, MANIFEST.json, a follower's fetched snapshot files). With
+// publish set the bytes go to path+".tmp", renamed over path with the parent
+// directory fsynced: a crash leaves the old file or the new one, never a torn one.
+func WriteFileSync(fsys FS, path string, data []byte, publish bool) error {
+	dst := path
+	if publish {
+		dst += ".tmp"
+	}
+	f, err := fsys.Create(dst)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || !publish {
+		return err
+	}
+	if err := fsys.Rename(dst, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
+
 // Op names a mutating file-system operation class for rule matching.
 type Op int
 

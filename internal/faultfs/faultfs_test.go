@@ -327,3 +327,49 @@ func TestTimesBoundsInjections(t *testing.T) {
 		t.Fatalf("Injected() = %d, want 3", ff.Injected())
 	}
 }
+
+// WriteFileSync with publish set must be atomic under a crash at any of its
+// steps: the path holds the old bytes or the new ones, never a torn mix, and
+// never nothing. Without publish it is the plain create → write → fsync.
+func TestWriteFileSyncPublishIsAtomicAtEveryStep(t *testing.T) {
+	old, fresh := []byte("generation 7\n"), []byte("generation 8, a longer line\n")
+	counter := New(nil, Config{})
+	path := filepath.Join(t.TempDir(), "CURRENT")
+	if err := WriteFileSync(counter, path, old, false); err != nil {
+		t.Fatalf("plain write: %v", err)
+	}
+	if got := counter.Steps(); got != 3 {
+		t.Fatalf("plain write took %d steps, want 3 (create, write, fsync)", got)
+	}
+	if err := WriteFileSync(counter, path, fresh, true); err != nil {
+		t.Fatalf("publishing write: %v", err)
+	}
+	steps := counter.Steps() - 3
+	if steps != 5 {
+		t.Fatalf("publishing write took %d steps, want 5 (create, write, fsync, rename, dir fsync)", steps)
+	}
+	for k := int64(1); k <= steps; k++ {
+		path := filepath.Join(t.TempDir(), "CURRENT")
+		if err := WriteFileSync(OS{}, path, old, false); err != nil {
+			t.Fatal(err)
+		}
+		ff := New(nil, Config{CrashStep: k})
+		if err := WriteFileSync(ff, path, fresh, true); !errors.Is(err, ErrInjected) {
+			t.Fatalf("crash step %d: err = %v, want an injected crash", k, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("crash step %d: %v", k, err)
+		}
+		// The rename is step 4: before it the old bytes, from it on (the
+		// crashing rename itself takes no effect) only a completed rename
+		// shows the new ones.
+		want := old
+		if k == 5 {
+			want = fresh
+		}
+		if string(got) != string(want) {
+			t.Fatalf("crash step %d: path holds %q, want %q", k, got, want)
+		}
+	}
+}

@@ -7,13 +7,13 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
 
@@ -32,7 +32,8 @@ type FollowerOptions struct {
 	Dir string
 	// Store carries the durable-store knobs (shard config, fsync policy,
 	// checkpoint cadence, retention, retry budget). Bootstrap must be nil
-	// — the follower's bootstrap is the leader's snapshot.
+	// — the follower's bootstrap is the leader's snapshot, installed
+	// through Store.FS like every other follower disk write.
 	Store durable.Options
 
 	// PollWait is the long-poll window a tail fetch asks the leader to
@@ -85,6 +86,12 @@ func (o *FollowerOptions) withDefaults() FollowerOptions {
 	if d.Logger == nil {
 		d.Logger = slog.New(slog.DiscardHandler)
 	}
+	if d.Store.FS == nil {
+		d.Store.FS = faultfs.OS{}
+	}
+	if d.Store.Logger == nil {
+		d.Store.Logger = d.Logger
+	}
 	return d
 }
 
@@ -101,8 +108,9 @@ type Follower struct {
 
 	writable     atomic.Bool
 	bootstrapped atomic.Bool
-	// leaderNext mirrors the leader's next sequence from the most recent
-	// response; the lag reference.
+	// leaderNext is the highest next-sequence the leader is known to have
+	// reached — the lag reference: it rises with each response's header and
+	// with every frame decoded off a WAL stream (a shipped frame was logged).
 	leaderNext atomic.Uint64
 	// caughtUpAt is the unix-nano instant lag was last observed 0 (the
 	// follower's start instant until then): the lag-seconds reference.
@@ -142,17 +150,19 @@ func Open(ctx context.Context, opts FollowerOptions) (*Follower, error) {
 	}
 	f.caughtUpAt.Store(time.Now().UnixNano())
 
-	has, err := durable.HasState(o.Dir)
+	has, err := durable.HasState(o.Store.FS, o.Dir)
 	if err != nil {
 		return nil, err
 	}
 	if has {
-		st, err := durable.Open(o.Dir, f.storeOpts())
+		st, err := durable.Open(o.Dir, f.opts.Store)
 		if err != nil {
 			// Local state unreadable: treat it like a torn bootstrap and
 			// fetch fresh — the leader is the source of truth.
 			f.logger.Warn("follower state unreadable, re-bootstrapping", "dir", o.Dir, "err", err)
 		} else {
+			// Everything applied locally came from the leader's log.
+			f.noteLeaderNext(st.NextSeq())
 			f.store.Store(st)
 			f.bootstrapped.Store(true)
 			f.logger.Info("follower resumed from local state",
@@ -168,17 +178,6 @@ func Open(ctx context.Context, opts FollowerOptions) (*Follower, error) {
 	return f, nil
 }
 
-// storeOpts is the follower's durable configuration: caller knobs with the
-// bootstrap forced off.
-func (f *Follower) storeOpts() durable.Options {
-	so := f.opts.Store
-	so.Bootstrap = nil
-	if so.Logger == nil {
-		so.Logger = f.logger
-	}
-	return so
-}
-
 // Store returns the follower's current durable store (replaced only by a
 // re-bootstrap, which announces itself via OnStateSwap).
 func (f *Follower) Store() *durable.Store { return f.store.Load() }
@@ -190,9 +189,10 @@ func (f *Follower) LeaderURL() string { return f.opts.LeaderURL }
 func (f *Follower) Writable() bool { return f.writable.Load() }
 
 // ReplProbe reports the follower's replication position: the last applied
-// global sequence, the leader's last observed next sequence, the lag in
-// records and in seconds (time since last caught up), and whether the
-// follower has completed a bootstrap. The tuple form satisfies the serving
+// global sequence, the highest next sequence the leader is known to have
+// reached (never below applied+1 while following), the lag in records and
+// in seconds (time since last caught up), and whether the follower has
+// completed a bootstrap. The tuple form satisfies the serving
 // layer's probe interface without a type dependency.
 func (f *Follower) ReplProbe() (appliedSeq, leaderSeq uint64, lagRecords int64, lagSeconds float64, bootstrapped bool) {
 	st := f.store.Load()
@@ -213,14 +213,14 @@ func (f *Follower) ReplProbe() (appliedSeq, leaderSeq uint64, lagRecords int64, 
 
 // noteLag refreshes the lag gauges after a poll.
 func (f *Follower) noteLag() {
-	_, _, lagRec, _, _ := f.ReplProbe()
+	// lagSec is 0 whenever lagRec is, so one probe serves both gauges.
+	_, _, lagRec, lagSec, _ := f.ReplProbe()
 	if lagRec == 0 {
 		f.caughtUpAt.Store(time.Now().UnixNano())
 	}
 	if f.m != nil {
 		f.m.LagRecords.Set(lagRec)
 	}
-	_, _, _, lagSec, _ := f.ReplProbe()
 	f.m.SetLagSeconds(lagSec)
 }
 
@@ -308,7 +308,7 @@ func (f *Follower) pollOnce() error {
 		return err
 	}
 	defer resp.Body.Close()
-	f.noteLeaderNext(resp.Header.Get(HdrNextSeq))
+	f.noteLeaderHeader(resp)
 
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -326,15 +326,10 @@ func (f *Follower) pollOnce() error {
 			if derr != nil || !ok {
 				break
 			}
-			switch rec.Op {
-			case wal.OpInsert:
-				aerr = st.Insert(rec.Objects...)
-			case wal.OpDelete:
-				_, aerr = st.Delete(rec.ID, rec.Hint)
-			default:
-				aerr = fmt.Errorf("repl: unknown opcode %d", rec.Op)
-			}
-			if aerr != nil {
+			// The leader keeps shipping frames logged after it stamped the
+			// header: each decoded frame proves its log reaches this far.
+			f.noteLeaderNext(from + uint64(applied) + 1)
+			if aerr = st.Apply(&rec); aerr != nil {
 				break
 			}
 			applied++
@@ -360,16 +355,16 @@ func (f *Follower) pollOnce() error {
 	}
 }
 
-func (f *Follower) noteLeaderNext(raw string) {
-	if raw == "" {
-		return
+// noteLeaderHeader folds a response's next-sequence header into leaderNext.
+func (f *Follower) noteLeaderHeader(resp *http.Response) {
+	if v, err := strconv.ParseUint(resp.Header.Get(HdrNextSeq), 10, 64); err == nil {
+		f.noteLeaderNext(v)
 	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return
-	}
-	// Monotonic max: responses can arrive reordered relative to the
-	// leader's progress.
+}
+
+// noteLeaderNext raises leaderNext to at least v. Monotonic max: responses
+// can arrive reordered relative to the leader's progress.
+func (f *Follower) noteLeaderNext(v uint64) {
 	for {
 		cur := f.leaderNext.Load()
 		if v <= cur || f.leaderNext.CompareAndSwap(cur, v) {
@@ -420,37 +415,29 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("repl: bad %s header: %w", HdrGen, err)
 	}
-	if err := os.RemoveAll(f.opts.Dir); err != nil {
+	fsys := f.opts.Store.FS
+	if err := fsys.RemoveAll(f.opts.Dir); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(f.opts.Dir, 0o755); err != nil {
+	// ReadArchive creates the staging directory, and Dir with it.
+	tmp := durable.SnapshotDir(f.opts.Dir, gen) + ".fetch"
+	if err := ReadArchive(fsys, resp.Body, tmp); err != nil {
 		return err
 	}
-	final := durable.SnapshotDir(f.opts.Dir, gen)
-	tmp := final + ".fetch"
-	if err := ReadArchive(resp.Body, tmp); err != nil {
+	if err := durable.InstallCurrent(fsys, f.opts.Dir, tmp, gen); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := syncDir(f.opts.Dir); err != nil {
-		return err
-	}
-	if err := durable.InstallCurrent(f.opts.Dir, gen); err != nil {
-		return err
-	}
-	st, err := durable.Open(f.opts.Dir, f.storeOpts())
+	st, err := durable.Open(f.opts.Dir, f.opts.Store)
 	if err != nil {
 		return fmt.Errorf("opening bootstrapped state: %w", err)
 	}
+	f.noteLeaderHeader(resp)
 	f.store.Store(st)
 	f.bootstrapped.Store(true)
 	f.caughtUpAt.Store(time.Now().UnixNano())
 	if f.m != nil {
 		f.m.Bootstraps.Inc()
 	}
-	f.noteLeaderNext(resp.Header.Get(HdrNextSeq))
 	f.logger.Info("follower bootstrapped from leader snapshot",
 		"generation", gen, "next_seq", st.NextSeq(), "leader", f.opts.LeaderURL)
 	return nil

@@ -13,8 +13,10 @@
 // Both endpoints answer application/octet-stream with three headers:
 // X-Quasii-Repl-Gen (the generation served), X-Quasii-Repl-Start-Seq (the
 // global sequence of the first byte of the body) and X-Quasii-Repl-Next-Seq
-// (the leader's next sequence at response time — the follower's lag
-// reference).
+// (the leader's next sequence when the response started). The follower's
+// lag reference is the larger of that header and the sequence after the
+// last frame decoded off a WAL stream: the leader keeps shipping frames
+// logged after it stamped the header.
 //
 // /repl/snapshot streams the pinned live generation as a flat archive of
 // CRC-framed files (see WriteArchive) terminated by an explicit sentinel,
@@ -37,6 +39,9 @@
 // a record the leader did not durably log, never applies a record twice,
 // and never applies a corrupt one — every failure mode of the link ends in
 // the follower caught up or cleanly re-bootstrapping.
+//
+// Every follower disk write, bootstrap included, goes through
+// FollowerOptions.Store.FS, so one faultfs configuration covers it all.
 package repl
 
 import (
@@ -49,6 +54,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/faultfs"
 )
 
 // Endpoint paths and header names shared by leader and follower.
@@ -122,11 +129,11 @@ func WriteArchive(w io.Writer, dir string) error {
 	return err
 }
 
-// ReadArchive reads an archive stream into dir (created if needed), fsyncs
-// every file and the directory, and fails with ErrTornStream on any
+// ReadArchive reads an archive stream into dir (created if needed) on fsys,
+// fsyncs every file and the directory, and fails with ErrTornStream on any
 // truncation or CRC mismatch. File names are confined to dir.
-func ReadArchive(r io.Reader, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func ReadArchive(fsys faultfs.FS, r io.Reader, dir string) error {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	var hdr [16]byte
@@ -136,7 +143,7 @@ func ReadArchive(r io.Reader, dir string) error {
 		}
 		nameLen := binary.LittleEndian.Uint32(hdr[0:])
 		if nameLen == 0 {
-			return syncDir(dir) // sentinel: complete archive
+			return fsys.SyncDir(dir) // sentinel: complete archive
 		}
 		if nameLen > maxArchiveName {
 			return fmt.Errorf("%w: name length %d", ErrTornStream, nameLen)
@@ -164,35 +171,8 @@ func ReadArchive(r io.Reader, dir string) error {
 		if crc32.Checksum(data, crcTable) != want {
 			return fmt.Errorf("%w: crc mismatch on %s", ErrTornStream, name)
 		}
-		if err := writeFileSync(filepath.Join(dir, name), data); err != nil {
+		if err := faultfs.WriteFileSync(fsys, filepath.Join(dir, name), data, false); err != nil {
 			return err
 		}
 	}
-}
-
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so its entries survive a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/durable"
+	"repro/internal/faultfs"
 	"repro/internal/geom"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -131,10 +132,36 @@ func requireSameState(t *testing.T, leader, follower *durable.Store) {
 	}
 }
 
+// earliestHeader rewrites a 200 WAL response's next-seq header to from+1:
+// the value a leader stamps when the response starts the instant the first
+// record lands and every other shipped frame is logged while the stream is
+// open — the stalest header the protocol allows, made deterministic.
+type earliestHeader struct {
+	http.ResponseWriter
+	from    uint64
+	stamped bool
+}
+
+func (w *earliestHeader) Write(p []byte) (int, error) {
+	if !w.stamped {
+		w.stamped = true
+		w.Header().Set(HdrNextSeq, itoa(w.from+1))
+	}
+	return w.ResponseWriter.Write(p)
+}
+
 func TestFollowerBootstrapAndTail(t *testing.T) {
 	data := dataset.Uniform(1000, 11)
 	st := newLeaderStore(t, data)
-	srv := leaderServer(t, NewLeader(st, nil, nil))
+	l := NewLeader(st, nil, nil)
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathSnapshot, l.ServeSnapshot)
+	mux.HandleFunc(PathWAL, func(w http.ResponseWriter, r *http.Request) {
+		from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+		l.ServeWAL(&earliestHeader{ResponseWriter: w, from: from}, r)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
 
 	f, err := Open(context.Background(), followerOpts(t, srv.URL, nil))
 	if err != nil {
@@ -145,8 +172,39 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	// Bootstrap alone must reproduce the dataset.
 	requireSameState(t, st, f.Store())
 
-	// Live writes ship through the tail.
-	applyWrites(t, st, data, 1_000_000, 30)
+	// Live writes ship through the tail. While the writer runs, the lag
+	// reference must never trail the follower's own position: the leader
+	// keeps shipping frames logged after it stamped the response header, so
+	// a header-only reference would fall behind applied and report lag 0
+	// exactly when the follower is furthest back.
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; i < 3000; i++ {
+			obj := geom.Object{Box: data[i%len(data)].Box, ID: 1_000_000 + int32(i)}
+			if err := st.Insert(obj); err != nil {
+				t.Errorf("insert %d: %v", obj.ID, err)
+				return
+			}
+		}
+	}()
+	probes := 0
+	for running := true; running; probes++ {
+		select {
+		case <-writerDone:
+			running = false
+		default:
+		}
+		applied, leaderSeq, lagRec, _, _ := f.ReplProbe()
+		if leaderSeq < applied+1 {
+			t.Fatalf("probe %d: leader seq %d behind applied seq %d", probes, leaderSeq, applied)
+		}
+		if want := int64(leaderSeq - (applied + 1)); lagRec != want {
+			t.Fatalf("probe %d: lag %d records, want %d (leader %d, applied %d)", probes, lagRec, want, leaderSeq, applied)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	applyWrites(t, st, data, 2_000_000, 30)
 	waitCaughtUp(t, f, st, 10*time.Second)
 	requireSameState(t, st, f.Store())
 
@@ -446,7 +504,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 
 	dst := t.TempDir()
-	if err := ReadArchive(bytes.NewReader(buf.Bytes()), dst); err != nil {
+	if err := ReadArchive(faultfs.OS{}, bytes.NewReader(buf.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range files {
@@ -462,7 +520,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	// Every proper prefix is a torn stream: the sentinel can never be
 	// mistaken for present.
 	for _, cut := range []int{0, 1, 4, 17, buf.Len() / 2, buf.Len() - 1} {
-		err := ReadArchive(bytes.NewReader(buf.Bytes()[:cut]), t.TempDir())
+		err := ReadArchive(faultfs.OS{}, bytes.NewReader(buf.Bytes()[:cut]), t.TempDir())
 		if !errors.Is(err, ErrTornStream) {
 			t.Fatalf("cut at %d: err %v, want ErrTornStream", cut, err)
 		}
@@ -471,7 +529,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	// A flipped payload bit fails the file CRC.
 	bad := append([]byte(nil), buf.Bytes()...)
 	bad[len(bad)/2] ^= 0x20
-	if err := ReadArchive(bytes.NewReader(bad), t.TempDir()); !errors.Is(err, ErrTornStream) {
+	if err := ReadArchive(faultfs.OS{}, bytes.NewReader(bad), t.TempDir()); !errors.Is(err, ErrTornStream) {
 		t.Fatalf("corrupt archive: err %v, want ErrTornStream", err)
 	}
 }
@@ -487,7 +545,7 @@ func TestArchiveRejectsUnsafeNames(t *testing.T) {
 		putU32(hdr[4:], 0)
 		putU32(hdr[8:], 0) // crc of empty payload (unchecked before the name check)
 		buf.Write(hdr[:12])
-		if err := ReadArchive(bytes.NewReader(buf.Bytes()), t.TempDir()); !errors.Is(err, ErrTornStream) {
+		if err := ReadArchive(faultfs.OS{}, bytes.NewReader(buf.Bytes()), t.TempDir()); !errors.Is(err, ErrTornStream) {
 			t.Fatalf("name %q: err %v, want ErrTornStream", name, err)
 		}
 	}
@@ -495,4 +553,88 @@ func TestArchiveRejectsUnsafeNames(t *testing.T) {
 
 func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+// TestFollowerBootstrapCrashPointSweep crashes one follower bootstrap at
+// every file-system step it takes (wipe, archive install, rename, CURRENT,
+// the store's own open) and inspects the directory with the real file
+// system afterwards: either no CURRENT exists — and the next attempt wipes
+// the debris and succeeds — or CURRENT names a complete generation that
+// opens to exactly the leader's state. Never a half-installed one.
+func TestFollowerBootstrapCrashPointSweep(t *testing.T) {
+	data := dataset.Uniform(300, 31)
+	st := newLeaderStore(t, data)
+	applyWrites(t, st, data, 4_000_000, 12)
+	if _, err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv := leaderServer(t, NewLeader(st, nil, nil))
+
+	// bootstrap runs one bootstrapOnce into dir over fsys, with no tail
+	// loop: the steps counted are the bootstrap's alone.
+	bootstrap := func(dir string, fsys faultfs.FS) (*Follower, error) {
+		opts := followerOpts(t, srv.URL, nil)
+		opts.Dir = dir
+		opts.Store.FS = fsys
+		o := opts.withDefaults()
+		f := &Follower{opts: o, logger: o.Logger, client: &http.Client{}}
+		return f, f.bootstrapOnce(context.Background())
+	}
+	requireLeaderState := func(k int64, fs *durable.Store) {
+		t.Helper()
+		if ln, fn := st.NextSeq(), fs.NextSeq(); ln != fn {
+			t.Fatalf("crash step %d: follower next_seq %d, leader %d", k, fn, ln)
+		}
+		requireSameState(t, st, fs)
+		if err := fs.Close(); err != nil {
+			t.Fatalf("crash step %d: close: %v", k, err)
+		}
+	}
+
+	counter := faultfs.New(nil, faultfs.Config{})
+	f, err := bootstrap(filepath.Join(t.TempDir(), "follower"), counter)
+	if err != nil {
+		t.Fatalf("fault-free bootstrap: %v", err)
+	}
+	steps := counter.Steps() // before Close below adds its checkpoint's
+	requireLeaderState(0, f.Store())
+	if steps < 10 {
+		t.Fatalf("suspiciously few bootstrap write sites counted: %d", steps)
+	}
+
+	installed, retried := 0, 0
+	for k := int64(1); k <= steps; k++ {
+		dir := filepath.Join(t.TempDir(), "follower")
+		ff := faultfs.New(nil, faultfs.Config{CrashStep: k})
+		if f, err := bootstrap(dir, ff); err == nil {
+			f.Store().Close()
+			t.Fatalf("crash step %d: bootstrap succeeded through a crash", k)
+		}
+		has, err := durable.HasState(faultfs.OS{}, dir)
+		if err != nil {
+			t.Fatalf("crash step %d: reading CURRENT: %v", k, err)
+		}
+		if has {
+			// CURRENT is the last thing installed: what it names must be
+			// complete.
+			installed++
+			opts := followerOpts(t, srv.URL, nil)
+			reopened, err := durable.Open(dir, opts.Store)
+			if err != nil {
+				t.Fatalf("crash step %d: CURRENT present but state does not open: %v", k, err)
+			}
+			requireLeaderState(k, reopened)
+			continue
+		}
+		retried++
+		f, err := bootstrap(dir, faultfs.OS{})
+		if err != nil {
+			t.Fatalf("crash step %d: retry over the debris failed: %v", k, err)
+		}
+		requireLeaderState(k, f.Store())
+	}
+	if installed == 0 || retried == 0 {
+		t.Fatalf("sweep of %d steps saw %d installed and %d retried outcomes; want both", steps, installed, retried)
+	}
+	t.Logf("swept %d crash points: %d left no CURRENT, %d left a complete generation", steps, retried, installed)
 }

@@ -199,7 +199,9 @@ type ReadyResponse struct {
 }
 
 // EndpointStats is the per-endpoint slice of /stats: request counts and the
-// latency distribution over a sliding window of recent requests.
+// latency distribution since start — the percentiles are estimated from the
+// endpoint's quasii_http_request_duration_seconds histogram, exactly as a
+// /metrics scrape would estimate them.
 type EndpointStats struct {
 	Count      int64   `json:"count"`
 	Errors     int64   `json:"errors"`

@@ -236,7 +236,7 @@ type Server struct {
 	cfg     Config
 	adm     *admission
 	bat     *batcher
-	met     map[string]*endpointMetrics
+	met     map[string]endpointSeries // per-endpoint /metrics series, read back by /stats
 	mux     *http.ServeMux
 	start   time.Time
 	updates atomic.Int64 // accepted update objects since the last auto-flush
@@ -280,7 +280,7 @@ func New(ix *shard.Index, cfg Config) *Server {
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.ExecSlots)
 	s.bat = newBatcher(ix, s.adm, cfg.BatchWindow, cfg.BatchLimit)
 	s.instrument()
-	s.met = make(map[string]*endpointMetrics)
+	s.met = make(map[string]endpointSeries)
 	s.mux = http.NewServeMux()
 	s.route("/query", true, []string{http.MethodPost, http.MethodGet}, s.handleQuery)
 	s.route("/batch", true, []string{http.MethodPost}, s.handleBatch)
@@ -455,13 +455,36 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
+// endpointSeries is one endpoint's registry series: what /metrics renders
+// and what /stats summarises, so the two views cannot disagree.
+type endpointSeries struct {
+	errors, rejected *telemetry.Counter
+	duration         *telemetry.Histogram
+}
+
+// stats summarises the series for /stats: handled requests (rejects
+// excluded), their mean, and cumulative histogram-estimated percentiles;
+// uptime turns the count into a rate.
+func (e endpointSeries) stats(uptime time.Duration) EndpointStats {
+	s := EndpointStats{Count: e.duration.Count(), Errors: e.errors.Value(), Rejected: e.rejected.Value()}
+	if uptime > 0 {
+		s.RatePerSec = float64(s.Count) / uptime.Seconds()
+	}
+	if s.Count > 0 {
+		s.MeanMicros = int64(e.duration.Sum() / float64(s.Count) * 1e6)
+	}
+	micros := func(q float64) int64 {
+		v, _ := e.duration.Quantile(q)
+		return int64(v * 1e6)
+	}
+	s.P50Micros, s.P95Micros, s.P99Micros = micros(0.50), micros(0.95), micros(0.99)
+	return s
+}
+
 // route registers one endpoint behind method filtering, optional admission
-// control, and latency metrics (both the /stats ring-buffer percentiles and
-// the /metrics registry series).
+// control, and its request/error/reject/latency series.
 func (s *Server) route(path string, admit bool, methods []string, h http.HandlerFunc) {
 	name := strings.TrimPrefix(path, "/")
-	m := &endpointMetrics{}
-	s.met[name] = m
 	lbl := telemetry.L("endpoint", name)
 	mReq := s.reg.Counter("quasii_http_requests_total",
 		"Requests received, by endpoint (method-filtered; includes rejects).", lbl)
@@ -472,6 +495,7 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 	mDur := s.reg.Histogram("quasii_http_request_duration_seconds",
 		"Wall time of handled requests (admission rejects excluded), by endpoint.",
 		telemetry.DurationBuckets, lbl)
+	s.met[name] = endpointSeries{errors: mErr, rejected: mRej, duration: mDur}
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		allowed := false
 		for _, meth := range methods {
@@ -488,7 +512,6 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 		mReq.Inc()
 		if admit {
 			if !s.adm.admit() {
-				m.reject()
 				mRej.Inc()
 				w.Header().Set("Retry-After", "1")
 				writeJSON(w, http.StatusTooManyRequests,
@@ -501,7 +524,6 @@ func (s *Server) route(path string, admit bool, methods []string, h http.Handler
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		d := time.Since(t0)
-		m.observe(d, sw.status >= 400)
 		mDur.ObserveDuration(d)
 		if sw.status >= 400 {
 			mErr.Inc()
@@ -960,7 +982,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for name, m := range s.met {
-		resp.Endpoints[name] = m.snapshot(uptime)
+		resp.Endpoints[name] = m.stats(uptime)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

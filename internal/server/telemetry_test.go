@@ -112,6 +112,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		map[string]string{"endpoint": "query"}, 0.95); !ok {
 		t.Fatal("p95 not computable from quasii_http_request_duration_seconds buckets")
 	}
+	// /stats summarises the same series with the same estimator, so its
+	// percentiles are the scrape's, to the microsecond.
+	var st StatsResponse
+	if code := call(t, client, http.MethodGet, ts.URL+"/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	p50, _ := sc.HistogramQuantile("quasii_http_request_duration_seconds",
+		map[string]string{"endpoint": "query"}, 0.50)
+	if got, want := st.Endpoints["query"].P50Micros, int64(p50*1e6); got != want || want <= 0 {
+		t.Fatalf("/stats query p50 = %d us, scrape-side quantile = %d us; want equal and positive", got, want)
+	}
 }
 
 // TestMetricsCountersMonotonic scrapes concurrently with load and asserts

@@ -115,21 +115,11 @@ func (ix *Index) Snapshot(dir string) error {
 }
 
 func writeManifest(fsys faultfs.FS, path string, m *manifest) error {
-	f, err := fsys.Create(path)
+	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		f.Close()
 		return fmt.Errorf("encoding manifest: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return faultfs.WriteFileSync(fsys, path, append(raw, '\n'), false)
 }
 
 // pinnedShard is one shard's pinned version plus everything the manifest

@@ -248,16 +248,13 @@ func matchLabels(have, want map[string]string) bool {
 	return true
 }
 
+// bucket is a cumulative histogram bucket: observations at or below le.
+type bucket struct{ le, count float64 }
+
 // HistogramQuantile estimates quantile q (0..1) from the rendered
-// <name>_bucket series carrying the given non-le labels, using linear
-// interpolation within the bucket that holds the target rank — the same
-// estimate promql's histogram_quantile computes. ok is false when the
-// histogram is absent or empty.
+// <name>_bucket series carrying the given non-le labels (see bucketQuantile
+// for the estimate). ok is false when the histogram is absent or empty.
 func (sc *Scrape) HistogramQuantile(name string, labels map[string]string, q float64) (float64, bool) {
-	type bucket struct {
-		le    float64
-		count float64
-	}
 	var buckets []bucket
 	for _, s := range sc.Samples {
 		if s.Name != name+"_bucket" || !matchLabels(s.Labels, labels) {
@@ -269,15 +266,21 @@ func (sc *Scrape) HistogramQuantile(name string, labels map[string]string, q flo
 		}
 		buckets = append(buckets, bucket{le: le, count: s.Value})
 	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].count
-	if total == 0 {
+	return bucketQuantile(buckets, q)
+}
+
+// bucketQuantile estimates quantile q (0..1) from cumulative buckets in
+// ascending bound order, using linear interpolation within the bucket that
+// holds the target rank — the same estimate promql's histogram_quantile
+// computes. It is the one estimator behind both a parsed scrape and a live
+// Histogram, so the two cannot disagree. ok is false when the histogram is
+// empty.
+func bucketQuantile(buckets []bucket, q float64) (float64, bool) {
+	if len(buckets) == 0 || buckets[len(buckets)-1].count == 0 {
 		return 0, false
 	}
-	rank := q * total
+	rank := q * buckets[len(buckets)-1].count
 	for i, b := range buckets {
 		if b.count < rank {
 			continue

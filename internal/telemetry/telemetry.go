@@ -181,6 +181,25 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// Quantile estimates quantile q (0..1) of the observations so far — the
+// estimate a scrape of this histogram yields through
+// Scrape.HistogramQuantile. ok is false while the histogram is empty.
+func (h *Histogram) Quantile(q float64) (float64, bool) {
+	if h == nil {
+		return 0, false
+	}
+	buckets := make([]bucket, len(h.counts))
+	var run int64
+	for i := range h.counts {
+		run += h.counts[i].Load()
+		buckets[i] = bucket{le: math.Inf(1), count: float64(run)}
+		if i < len(h.bounds) {
+			buckets[i].le = h.bounds[i]
+		}
+	}
+	return bucketQuantile(buckets, q)
+}
+
 // DurationBuckets is the default latency histogram layout: 10µs to 2.5s in
 // a 1-2.5-5 progression, wide enough for a cold crack-heavy query and fine
 // enough to resolve a converged sub-100µs one.

@@ -211,6 +211,28 @@ func TestHistogramQuantile(t *testing.T) {
 	if !ok || p99 < 0.1 || p99 > 1 {
 		t.Fatalf("p99 = %g, want within (0.1, 1]", p99)
 	}
+	// The live histogram answers with the scrape's estimate, bit for bit —
+	// overflow bucket included — and reports empty (and nil) as not ok.
+	h.Observe(7)
+	b.Reset()
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if sc, err = ParseText(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+		want, _ := sc.HistogramQuantile("quasii_test_q_seconds", nil, q)
+		if got, ok := h.Quantile(q); !ok || got != want {
+			t.Fatalf("Histogram.Quantile(%g) = %g (ok %v), scrape says %g", q, got, ok, want)
+		}
+	}
+	if _, ok := r.Histogram("quasii_test_empty_seconds", "e", DurationBuckets).Quantile(0.5); ok {
+		t.Fatal("empty histogram reported a quantile")
+	}
+	if _, ok := (*Histogram)(nil).Quantile(0.5); ok {
+		t.Fatal("nil histogram reported a quantile")
+	}
 }
 
 // TestConcurrentHotPath is the -race stress on the registry hot path:

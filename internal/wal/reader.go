@@ -2,8 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -44,34 +42,11 @@ func OpenReaderFS(fsys faultfs.FS, path string) (*Reader, error) {
 // all mean "no further record is trustworthy"); err is reserved for real
 // I/O failures.
 func (r *Reader) Next() (frame []byte, ok bool, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, nil
-		}
-		return nil, false, err
+	frame, ok, err = readFrame(r.br, r.buf)
+	if ok {
+		r.buf = frame
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if plen == 0 || plen > maxPayload {
-		return nil, false, nil
-	}
-	need := 8 + int(plen)
-	if cap(r.buf) < need {
-		r.buf = make([]byte, need)
-	}
-	r.buf = r.buf[:need]
-	copy(r.buf, hdr[:])
-	if _, err := io.ReadFull(r.br, r.buf[8:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	if crc32.Checksum(r.buf[8:], crcTable) != want {
-		return nil, false, nil
-	}
-	return r.buf, true, nil
+	return frame, ok, err
 }
 
 // Skip advances past up to n frames, verifying each, and reports how many
@@ -102,7 +77,8 @@ func (r *Reader) Close() error { return r.f.Close() }
 // cleanly (ok == false): everything decoded before it was CRC-verified,
 // everything after it is untrusted and must be re-fetched.
 type StreamDecoder struct {
-	br *bufio.Reader
+	br  *bufio.Reader
+	buf []byte // frame scratch, reused across calls
 }
 
 // NewStreamDecoder wraps r for record decoding.
@@ -113,5 +89,10 @@ func NewStreamDecoder(r io.Reader) *StreamDecoder {
 // Next decodes the next record into rec; ok == false is the clean end of
 // the intact stream prefix.
 func (d *StreamDecoder) Next(rec *Record) (bool, error) {
-	return readRecord(d.br, rec)
+	frame, ok, err := readFrame(d.br, d.buf)
+	if err != nil || !ok {
+		return false, err
+	}
+	d.buf = frame
+	return decodePayload(frame[8:], rec), nil
 }

@@ -13,6 +13,12 @@
 // first torn or corrupt frame — the tail a crash mid-append leaves behind —
 // and reports the byte offset of the last intact record so the caller can
 // truncate before appending again.
+//
+// readFrame is the only parser of a frame (header, length bound, CRC) and
+// replay the only loop over a log's intact prefix: Replay, OpenReplay and
+// Create (OpenReplay that validates without decoding) run it, and the
+// replication Reader and StreamDecoder read through the same readFrame, so
+// recovery, leader and follower cannot disagree about where a log ends.
 package wal
 
 import (
@@ -24,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,13 +80,15 @@ type Record struct {
 	Objects []geom.Object // OpInsert
 	ID      int32         // OpDelete
 	Hint    geom.Box      // OpDelete
-
-	frameLen int // payload length of the decoded frame (replay bookkeeping)
 }
 
-// maxPayload bounds a record payload (1 GiB) so a corrupt length prefix
-// cannot force an enormous allocation during replay.
-const maxPayload = 1 << 30
+// maxPayload bounds a record payload (1 GiB): a longer length prefix is
+// corrupt. readChunk bounds how far readFrame grows its buffer ahead of the
+// bytes that have arrived, so no length prefix forces an enormous allocation.
+const (
+	maxPayload = 1 << 30
+	readChunk  = 1 << 20
+)
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -140,29 +149,43 @@ func Create(path string, policy SyncPolicy) (*Log, error) {
 
 // CreateFS is Create over an injectable file system.
 func CreateFS(fsys faultfs.FS, path string, policy SyncPolicy) (*Log, error) {
+	l, _, err := OpenReplayFS(fsys, path, policy, nil)
+	return l, err
+}
+
+// OpenReplay opens the log at path for appending after replaying it: every
+// intact record is passed to apply in order, a torn or corrupt tail is
+// truncated, and the returned Log appends after the last intact record —
+// recovery and reopen in a single pass over the file. A missing file is
+// created empty (apply is never called). A nil apply validates the frames
+// without decoding them. It returns the number of records replayed
+// alongside the log.
+func OpenReplay(path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
+	return OpenReplayFS(faultfs.OS{}, path, policy, apply)
+}
+
+// OpenReplayFS is OpenReplay over an injectable file system.
+func OpenReplayFS(fsys faultfs.FS, path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	good, err := scanIntact(f)
+	n, off, err := replay(f, apply)
+	var torn int64
+	if err == nil {
+		torn, err = tornTail(f, off)
+	}
+	if err == nil {
+		err = f.Truncate(off)
+	}
+	if err == nil {
+		_, err = f.Seek(off, io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, n, err
 	}
-	torn, err := tornTail(f, good)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{f: f, policy: policy, size: good, truncated: torn}, nil
+	return &Log{f: f, policy: policy, size: off, truncated: torn}, n, nil
 }
 
 // tornTail measures how far the file extends past the last intact record.
@@ -175,60 +198,6 @@ func tornTail(f faultfs.File, good int64) (int64, error) {
 		return t, nil
 	}
 	return 0, nil
-}
-
-// OpenReplay opens the log at path for appending after replaying it: every
-// intact record is passed to apply in order, a torn or corrupt tail is
-// truncated, and the returned Log appends after the last intact record —
-// recovery and reopen in a single pass over the file. A missing file is
-// created empty (apply is never called). It returns the number of records
-// replayed alongside the log.
-func OpenReplay(path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
-	return OpenReplayFS(faultfs.OS{}, path, policy, apply)
-}
-
-// OpenReplayFS is OpenReplay over an injectable file system.
-func OpenReplayFS(fsys faultfs.FS, path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	n := 0
-	var rec Record
-	for {
-		ok, rerr := readRecord(br, &rec)
-		if rerr != nil {
-			f.Close()
-			return nil, n, rerr
-		}
-		if !ok {
-			break
-		}
-		if apply != nil {
-			if aerr := apply(&rec); aerr != nil {
-				f.Close()
-				return nil, n, fmt.Errorf("applying wal record %d: %w", n, aerr)
-			}
-		}
-		off += int64(8 + rec.frameLen)
-		n++
-	}
-	torn, err := tornTail(f, off)
-	if err != nil {
-		f.Close()
-		return nil, n, err
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, n, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, n, err
-	}
-	return &Log{f: f, policy: policy, size: off, truncated: torn}, n, nil
 }
 
 // Replay reads every intact record of the log at path in order, invoking
@@ -249,41 +218,33 @@ func ReplayFS(fsys faultfs.FS, path string, apply func(*Record) error) (int, err
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	n := 0
-	var rec Record
-	for {
-		ok, err := readRecord(br, &rec)
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		if err := apply(&rec); err != nil {
-			return n, fmt.Errorf("applying wal record %d: %w", n, err)
-		}
-		n++
-	}
+	n, _, err := replay(f, apply)
+	return n, err
 }
 
-// scanIntact returns the offset just past the last intact record.
-func scanIntact(f faultfs.File) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
+// replay hands each record of the intact prefix to apply (nil: frames are
+// validated, not decoded) until the first torn, corrupt or undecodable one,
+// and returns the record count and the byte offset just past the last.
+func replay(r io.Reader, apply func(*Record) error) (n int, off int64, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var buf []byte
 	var rec Record
 	for {
-		ok, err := readRecordRaw(br, &rec, false)
-		if err != nil {
-			return 0, err
+		frame, ok, err := readFrame(br, buf)
+		if err != nil || !ok {
+			return n, off, err
 		}
-		if !ok {
-			return off, nil
+		buf = frame
+		if apply != nil {
+			if !decodePayload(frame[8:], &rec) {
+				return n, off, nil
+			}
+			if err := apply(&rec); err != nil {
+				return n, off, fmt.Errorf("applying wal record %d: %w", n, err)
+			}
 		}
-		off += int64(8 + rec.frameLen)
+		off += int64(len(frame))
+		n++
 	}
 }
 
@@ -295,9 +256,9 @@ func (l *Log) AppendInsert(objs []geom.Object) error {
 	defer l.mu.Unlock()
 	p := l.payloadBuf(need)
 	p = append(p, byte(OpInsert))
-	p = appendU32(p, uint32(len(objs)))
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(objs)))
 	for i := range objs {
-		p = appendU32(p, uint32(objs[i].ID))
+		p = binary.LittleEndian.AppendUint32(p, uint32(objs[i].ID))
 		p = appendBox(p, objs[i].Box)
 	}
 	return l.commit(p)
@@ -310,7 +271,7 @@ func (l *Log) AppendDelete(id int32, hint geom.Box) error {
 	defer l.mu.Unlock()
 	p := l.payloadBuf(1 + 4 + 6*8)
 	p = append(p, byte(OpDelete))
-	p = appendU32(p, uint32(id))
+	p = binary.LittleEndian.AppendUint32(p, uint32(id))
 	p = appendBox(p, hint)
 	return l.commit(p)
 }
@@ -437,78 +398,69 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-func appendU32(p []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(p, b[:]...)
-}
-
-func appendF64(p []byte, v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return append(p, b[:]...)
-}
-
 func appendBox(p []byte, b geom.Box) []byte {
 	for d := 0; d < geom.Dims; d++ {
-		p = appendF64(p, b.Min[d])
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(b.Min[d]))
 	}
 	for d := 0; d < geom.Dims; d++ {
-		p = appendF64(p, b.Max[d])
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(b.Max[d]))
 	}
 	return p
 }
 
-// readRecord decodes the next record; ok == false means a clean end (EOF or
-// torn/corrupt tail).
-func readRecord(br *bufio.Reader, rec *Record) (bool, error) {
-	return readRecordRaw(br, rec, true)
-}
-
-// readRecordRaw is readRecord with optional payload decoding (scanIntact
-// only needs frame validation).
-func readRecordRaw(br *bufio.Reader, rec *Record, decode bool) (bool, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return false, nil // torn frame header: end of intact log
-		}
-		return false, err
+// readFrame reads the next frame (header + payload, verbatim) into buf's
+// storage and returns it; pass the result back as buf to reuse the space.
+// ok == false is the clean end of the intact prefix — EOF, a torn header or
+// payload, a nonsense length, or a CRC mismatch, indistinguishable by design
+// (all mean "no further record is trustworthy"); err is for real I/O failures.
+func readFrame(br *bufio.Reader, buf []byte) (frame []byte, ok bool, err error) {
+	frame = slices.Grow(buf[:0], 8)[:8]
+	if _, err := io.ReadFull(br, frame); err != nil {
+		return nil, false, cleanEOF(err)
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	plen := binary.LittleEndian.Uint32(frame[0:])
+	want := binary.LittleEndian.Uint32(frame[4:])
 	if plen == 0 || plen > maxPayload {
-		return false, nil // nonsense length: corrupt tail
+		return nil, false, nil
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return false, nil // torn payload
+	// Grow only as payload bytes arrive: a torn tail whose length field is
+	// garbage costs one chunk, not the length it claims.
+	for need := int(plen); need > 0; {
+		at, step := len(frame), min(need, readChunk)
+		frame = slices.Grow(frame, step)[:at+step]
+		if _, err := io.ReadFull(br, frame[at:]); err != nil {
+			return nil, false, cleanEOF(err)
 		}
-		return false, err
+		need -= step
 	}
-	if crc32.Checksum(payload, crcTable) != want {
-		return false, nil // corrupt payload
+	if crc32.Checksum(frame[8:], crcTable) != want {
+		return nil, false, nil
 	}
-	rec.frameLen = int(plen)
-	if !decode {
-		return true, nil
-	}
-	return decodePayload(payload, rec)
+	return frame, true, nil
 }
 
-func decodePayload(p []byte, rec *Record) (bool, error) {
+// cleanEOF maps running off the end of the data to nil (a clean end).
+func cleanEOF(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return err
+}
+
+// decodePayload decodes a CRC-verified payload into rec; false means it is
+// malformed (field lengths, unknown opcode) — corruption like any other.
+func decodePayload(p []byte, rec *Record) bool {
 	op := Op(p[0])
 	p = p[1:]
 	switch op {
 	case OpInsert:
 		if len(p) < 4 {
-			return false, nil
+			return false
 		}
 		n := binary.LittleEndian.Uint32(p)
 		p = p[4:]
 		if uint64(len(p)) != uint64(n)*(4+6*8) {
-			return false, nil
+			return false
 		}
 		objs := make([]geom.Object, n)
 		for i := range objs {
@@ -516,20 +468,20 @@ func decodePayload(p []byte, rec *Record) (bool, error) {
 			p = p[4:]
 			p = readBox(p, &objs[i].Box)
 		}
-		*rec = Record{Op: OpInsert, Objects: objs, frameLen: rec.frameLen}
-		return true, nil
+		*rec = Record{Op: OpInsert, Objects: objs}
+		return true
 	case OpDelete:
 		if len(p) != 4+6*8 {
-			return false, nil
+			return false
 		}
 		id := int32(binary.LittleEndian.Uint32(p))
 		p = p[4:]
 		var hint geom.Box
 		readBox(p, &hint)
-		*rec = Record{Op: OpDelete, ID: id, Hint: hint, frameLen: rec.frameLen}
-		return true, nil
+		*rec = Record{Op: OpDelete, ID: id, Hint: hint}
+		return true
 	default:
-		return false, nil // unknown opcode: treat as corruption, stop replay
+		return false
 	}
 }
 

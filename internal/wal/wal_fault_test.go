@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 
@@ -301,5 +303,48 @@ func TestCorruptLengthFieldBounded(t *testing.T) {
 	}
 	if truncated != offsets[1]-offsets[0] {
 		t.Fatalf("TruncatedBytes = %d, want %d", truncated, offsets[1]-offsets[0])
+	}
+}
+
+// A torn tail whose four length bytes are garbage inside the maxPayload
+// bound must cost one read chunk, not the gigabyte it claims: the buffer
+// grows only as payload bytes actually arrive. Replay (recovery) and the
+// StreamDecoder (a follower decoding a corrupted /repl/wal body) both end
+// cleanly on it.
+func TestTornTailGarbageLengthBoundedAllocation(t *testing.T) {
+	var tail [12]byte
+	binary.LittleEndian.PutUint32(tail[0:], maxPayload-1)
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, tail[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const limit = 4 << 20
+
+	got := allocated(func() {
+		n, err := Replay(path, func(*Record) error { return nil })
+		if n != 0 || err != nil {
+			t.Errorf("Replay = %d records, err %v; want 0, nil", n, err)
+		}
+	})
+	if got > limit {
+		t.Errorf("Replay allocated %d bytes discovering a 12-byte torn tail, want < %d", got, limit)
+	}
+
+	got = allocated(func() {
+		var rec Record
+		ok, err := NewStreamDecoder(bytes.NewReader(tail[:])).Next(&rec)
+		if ok || err != nil {
+			t.Errorf("StreamDecoder.Next = %v, err %v; want false, nil", ok, err)
+		}
+	})
+	if got > limit {
+		t.Errorf("StreamDecoder allocated %d bytes discovering a 12-byte torn tail, want < %d", got, limit)
 	}
 }
