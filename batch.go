@@ -1,12 +1,9 @@
 package quasii
 
 import (
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // BatchQuery executes many range queries against ix across worker
@@ -51,9 +48,3 @@ func BatchQuery(ix Index, queries []Box, workers int) [][]int32 {
 	wg.Wait()
 	return results
 }
-
-// LoadQUASII reconstructs a QUASII index previously saved with
-// (*QUASII).Save, restoring the data array, the pending buffer and the
-// full slice hierarchy — an exploration session's accumulated refinement
-// survives the process.
-func LoadQUASII(r io.Reader) (*QUASII, error) { return core.Load(r) }

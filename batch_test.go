@@ -69,7 +69,7 @@ func TestSaveLoadQUASIIPublicAPI(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := quasii.LoadQUASII(&buf)
+	loaded, err := quasii.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

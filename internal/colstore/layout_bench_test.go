@@ -5,8 +5,8 @@ package colstore
 // implementation (the seed's layout), inside one binary. Because both
 // variants run back to back they are immune to machine drift, which makes
 // them the durable record of what the SoA layout buys on this hardware —
-// the numbers in BENCH_PR3.json come from here and from the core
-// microbenchmarks.
+// the numbers quoted in the PR 3 line of CHANGES.md come from here and from
+// the core microbenchmarks.
 
 import (
 	"math"

@@ -4,7 +4,8 @@ package core
 // partition pass, the bottom-level slice scan, and end-to-end queries on a
 // fully converged index. They exist so layout changes (AoS vs SoA) and
 // allocation regressions are measurable in isolation; CI runs them as a
-// smoke and BENCH_PR3.json records the before/after comparison.
+// smoke, and the PR 3 line of CHANGES.md quotes the before/after comparison
+// they were introduced for (end-to-end evidence lives in benchmark/).
 
 import (
 	"testing"

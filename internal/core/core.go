@@ -403,17 +403,15 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 // exclusive sections short so concurrent shared readers never stall behind a
 // cold region. A negative budget means unlimited (identical to Query).
 func (ix *Index) QueryBudgeted(q geom.Box, out []int32, budget int) []int32 {
-	if budget < 0 {
-		budget = -1
-	}
-	ix.remCracks = budget
+	ix.remCracks = max(budget, -1)
 	out = ix.Query(q, out)
 	ix.remCracks = -1
 	return out
 }
 
 // queryPositions is Query's engine: it appends the data-array positions of
-// matching objects instead of their IDs (used by KNN to reach the boxes).
+// matching objects instead of their IDs. It is also the refining position
+// probe of KNN and delete (positionsRefining in knn.go).
 func (ix *Index) queryPositions(q geom.Box, out []int32) []int32 {
 	if !ix.noStats {
 		ix.stats.Queries++
@@ -629,7 +627,10 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 
 	var bands []*slice
 	switch {
-	case lo > sMin && hi < sMax: // both bounds interior: three-way
+	case lo > sMin && hi < sMax && ix.remCracks != 1:
+		// Both bounds interior: three-way, two passes. With a single
+		// budgeted pass left the lower cut below goes alone, so a budget is
+		// never overdrawn; a later query makes the upper cut.
 		bands = ix.crackThree(s, dim, lo, hiExcl)
 	case lo > sMin: // only the lower bound interior: two-way at lo
 		bands = ix.crackTwo(s, dim, lo)

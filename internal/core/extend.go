@@ -5,10 +5,13 @@
 //     fixes cracking's pathological behaviour under sequential workloads by
 //     adding random cuts. The same idea applies per dimension here.
 //   - Complete: finish refinement eagerly (e.g. in idle time), turning the
-//     adaptive index into its fully converged form.
+//     adaptive index into its fully converged form — artificial refinement
+//     (core.go) applied to every slice, not a second recursion.
 //   - Append/Delete/Flush: accept updates after construction; the paper
 //     assumes a static setting (Sec. 2), so arrivals are buffered, deletions
-//     tombstoned, and both merged/compacted on demand.
+//     tombstoned, and both merged/compacted on demand. Only an explicit
+//     Flush folds them in: every query, KNN included, reads pending inserts
+//     and tombstones from the version it pinned.
 
 package core
 
@@ -42,9 +45,10 @@ func (ix *Index) Complete() {
 }
 
 func (ix *Index) completeList(list *sliceList, dim int) {
+	// A query covering every coordinate: artificial splits every fragment.
 	var out []*slice
 	for _, s := range list.slices {
-		out = append(out, ix.completeSlice(s, dim)...)
+		out = ix.artificial(s, dim, math.Inf(-1), math.Inf(1), out)
 	}
 	list.slices = out
 	list.maxExt = 0
@@ -57,26 +61,6 @@ func (ix *Index) completeList(list *sliceList, dim int) {
 			ix.completeList(s.children, dim+1)
 		}
 	}
-}
-
-// completeSlice splits s at midpoints until every fragment meets τ,
-// finalizing all fragments. It returns the replacement slices in lo order.
-func (ix *Index) completeSlice(s *slice, dim int) []*slice {
-	if s.size() <= ix.tau[dim] {
-		ix.finalize(s)
-		return []*slice{s}
-	}
-	sMin, sMax := ix.lowerRange(s, dim)
-	if sMax <= sMin {
-		ix.finalize(s)
-		return []*slice{s}
-	}
-	halves := ix.crackTwo(s, dim, artificialCut(sMin, sMax))
-	out := make([]*slice, 0, 2)
-	for _, h := range halves {
-		out = append(out, ix.completeSlice(h, dim)...)
-	}
-	return out
 }
 
 // Append registers new objects with the index. The paper assumes all data is
@@ -105,27 +89,16 @@ func (ix *Index) Pending() int { return len(ix.live.Load().pending) }
 // Delete may refine the index around hint, so it requires the exclusive
 // lock; DeleteShared is the escalation-free variant for converged regions.
 func (ix *Index) Delete(id int32, hint geom.Box) bool {
-	cur := ix.live.Load()
-	if _, dead := cur.deleted[id]; dead {
-		return false
-	}
-	// A pending object is tombstoned exactly like an indexed one: the
-	// version's pending slice is immutable, and Flush drops tombstoned
-	// entries instead of folding them in.
-	for i := range cur.pending {
-		if cur.pending[i].ID == id && cur.pending[i].Intersects(hint) {
-			ix.deleteVersioned(id)
-			return true
-		}
-	}
-	// Locate in the indexed lanes (refines around hint as a side effect).
-	for _, pos := range ix.queryPositions(hint, nil) {
-		if ix.data.ID[pos] == id {
-			ix.deleteVersioned(id)
-			return true
-		}
-	}
-	return false
+	return ix.DeleteBudgeted(id, hint, -1)
+}
+
+// DeleteBudgeted is Delete locating the object with at most budget crack
+// passes (see QueryBudgeted); negative means unlimited.
+func (ix *Index) DeleteBudgeted(id int32, hint geom.Box, budget int) bool {
+	ix.remCracks = max(budget, -1)
+	_, found, _ := ix.deleteSeq(id, hint, (*Index).positionsRefining)
+	ix.remCracks = -1
+	return found
 }
 
 // Deleted returns the number of tombstoned objects awaiting compaction.

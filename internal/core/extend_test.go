@@ -113,6 +113,41 @@ func TestCompleteAfterPartialRefinement(t *testing.T) {
 	}
 }
 
+// TestCompleteSliceCountsHeld holds Complete — now artificial refinement
+// around an all-covering query instead of its own recursion — to the slice
+// counts its predecessor produced on seeds 1–8 (recorded at PR 23), from a
+// cold index and from one 64 queries had partly refined.
+func TestCompleteSliceCountsHeld(t *testing.T) {
+	cold := [8]int{580, 580, 579, 581, 582, 581, 579, 579}
+	warm := [8]int{615, 613, 630, 628, 609, 629, 618, 611}
+	for i := range cold {
+		seed := int64(i + 1)
+		data := dataset.Uniform(20_000, seed)
+		for _, tc := range []struct {
+			queries []geom.Box
+			want    int
+		}{
+			{nil, cold[i]},
+			{workload.Uniform(dataset.Universe(), 64, 1e-3, seed+100), warm[i]},
+		} {
+			ix := New(dataset.Clone(data), Config{})
+			for _, q := range tc.queries {
+				ix.Query(q, nil)
+			}
+			ix.Complete()
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !ix.Converged() {
+				t.Fatalf("seed %d: Complete left the index unconverged", seed)
+			}
+			if n := ix.NumSlices(); n != tc.want {
+				t.Fatalf("seed %d after %d queries: %d slices, want %d", seed, len(tc.queries), n, tc.want)
+			}
+		}
+	}
+}
+
 func TestCompleteEmptyIndex(t *testing.T) {
 	ix := New(nil, Config{})
 	ix.Complete() // must not panic

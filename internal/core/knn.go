@@ -14,75 +14,110 @@ type Neighbor struct {
 	DistSq float64
 }
 
+// positionProbe collects the raw lane positions of v's rows intersecting q
+// — no tombstone filtering; callers post-filter by ID. KNN and the delete
+// locator are written once over a probe and handed one of two:
+// positionsShared, the read-only walk, which reports ok == false when a
+// touched slice still needs exclusive work, or positionsRefining, which
+// cracks within the budget in flight and always answers.
+type positionProbe func(ix *Index, v *Version, q geom.Box, pos []int32) ([]int32, bool)
+
+// positionsRefining is the exclusive probe: queryPositions refines around q
+// up to the crack budget in flight and scans whatever the budget left
+// uncracked, so it always answers. It requires the exclusive lock, under
+// which the live version v layers over exactly the lanes and hierarchy the
+// walk reorganizes (v.table == ix.data).
+func (ix *Index) positionsRefining(_ *Version, q geom.Box, pos []int32) ([]int32, bool) {
+	return ix.queryPositions(q, pos), true
+}
+
 // KNN returns the k objects nearest to p (by minimum box distance), closest
 // first. The paper positions range queries as "the building block for many
 // other spatial queries" (Sec. 2); KNN is implemented exactly that way: a
 // search cube sized from the data density doubles until it holds k
 // candidates, and one final query at the k-th candidate's distance
 // guarantees no closer object is missed. Like every QUASII query, each probe
-// refines the index around p as a side effect.
+// refines the index around p as a side effect. Pending inserts and
+// tombstones are merged at ranking time, so KNN never flushes.
 func (ix *Index) KNN(p geom.Point, k int) []Neighbor {
-	ix.Flush() // fold any appended objects so position-based ranking sees them
-	if k <= 0 || ix.data.Len() == 0 {
-		return nil
+	return ix.KNNBudgeted(p, k, -1)
+}
+
+// KNNBudgeted is KNN performing at most budget crack passes over all its
+// probes together (see QueryBudgeted); negative means unlimited. Requires
+// the exclusive lock.
+func (ix *Index) KNNBudgeted(p geom.Point, k, budget int) []Neighbor {
+	ix.remCracks = max(budget, -1)
+	nn, _ := ix.knn(ix.live.Load(), p, k, (*Index).positionsRefining)
+	ix.remCracks = -1
+	return nn
+}
+
+// knn is the one expanding-cube search, over v's view through probe. Lane
+// candidates are post-filtered by v's tombstones and every visible pending
+// object joins the ranking (rankVisible), so the answer is exact at v
+// whatever the probe geometry. ok == false means the probe needs exclusive
+// work. The probes never record heat on the shared path: one KNN re-walks
+// the same slices once per expansion, which would overweight them.
+func (ix *Index) knn(v *Version, p geom.Point, k int, probe positionProbe) (nn []Neighbor, ok bool) {
+	n := v.table.Len()
+	visible := n + len(v.pending) - len(v.deleted)
+	if k <= 0 || visible <= 0 {
+		return nil, true
 	}
-	if k > ix.data.Len() {
-		k = ix.data.Len()
+	k = min(k, visible)
+	if n == 0 {
+		return rankVisible(nil, v, p, k), true // everything lives in pending
 	}
-	span := ix.live.Load().dataMBB
+	span := v.dataMBB
 	// Initial cube: volume sized for an expected 2k objects under a uniform
 	// density assumption; clamped to a sane floor.
-	side := math.Cbrt(span.Volume() * 2 * float64(k) / float64(ix.data.Len()))
+	side := math.Cbrt(span.Volume() * 2 * float64(k) / float64(n))
 	if side <= 0 || math.IsNaN(side) {
 		side = 1
 	}
 	maxSide := 0.0
 	for d := 0; d < geom.Dims; d++ {
-		if e := span.Extent(d); e > maxSide {
-			maxSide = e
-		}
+		maxSide = math.Max(maxSide, span.Extent(d))
 	}
 	var pos []int32
 	for {
-		pos = ix.queryPositions(geom.BoxAt(p, side), pos[:0])
+		if pos, ok = probe(ix, v, geom.BoxAt(p, side), pos[:0]); !ok {
+			return nil, false
+		}
 		if len(pos) >= k || side > 2*maxSide+1 {
 			break
 		}
 		side *= 2
 	}
-	if len(pos) < k {
-		// p is far outside the data (or k is close to n): the capped probe
-		// cube ran out before collecting k candidates, and a partial
-		// candidate set is not necessarily the nearest one. Widen to
-		// everything so the ranking below is exact.
-		pos = ix.queryPositions(span.Expand(geom.Point{1, 1, 1}), pos[:0])
-	}
-	nn := ix.rank(pos, p, k)
+	nn = rankVisible(pos, v, p, k)
 	if len(nn) < k {
-		return nn
+		// Tombstones, a far-away p, or k close to n starved the capped probe
+		// cube, and a partial candidate set is not necessarily the nearest
+		// one: widen to everything so the ranking is exact.
+		if pos, ok = probe(ix, v, span.Expand(geom.Point{1, 1, 1}), pos[:0]); !ok {
+			return nil, false
+		}
+		nn = rankVisible(pos, v, p, k)
+	}
+	if len(nn) < k {
+		return nn, true
 	}
 	// Exactness pass: the k-th candidate bounds the true kNN radius.
 	radius := math.Sqrt(nn[k-1].DistSq)
-	pos = ix.queryPositions(geom.BoxAt(p, 2*radius+1e-9), pos[:0])
-	return ix.rank(pos, p, k)
-}
-
-// rank converts data positions into the k nearest Neighbors, sorted by
-// distance (ID as a deterministic tie-break).
-func (ix *Index) rank(pos []int32, p geom.Point, k int) []Neighbor {
-	nn := make([]Neighbor, 0, len(pos))
-	for _, j := range pos {
-		nn = append(nn, Neighbor{ID: ix.data.ID[j], DistSq: ix.data.MinDistSq(int(j), p)})
+	if pos, ok = probe(ix, v, geom.BoxAt(p, 2*radius+1e-9), pos[:0]); !ok {
+		return nil, false
 	}
-	return sortTrim(nn, k)
+	return rankVisible(pos, v, p, k), true
 }
 
-// rankVisible is rank for the shared MVCC path: lane positions whose ID is
-// tombstoned in v are dropped, and every visible pending object of v joins
-// the candidate set (pending objects are few and unindexed, so ranking all
-// of them is both cheap and what keeps the result exact regardless of the
-// probe geometry).
-func (ix *Index) rankVisible(pos []int32, v *Version, p geom.Point, k int) []Neighbor {
+// rankVisible converts lane positions into the k nearest Neighbors visible
+// at v, sorted by distance (ID as a deterministic tie-break): positions
+// whose ID is tombstoned are dropped, and every visible pending object
+// joins the candidate set (pending objects are few and unindexed, so
+// ranking all of them is both cheap and what keeps the result exact
+// regardless of the probe geometry).
+func rankVisible(pos []int32, v *Version, p geom.Point, k int) []Neighbor {
 	nn := make([]Neighbor, 0, len(pos)+len(v.pending))
 	for _, j := range pos {
 		id := v.table.ID[j]
@@ -96,14 +131,8 @@ func (ix *Index) rankVisible(pos []int32, v *Version, p geom.Point, k int) []Nei
 		if _, dead := v.deleted[o.ID]; dead {
 			continue
 		}
-		nn = append(nn, Neighbor{ID: o.ID, DistSq: boxMinDistSq(o.Box, p)})
+		nn = append(nn, Neighbor{ID: o.ID, DistSq: o.Box.MinDistSq(p)})
 	}
-	return sortTrim(nn, k)
-}
-
-// sortTrim orders candidates by distance (ID tie-break) and keeps the k
-// nearest.
-func sortTrim(nn []Neighbor, k int) []Neighbor {
 	sort.Slice(nn, func(i, j int) bool {
 		if nn[i].DistSq != nn[j].DistSq {
 			return nn[i].DistSq < nn[j].DistSq
@@ -114,22 +143,4 @@ func sortTrim(nn []Neighbor, k int) []Neighbor {
 		nn = nn[:k]
 	}
 	return nn
-}
-
-// boxMinDistSq returns the squared minimum distance between p and box b —
-// the AoS twin of colstore's MinDistSq, for pending objects that have no
-// lane row yet.
-func boxMinDistSq(b geom.Box, p geom.Point) float64 {
-	var sum float64
-	for d := 0; d < geom.Dims; d++ {
-		switch {
-		case p[d] < b.Min[d]:
-			diff := b.Min[d] - p[d]
-			sum += diff * diff
-		case p[d] > b.Max[d]:
-			diff := p[d] - b.Max[d]
-			sum += diff * diff
-		}
-	}
-	return sum
 }

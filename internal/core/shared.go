@@ -13,8 +13,11 @@
 // answered in place against the pinned version's view — lanes plus visible
 // deltas — regardless of how many appends and deletes race with it. Only a
 // slice that still needs structural work makes the walk bail out so the
-// caller can retry on the exclusive path (Query / QueryBudgeted), which
-// alone mutates the hierarchy and bumps the crack epoch.
+// caller can retry on the exclusive path (QueryBudgeted / KNNBudgeted /
+// DeleteBudgeted), which alone mutates the hierarchy and bumps the crack
+// epoch. KNN and delete are written once over a position probe (knn.go):
+// this file's positionsShared is the read-only one, queryPositions the
+// refining one — neither flavour ever flushes.
 //
 // # Safety contract
 //
@@ -192,75 +195,13 @@ func (ix *Index) walkRefined(q geom.Box, list *sliceList, dim int, heat bool, le
 }
 
 // KNNShared answers a k-nearest-neighbor query on the shared read path
-// against the pinned version's view: lane candidates are post-filtered by
-// the tombstone set and every visible pending object joins the candidate
-// ranking, so — unlike the exclusive KNN, which folds updates in with a
-// Flush — a write burst no longer evicts KNN readers. It reports false
-// only when the probed region is not yet converged. The probes never
-// record heat: a single KNN re-walks the same slices once per expansion,
-// which would overweight them in the map.
+// against the pinned version's view (see knn), so a write burst never
+// evicts KNN readers. It reports false only when the probed region is not
+// yet converged or the structure moved under the walk.
 func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
-	v := ix.live.Load()
-	if k <= 0 {
-		return nil, true
-	}
-	visible := v.table.Len() + len(v.pending) - len(v.deleted)
-	if visible <= 0 {
-		return nil, true
-	}
-	if k > visible {
-		k = visible
-	}
 	e := ix.epoch.Load()
-	span := v.dataMBB
-	n := v.table.Len()
-	if n == 0 {
-		// Everything lives in pending: rank it directly.
-		nn := ix.rankVisible(nil, v, p, k)
-		ix.noteShared()
-		return nn, true
-	}
-	side := math.Cbrt(span.Volume() * 2 * float64(k) / float64(n))
-	if side <= 0 || math.IsNaN(side) {
-		side = 1
-	}
-	maxSide := 0.0
-	for d := 0; d < geom.Dims; d++ {
-		if e := span.Extent(d); e > maxSide {
-			maxSide = e
-		}
-	}
-	var pos []int32
-	var ok bool
-	for {
-		pos, ok = ix.positionsShared(v, geom.BoxAt(p, side), pos[:0])
-		if !ok {
-			return nil, false
-		}
-		if len(pos) >= k || side > 2*maxSide+1 {
-			break
-		}
-		side *= 2
-	}
-	nn := ix.rankVisible(pos, v, p, k)
-	if len(nn) < k {
-		// Tombstones (or a far-away p) starved the probe cube: widen to
-		// everything so the ranking below is exact.
-		pos, ok = ix.positionsShared(v, span.Expand(geom.Point{1, 1, 1}), pos[:0])
-		if !ok {
-			return nil, false
-		}
-		nn = ix.rankVisible(pos, v, p, k)
-	}
-	if len(nn) >= k {
-		radius := math.Sqrt(nn[k-1].DistSq)
-		pos, ok = ix.positionsShared(v, geom.BoxAt(p, 2*radius+1e-9), pos[:0])
-		if !ok {
-			return nil, false
-		}
-		nn = ix.rankVisible(pos, v, p, k)
-	}
-	if ix.epoch.Load() != e {
+	nn, ok := ix.knn(ix.live.Load(), p, k, (*Index).positionsShared)
+	if !ok || ix.epoch.Load() != e {
 		return nil, false
 	}
 	ix.noteShared()

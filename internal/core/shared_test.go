@@ -214,6 +214,50 @@ func TestOneWalkEquivalence(t *testing.T) {
 		assertSameIDs(t, got, sc.Query(q, nil))
 		assertSameIDs(t, ix.Query(q, nil), after.Query(q, nil))
 	}
+
+	// The delete locator is one body over either probe. On an unconverged
+	// index with deltas, each rung — shared, budget 0, budget 1, unlimited —
+	// finds exactly the visible objects (the shared rung may instead report
+	// that it cannot decide, deleting nothing), reads an absent or already
+	// tombstoned ID as not found, and leaves queries equal to the oracle.
+	for _, budget := range []int{sharedOnly, 0, 1, -1} {
+		cold, visible := unconvergedWithDeltas(t, 13)
+		gone := map[int32]bool{}
+		del := func(id int32, hint geom.Box, want bool) {
+			t.Helper()
+			found, ok := true, true
+			if budget == sharedOnly {
+				found, ok = cold.DeleteShared(id, hint)
+			} else {
+				found = cold.DeleteBudgeted(id, hint, budget)
+			}
+			if ok && found != want {
+				t.Fatalf("budget %d: delete(%d) found = %v, want %v", budget, id, found, want)
+			}
+			if !ok && found {
+				t.Fatalf("budget %d: delete(%d) found the object yet could not decide", budget, id)
+			}
+			gone[id] = gone[id] || found
+		}
+		for i := 0; i < len(visible); i += len(visible) / 40 {
+			o := visible[i]
+			del(o.ID, o.Box, true)
+			del(o.ID, o.Box, !gone[o.ID]) // tombstoned by now, unless the shared rung bailed
+		}
+		last := visible[len(visible)-1] // a pending insert
+		del(last.ID, last.Box, true)
+		del(999_999, last.Box, false)
+		var left []geom.Object
+		for _, o := range visible {
+			if !gone[o.ID] {
+				left = append(left, o)
+			}
+		}
+		oracle := scan.New(left)
+		for _, q := range boxes {
+			assertSameIDs(t, cold.Query(q, nil), oracle.Query(q, nil))
+		}
+	}
 }
 
 // TestCountSharedMatchesCount pins Count's shared-walk fast path: exact on
@@ -301,6 +345,32 @@ func TestKNNSharedMatchesKNN(t *testing.T) {
 			t.Fatal("KNNShared returned a tombstoned object")
 		}
 	}
+
+	// One search body, two probes: on an unconverged index carrying pending
+	// inserts and tombstones, every budget of the exclusive rung agrees with
+	// brute force over the visible objects, and so does the shared rung
+	// whenever it answers at all.
+	for _, budget := range []int{sharedOnly, 0, 1, -1} {
+		cold, visible := unconvergedWithDeltas(t, 21)
+		answered := 0
+		for _, q := range workload.Uniform(dataset.Universe(), 32, 1e-4, 23) {
+			p := q.Center()
+			var got []Neighbor
+			if budget == sharedOnly {
+				var ok bool
+				if got, ok = cold.KNNShared(p, 10); !ok {
+					continue
+				}
+			} else {
+				got = cold.KNNBudgeted(p, 10, budget)
+			}
+			answered++
+			assertSameNeighbors(t, got, knnBrute(visible, p, 10))
+		}
+		if budget != sharedOnly && answered != 32 {
+			t.Fatalf("budget %d: the exclusive rung answered %d of 32 probes", budget, answered)
+		}
+	}
 }
 
 // TestQueryBudgeted verifies budgeted queries stay exact at every budget —
@@ -331,6 +401,112 @@ func TestQueryBudgeted(t *testing.T) {
 		}
 	}
 	t.Fatal("10k budgeted replays of one query never converged its region")
+}
+
+// unconvergedWithDeltas builds the state the second rung of the probe
+// ladder exists for: an index a few queries have refined only in places,
+// carrying pending inserts and tombstones over both indexed and pending
+// objects. It returns the index and the objects visible in it.
+func unconvergedWithDeltas(t *testing.T, seed int64) (*Index, []geom.Object) {
+	t.Helper()
+	data := dataset.Uniform(6000, seed)
+	ix := New(dataset.Clone(data), Config{})
+	for _, q := range workload.Uniform(dataset.Universe(), 24, 1e-3, seed+1) {
+		ix.Query(q, nil)
+	}
+	live := dataset.Clone(data)
+	for i, q := range workload.Uniform(dataset.Universe(), 24, 1e-3, seed+2) {
+		o := geom.Object{Box: geom.BoxAt(q.Center(), 2), ID: int32(700_000 + i)}
+		ix.Append(o)
+		live = append(live, o)
+	}
+	dead := map[int32]bool{}
+	for _, o := range append(dataset.Clone(data[:30]), live[len(data):len(data)+6]...) {
+		if !ix.Delete(o.ID, o.Box) {
+			t.Fatalf("Delete(%d) missed a visible object", o.ID)
+		}
+		dead[o.ID] = true
+	}
+	if ix.Converged() || ix.Pending() == 0 || ix.Deleted() == 0 {
+		t.Fatalf("want an unconverged index with deltas: converged=%v pending=%d deleted=%d",
+			ix.Converged(), ix.Pending(), ix.Deleted())
+	}
+	var visible []geom.Object
+	for _, o := range live {
+		if !dead[o.ID] {
+			visible = append(visible, o)
+		}
+	}
+	return ix, visible
+}
+
+// sharedOnly, passed as a budget to the helpers below, selects the first
+// rung — the read-only shared attempt — instead of a budgeted second rung.
+const sharedOnly = -2
+
+// TestKNNBudgetedNeverFlushes pins the second rung's first guarantee: a KNN
+// that has to refine does so around its probes only. It never folds pending
+// inserts in — which would replace the hierarchy with one unrefined slice —
+// so Pending() stands still and the slice count never drops.
+func TestKNNBudgetedNeverFlushes(t *testing.T) {
+	ix, visible := unconvergedWithDeltas(t, 31)
+	pending, slices := ix.Pending(), ix.NumSlices()
+	for i, q := range workload.Uniform(dataset.Universe(), 16, 1e-3, 33) {
+		p := q.Center()
+		assertSameNeighbors(t, ix.KNN(p, 10), knnBrute(visible, p, 10))
+		if got := ix.Pending(); got != pending {
+			t.Fatalf("probe %d: KNN moved Pending() %d -> %d (it must not flush)", i, pending, got)
+		}
+		n := ix.NumSlices()
+		if n < slices {
+			t.Fatalf("probe %d: KNN shrank the hierarchy %d -> %d slices", i, slices, n)
+		}
+		slices = n
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBudgetedKNNAndDeleteBoundCracks pins the second guarantee: the
+// exclusive KNN and delete spend at most their crack budget — over all of a
+// KNN's probes together — and still answer exactly.
+func TestBudgetedKNNAndDeleteBoundCracks(t *testing.T) {
+	for _, budget := range []int{0, 1, 3, 64} {
+		ix, visible := unconvergedWithDeltas(t, 41)
+		for i, q := range workload.Uniform(dataset.Universe(), 24, 1e-3, 43) {
+			p := q.Center()
+			before := ix.Stats().Cracks
+			assertSameNeighbors(t, ix.KNNBudgeted(p, 10, budget), knnBrute(visible, p, 10))
+			if d := ix.Stats().Cracks - before; d > budget {
+				t.Fatalf("budget %d, probe %d: KNN performed %d crack passes", budget, i, d)
+			}
+			victim := visible[len(visible)-1]
+			visible = visible[:len(visible)-1]
+			before = ix.Stats().Cracks
+			if !ix.DeleteBudgeted(victim.ID, victim.Box, budget) {
+				t.Fatalf("budget %d: DeleteBudgeted(%d) missed a visible object", budget, victim.ID)
+			}
+			if d := ix.Stats().Cracks - before; d > budget {
+				t.Fatalf("budget %d, delete %d: performed %d crack passes", budget, i, d)
+			}
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+	}
+}
+
+func assertSameNeighbors(t *testing.T, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d neighbors, want %d", len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("neighbor %d: got %+v, want %+v", j, got[j], want[j])
+		}
+	}
 }
 
 func assertSameIDs(t *testing.T, got, want []int32) {

@@ -231,15 +231,6 @@ func (ix *Index) AppendVersioned(objs ...geom.Object) uint64 {
 	return nv.seq
 }
 
-// deleteVersioned publishes a tombstone for id onto the live version and
-// returns the publishing sequence. Caller has already established that id
-// is visible (present and not yet tombstoned). Safe under the shared lock.
-func (ix *Index) deleteVersioned(id int32) uint64 {
-	ix.verMu.Lock()
-	defer ix.verMu.Unlock()
-	return ix.deleteSharedLocked(ix.live.Load(), id)
-}
-
 // DeleteShared removes the object with the given ID without taking the
 // exclusive path, using hint to locate it through the read-only shared
 // walk. found reports whether a visible object carrying id intersected
@@ -247,39 +238,41 @@ func (ix *Index) deleteVersioned(id int32) uint64 {
 // false means the hint region still needs refinement and the caller must
 // escalate to the exclusive Delete. Safe under the shared lock.
 func (ix *Index) DeleteShared(id int32, hint geom.Box) (found, ok bool) {
-	_, found, ok = ix.deleteSharedSeq(id, hint)
+	_, found, ok = ix.deleteSeq(id, hint, (*Index).positionsShared)
 	return found, ok
 }
 
-// deleteSharedSeq is DeleteShared reporting the sequence number of the
-// version that published the tombstone (0 when nothing was deleted) — the
-// visibility harness correlates it with pinned reads.
-func (ix *Index) deleteSharedSeq(id int32, hint geom.Box) (seq uint64, found, ok bool) {
+// deleteSeq is the one delete body: it locates id through probe (see
+// positionProbe) and publishes its tombstone, returning the publishing
+// sequence (0 when nothing was deleted — the visibility harness correlates
+// it with pinned reads). ok == false means the probe needs exclusive work.
+// An ID already tombstoned reads as absent.
+func (ix *Index) deleteSeq(id int32, hint geom.Box, probe positionProbe) (seq uint64, found, ok bool) {
 	ix.verMu.Lock()
 	cur := ix.live.Load()
-	// A pending object: tombstone it directly.
+	if _, dead := cur.deleted[id]; dead {
+		ix.verMu.Unlock()
+		return 0, false, true
+	}
+	// A pending object is tombstoned exactly like an indexed one: the
+	// version's pending slice is immutable, and Flush drops tombstoned
+	// entries instead of folding them in.
 	for i := range cur.pending {
 		if cur.pending[i].ID == id && cur.pending[i].Intersects(hint) {
-			if _, dead := cur.deleted[id]; !dead {
-				seq = ix.deleteSharedLocked(cur, id)
-				ix.verMu.Unlock()
-				return seq, true, true
-			}
+			seq = ix.tombstoneLocked(cur, id)
+			ix.verMu.Unlock()
+			return seq, true, true
 		}
 	}
 	ix.verMu.Unlock()
-	if _, dead := cur.deleted[id]; dead {
-		// Already tombstoned: invisible, nothing to delete.
-		return 0, false, true
-	}
 	if cur.table.Len() == 0 || hint.IsEmpty() {
 		return 0, false, true
 	}
-	// Locate in the indexed lanes via the read-only walk. Positions are
-	// stable for the whole call: structural reorganization needs the
-	// exclusive lock the caller's shared lock excludes.
-	pos, walkOK := ix.positionsShared(cur, hint, nil)
-	if !walkOK {
+	// Locate in the indexed lanes. Positions are stable once the probe
+	// returns: structural reorganization needs the exclusive lock, which
+	// the caller either holds (refining probe) or excludes (shared probe).
+	pos, ok := probe(ix, cur, hint, nil)
+	if !ok {
 		return 0, false, false
 	}
 	for _, p := range pos {
@@ -287,23 +280,21 @@ func (ix *Index) deleteSharedSeq(id int32, hint geom.Box) (seq uint64, found, ok
 			// Re-take verMu and re-check under it: a concurrent writer may
 			// have tombstoned id between the scan above and now.
 			ix.verMu.Lock()
+			defer ix.verMu.Unlock()
 			cur = ix.live.Load()
 			if _, dead := cur.deleted[id]; dead {
-				ix.verMu.Unlock()
 				return 0, false, true
 			}
-			seq = ix.deleteSharedLocked(cur, id)
-			ix.verMu.Unlock()
-			return seq, true, true
+			return ix.tombstoneLocked(cur, id), true, true
 		}
 	}
 	return 0, false, true
 }
 
-// deleteSharedLocked publishes cur's successor carrying one extra
-// tombstone and returns the publishing sequence. Caller holds verMu and
-// has verified id is visible in cur.
-func (ix *Index) deleteSharedLocked(cur *Version, id int32) uint64 {
+// tombstoneLocked publishes cur's successor carrying one extra tombstone
+// and returns the publishing sequence. Caller holds verMu and has verified
+// id is visible in cur.
+func (ix *Index) tombstoneLocked(cur *Version, id int32) uint64 {
 	del := make(map[int32]struct{}, len(cur.deleted)+1)
 	for k := range cur.deleted {
 		del[k] = struct{}{}

@@ -173,7 +173,7 @@ func runVisibilityScript(t *testing.T, seed int64, steps, tau int, assign Assign
 			}
 			id := ids[rng.Intn(len(ids))]
 			hint := oracle[id].Box
-			seq, found, ok := ix.deleteSharedSeq(id, hint)
+			seq, found, ok := ix.deleteSeq(id, hint, (*Index).positionsShared)
 			if !ok {
 				// Unrefined region: escalate to the exclusive path, exactly
 				// like the shard layer does.
@@ -368,7 +368,7 @@ func TestVersionVisibilityConcurrent(t *testing.T) {
 					j := rng.Intn(len(mine))
 					o := mine[j]
 					mu.RLock()
-					seq, found, ok := ix.deleteSharedSeq(o.ID, o.Box)
+					seq, found, ok := ix.deleteSeq(o.ID, o.Box, (*Index).positionsShared)
 					mu.RUnlock()
 					if !ok {
 						mu.Lock()

@@ -232,7 +232,13 @@ func (cfg Config) withDefaults() Config {
 // Server is the HTTP query service. Create it with New, mount Handler into
 // any http.Server (or httptest.Server), or call ListenAndServe.
 type Server struct {
-	ix      *shard.Index
+	ix *shard.Index
+	// upd is where /insert and /delete land: Config.Durability when set
+	// (logged before acknowledged), the engine itself otherwise.
+	upd interface {
+		Insert(objs ...geom.Object) error
+		Delete(id int32, hint geom.Box) (bool, error)
+	}
 	cfg     Config
 	adm     *admission
 	bat     *batcher
@@ -260,7 +266,10 @@ type Server struct {
 // New wires a server over the given sharded index.
 func New(ix *shard.Index, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{ix: ix, cfg: cfg, start: time.Now()}
+	s := &Server{ix: ix, upd: ix, cfg: cfg, start: time.Now()}
+	if cfg.Durability != nil {
+		s.upd = cfg.Durability
+	}
 	s.log = cfg.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -806,11 +815,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		if err = ctx.Err(); err != nil {
 			return
 		}
-		if s.cfg.Durability != nil {
-			err = s.cfg.Durability.Insert(objs...)
-		} else {
-			err = s.ix.Insert(objs...)
-		}
+		err = s.upd.Insert(objs...)
 	})
 	if err != nil {
 		if ctxErr(err) {
@@ -851,11 +856,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if err = ctx.Err(); err != nil {
 			return
 		}
-		if s.cfg.Durability != nil {
-			found, err = s.cfg.Durability.Delete(req.ID, req.Hint.Box())
-		} else {
-			found, err = s.ix.Delete(req.ID, req.Hint.Box())
-		}
+		found, err = s.upd.Delete(req.ID, req.Hint.Box())
 	})
 	if err != nil {
 		if ctxErr(err) {

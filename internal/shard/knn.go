@@ -21,7 +21,8 @@ import (
 // sub-index's shared read path under the read lock — on a converged shard,
 // KNN traffic proceeds in parallel with range queries and other KNNs — and
 // only falls back to the exclusive lock (refining the shard as a side
-// effect, like every QUASII query) when the probed region is still cold.
+// effect, like every QUASII query, within the crack budget and without
+// flushing its pending inserts) when the probed region is still cold.
 // Safe for concurrent use; concurrent updates may or may not be reflected.
 func (ix *Index) KNN(p geom.Point, k int) ([]core.Neighbor, error) {
 	return ix.KNNCtx(context.Background(), p, k)
@@ -30,9 +31,8 @@ func (ix *Index) KNN(p geom.Point, k int) ([]core.Neighbor, error) {
 // KNNCtx is KNN with cooperative cancellation: the context is checked
 // between shard probes (never inside one — a probe holds a shard lock and
 // is not interruptible), and a cancelled search returns ctx.Err() with the
-// neighbors merged so far. Probes run through the panic-isolating helpers
-// in resilience.go: a shard that panics is quarantined and skipped, and the
-// search carries on.
+// neighbors merged so far. Probes run under guard (resilience.go): a shard
+// that panics is quarantined and skipped, and the search carries on.
 func (ix *Index) KNNCtx(ctx context.Context, p geom.Point, k int) ([]core.Neighbor, error) {
 	ctx = cancellable(ctx)
 	if k <= 0 {
@@ -59,9 +59,12 @@ func (ix *Index) KNNCtx(ctx context.Context, p geom.Point, k int) ([]core.Neighb
 		if c.sh.quarantined.Load() {
 			continue
 		}
-		found, done, healthy := c.sh.knnSharedProbe(p, k)
+		sh := c.sh
+		var found []core.Neighbor
+		var done bool
+		healthy := sh.guard(false, func(sub subIndex) { found, done = sub.KNNShared(p, k) })
 		if healthy && !done {
-			found, healthy = c.sh.knnExclusiveProbe(p, k)
+			healthy = sh.guard(true, func(sub subIndex) { found = sub.KNNBudgeted(p, k, sh.crackBudget) })
 		}
 		if !healthy {
 			continue

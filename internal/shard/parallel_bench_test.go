@@ -7,7 +7,8 @@ package shard
 // serialized behind before this engine existed — the same QUASII index
 // behind one global mutex (syncidx.Wrap). On a multi-core machine the
 // shared variant scales with GOMAXPROCS while the exclusive baseline stays
-// flat; BENCH_PR4.json records a measured comparison.
+// flat; the PR 4 line of CHANGES.md quotes a measured comparison, and
+// benchmark/README.md's embed_parallel workload is its end-to-end successor.
 
 import (
 	"sync"

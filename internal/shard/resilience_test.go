@@ -15,16 +15,30 @@ import (
 // standing in for a corrupted structure. It embeds *core.Index — so a
 // disarmed bomb is exactly what production runs — and overrides the four
 // read-locked entry points (QueryShared, Append, DeleteShared, KNNShared)
-// and the write-locked ones behind them (QueryBudgeted, Delete, KNN). On the
-// tiny unconverged test data every shared walk reports "needs refinement",
-// so arming only an exclusive method drives the engine through the full
-// probe ladder before it trips.
+// and the write-locked ones (QueryBudgeted, DeleteBudgeted, KNNBudgeted,
+// Flush, Complete). On the tiny unconverged test data every shared walk
+// reports "needs refinement", so arming only an exclusive method drives the
+// engine through the full probe ladder before it trips.
 type bomb struct {
 	*core.Index
 	objs []geom.Object // build-time contents, for bombFor
 
 	armQueryShared, armAppend, armDeleteShared, armKNNShared bool
-	armQuery, armDelete, armKNN                              bool
+	armQuery, armDelete, armKNN, armFlush, armComplete       bool
+}
+
+func (b *bomb) Flush() {
+	if b.armFlush {
+		panic("bomb: flush")
+	}
+	b.Index.Flush()
+}
+
+func (b *bomb) Complete() {
+	if b.armComplete {
+		panic("bomb: complete")
+	}
+	b.Index.Complete()
 }
 
 func (b *bomb) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
@@ -55,11 +69,11 @@ func (b *bomb) DeleteShared(id int32, hint geom.Box) (found, ok bool) {
 	return b.Index.DeleteShared(id, hint)
 }
 
-func (b *bomb) Delete(id int32, hint geom.Box) bool {
+func (b *bomb) DeleteBudgeted(id int32, hint geom.Box, budget int) bool {
 	if b.armDelete {
 		panic("bomb: delete")
 	}
-	return b.Index.Delete(id, hint)
+	return b.Index.DeleteBudgeted(id, hint, budget)
 }
 
 func (b *bomb) KNNShared(p geom.Point, k int) ([]core.Neighbor, bool) {
@@ -69,11 +83,11 @@ func (b *bomb) KNNShared(p geom.Point, k int) ([]core.Neighbor, bool) {
 	return b.Index.KNNShared(p, k)
 }
 
-func (b *bomb) KNN(p geom.Point, k int) []core.Neighbor {
+func (b *bomb) KNNBudgeted(p geom.Point, k, budget int) []core.Neighbor {
 	if b.armKNN {
 		panic("bomb: knn")
 	}
-	return b.Index.KNN(p, k)
+	return b.Index.KNNBudgeted(p, k, budget)
 }
 
 // bombObjects builds two well-separated clusters so a 2-shard STR partition
@@ -230,10 +244,12 @@ func TestKNNSkipsPanickingShard(t *testing.T) {
 }
 
 // TestReadLockedProbesQuarantine arms each read-locked probe in turn — the
-// probes every production request enters first — and proves the panic is
-// recovered inside it: the shard is quarantined, its lock is released (a
-// write-locked Flush on the same engine returns), and the other shard keeps
-// answering.
+// probes every production request enters first — plus the write-locked
+// Flush and Complete, and proves the panic is recovered inside the guard:
+// the shard is quarantined, its lock is released (it can be taken for
+// writing), and the other shard keeps answering. The first four labels name
+// the per-probe helpers the one guard replaced; they are kept because the
+// test floor lists them.
 func TestReadLockedProbesQuarantine(t *testing.T) {
 	all := geom.BoxAt(geom.Point{50, 0, 0}, 1000)
 	for _, tc := range []struct {
@@ -261,6 +277,27 @@ func TestReadLockedProbesQuarantine(t *testing.T) {
 			got, err := ix.KNN(geom.Point{0, 0, 0}, 2)
 			if err != nil || len(got) != 2 || got[0].ID != 11 || got[1].ID != 12 {
 				t.Fatalf("KNN across a panicking shared probe = %+v, %v", got, err)
+			}
+		}},
+		// At the parent these two crash the test binary: Flush and Complete
+		// ran the sub-index outside panic isolation, with the lock held.
+		{"flush", func(b *bomb) { b.armFlush = true }, func(t *testing.T, ix *Index) {
+			if err := ix.Insert(geom.Object{Box: geom.BoxAt(geom.Point{101, 0, 0}, 0.4), ID: 55}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Flush(); err != nil {
+				t.Fatalf("Flush across a panicking shard: %v", err)
+			}
+			if n := ix.Pending(); n != 0 {
+				t.Fatalf("healthy shard not flushed past the panicking one: Pending() = %d", n)
+			}
+		}},
+		{"complete", func(b *bomb) { b.armComplete = true }, func(t *testing.T, ix *Index) {
+			ix.Complete()
+			far := geom.BoxAt(geom.Point{100, 0, 0}, 10)
+			var hit [1]*shardEntry
+			if sh := ix.overlapping(far, hit[:0]); len(sh) != 1 || !sh[0].sub.(*bomb).Converged() {
+				t.Fatal("healthy shard not completed past the panicking one")
 			}
 		}},
 	} {

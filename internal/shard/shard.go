@@ -32,11 +32,14 @@
 // The engine also accepts live updates (see Insert, Delete, Flush in
 // update.go) and k-nearest-neighbor queries (KNN in knn.go).
 //
-// Every shard operation is one probe ladder: the read-locked shared probe
-// first, then — only when the sub-index reports unfinished refinement — the
-// write-locked, crack-budgeted exclusive probe. Every data change is an
-// MVCC version published under the read lock, and every snapshot is
-// written from pinned versions; there is no unversioned path.
+// Every shard operation — range query, KNN, delete — is one probe ladder:
+// the read-locked shared probe first, then — only when the sub-index
+// reports unfinished refinement — the write-locked exclusive probe, which
+// always carries the crack budget and never flushes. Both rungs, and every
+// other call that mutates a sub-index, run under one panic-isolating guard
+// (resilience.go). Every data change is an MVCC version published under the
+// read lock, and every snapshot is written from pinned versions; there is no
+// unversioned path.
 package shard
 
 import (
@@ -59,17 +62,18 @@ import (
 // resilience_test.go) through newIndex's build hook.
 type subIndex interface {
 	Len() int
-	// Reads: the shared walk reports ok == false when the touched region
-	// still needs refinement, which only the exclusive calls perform.
+	// The probe ladder: a shared call reports ok == false when the touched
+	// region still needs refinement, which only its budgeted twin performs —
+	// under the write lock, with at most budget crack passes.
 	QueryShared(q geom.Box, out []int32) ([]int32, bool)
 	QueryBudgeted(q geom.Box, out []int32, budget int) []int32
 	KNNShared(p geom.Point, k int) ([]core.Neighbor, bool)
-	KNN(p geom.Point, k int) []core.Neighbor
-	// Updates: Append and DeleteShared publish versions under the shard's
-	// read lock; Delete and Flush need the write lock.
-	Append(objs ...geom.Object)
+	KNNBudgeted(p geom.Point, k, budget int) []core.Neighbor
 	DeleteShared(id int32, hint geom.Box) (found, ok bool)
-	Delete(id int32, hint geom.Box) bool
+	DeleteBudgeted(id int32, hint geom.Box, budget int) bool
+	// Append publishes a version under the shard's read lock; Flush and
+	// Complete need the write lock.
+	Append(objs ...geom.Object)
 	Flush()
 	Complete()
 	// Pinned snapshots.
@@ -153,8 +157,8 @@ type Stats struct {
 //
 // The lock discipline: the shared probes — reads and version-publishing
 // updates — run under mu.RLock, many through one shard in parallel, while
-// anything that reorganizes the sub-index (the exclusive query fallback,
-// the locating Delete, Flush, Complete) takes mu.Lock.
+// anything that reorganizes the sub-index (the ladder's budgeted second
+// rung, Flush, Complete) takes mu.Lock.
 type shardEntry struct {
 	mu          sync.RWMutex
 	sub         subIndex
@@ -336,56 +340,80 @@ func (ix *Index) Len() int {
 // cracking query is unacceptable, e.g. liveness probes.
 func (ix *Index) ApproxLen() int { return int(ix.count.Load()) }
 
-// Stats read-locks each shard in turn and returns the aggregated counters.
-// Collection is read-only, so on a converged index a /stats probe never
-// blocks (or is blocked by) the concurrent query traffic.
-func (ix *Index) Stats() Stats {
-	st := Stats{Shards: len(ix.shards)}
-	first := true
-	for _, sh := range ix.shards {
+// shardRow is one shard's line of the census. A quarantined shard yields a
+// row with only that flag set: its sub-index is never probed.
+type shardRow struct {
+	quarantined                      bool
+	live, pending, deleted, versions int
+	epoch                            uint64
+	core                             core.Stats
+}
+
+// census is the one per-shard walk behind Stats, Quarantined and the
+// /metrics scrape: it read-locks each shard in turn and returns one row per
+// spatial shard in build order, then one for the overflow shard if present.
+func (ix *Index) census() []shardRow {
+	rows := make([]shardRow, 0, len(ix.shards)+1)
+	row := func(sh *shardEntry) {
 		if sh.quarantined.Load() {
+			rows = append(rows, shardRow{quarantined: true})
+			return
+		}
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		rows = append(rows, shardRow{
+			live: sh.sub.Len(), pending: sh.sub.Pending(), deleted: sh.sub.Deleted(),
+			versions: sh.sub.LiveVersions(), epoch: sh.sub.Epoch(), core: sh.sub.Stats(),
+		})
+	}
+	for _, sh := range ix.shards {
+		row(sh)
+	}
+	if sh := ix.overflow.Load(); sh != nil {
+		row(sh)
+	}
+	return rows
+}
+
+// aggregate folds census rows into Stats; rows[shards:] is the overflow
+// shard's row, if any.
+func aggregate(shards int, rows []shardRow) Stats {
+	st := Stats{Shards: shards}
+	first := true
+	for i, r := range rows {
+		if r.quarantined {
 			st.Quarantined++
 			continue
 		}
-		n := ix.collect(sh, &st)
-		if first || n < st.MinShardLen {
-			st.MinShardLen = n
-			first = false
+		switch {
+		case i >= shards:
+			st.OverflowLen = r.live
+		case first:
+			st.MinShardLen, st.MaxShardLen, first = r.live, r.live, false
+		default:
+			st.MinShardLen = min(st.MinShardLen, r.live)
+			st.MaxShardLen = max(st.MaxShardLen, r.live)
 		}
-		if n > st.MaxShardLen {
-			st.MaxShardLen = n
-		}
-	}
-	if sh := ix.overflow.Load(); sh != nil {
-		if sh.quarantined.Load() {
-			st.Quarantined++
-		} else {
-			st.OverflowLen = ix.collect(sh, &st)
-		}
+		st.Objects += r.live
+		st.Pending += r.pending
+		st.Deleted += r.deleted
+		st.VersionsLive += r.versions
+		st.Core.Queries += r.core.Queries
+		st.Core.Cracks += r.core.Cracks
+		st.Core.CrackedObjects += r.core.CrackedObjects
+		st.Core.SlicesCreated += r.core.SlicesCreated
+		st.Core.SlicesRefined += r.core.SlicesRefined
+		st.Core.ObjectsTested += r.core.ObjectsTested
+		st.Core.ResultObjects += r.core.ResultObjects
+		st.Core.SharedQueries += r.core.SharedQueries
 	}
 	return st
 }
 
-// collect folds one shard's counters into st and returns its live size.
-func (ix *Index) collect(sh *shardEntry, st *Stats) int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	n := sh.sub.Len()
-	st.Objects += n
-	cs := sh.sub.Stats()
-	st.Core.Queries += cs.Queries
-	st.Core.Cracks += cs.Cracks
-	st.Core.CrackedObjects += cs.CrackedObjects
-	st.Core.SlicesCreated += cs.SlicesCreated
-	st.Core.SlicesRefined += cs.SlicesRefined
-	st.Core.ObjectsTested += cs.ObjectsTested
-	st.Core.ResultObjects += cs.ResultObjects
-	st.Core.SharedQueries += cs.SharedQueries
-	st.Pending += sh.sub.Pending()
-	st.Deleted += sh.sub.Deleted()
-	st.VersionsLive += sh.sub.LiveVersions()
-	return n
-}
+// Stats aggregates the census. Collection is read-only, so on a converged
+// index a /stats probe never blocks (or is blocked by) the concurrent query
+// traffic.
+func (ix *Index) Stats() Stats { return aggregate(len(ix.shards), ix.census()) }
 
 // Complete finishes all outstanding refinement in every sub-index, shard by
 // shard under each shard's write lock. Afterwards — until the next Flush —
@@ -394,9 +422,7 @@ func (ix *Index) collect(sh *shardEntry, st *Stats) int {
 // form.
 func (ix *Index) Complete() {
 	ix.forEach(func(sh *shardEntry) {
-		sh.mu.Lock()
-		sh.sub.Complete()
-		sh.mu.Unlock()
+		sh.guard(true, func(sub subIndex) { sub.Complete() })
 	})
 }
 
@@ -437,15 +463,16 @@ func (ix *Index) overlapping(q geom.Box, hit []*shardEntry) []*shardEntry {
 	return hit
 }
 
-// queryShard answers q against one shard: first the optimistic shared read
-// path under the read lock (converged regions answer fully in parallel),
-// then — only if the shared walk found unfinished refinement — the
-// exclusive path under the write lock, crack-budgeted so the write section
-// stays short. tr, when non-nil, receives per-path stage durations (a
-// sampled trace); the untraced path pays only the nil checks.
-// Both probes run through the panic-isolating helpers in resilience.go: a
-// sub-index that panics quarantines its shard and the query carries on with
-// the caller's buffer untouched, exactly as if the shard had not overlapped.
+// queryShard answers q against one shard by climbing the probe ladder:
+// first the optimistic shared read path under the read lock (converged
+// regions answer fully in parallel), then — only if the shared walk found
+// unfinished refinement — the exclusive path under the write lock,
+// crack-budgeted so the write section stays short. KNNCtx and Delete climb
+// the same two rungs. tr, when non-nil, receives per-path stage durations
+// (a sampled trace); the untraced path pays only the nil checks. Both rungs
+// run under guard (resilience.go): a sub-index that panics quarantines its
+// shard and the query carries on with the caller's buffer untouched,
+// exactly as if the shard had not overlapped.
 func queryShard(sh *shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []int32 {
 	if sh.quarantined.Load() {
 		return out
@@ -454,7 +481,9 @@ func queryShard(sh *shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []
 	if tr != nil {
 		t0 = time.Now()
 	}
-	res, ok, healthy := sh.sharedProbe(q, out)
+	var res []int32
+	var ok bool
+	healthy := sh.guard(false, func(sub subIndex) { res, ok = sub.QueryShared(q, out) })
 	if tr != nil {
 		tr.StageSince(telemetry.StageShared, t0)
 	}
@@ -471,8 +500,7 @@ func queryShard(sh *shardEntry, q geom.Box, out []int32, tr *telemetry.Trace) []
 	if tr != nil {
 		t0 = time.Now()
 	}
-	res, healthy = sh.exclusiveProbe(q, out)
-	if !healthy {
+	if !sh.guard(true, func(sub subIndex) { res = sub.QueryBudgeted(q, out, sh.crackBudget) }) {
 		return out
 	}
 	sh.mExclusive.Inc()

@@ -25,18 +25,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// shardSnap is one shard's occupancy in the scrape snapshot.
-type shardSnap struct {
-	live, pending, deleted int
+// scrapeSnap is the per-scrape snapshot the OnScrape hook fills and the
+// metric funcs read: the census rows, their aggregate, and the summed crack
+// epochs.
+type scrapeSnap struct {
+	st     Stats
+	epochs uint64
+	rows   []shardRow
 }
 
-// scrapeSnap is the per-scrape snapshot the OnScrape hook fills and the
-// metric funcs read.
-type scrapeSnap struct {
-	st       Stats
-	epochs   uint64
-	perShard []shardSnap
-	overflow shardSnap
+// row returns shard i's census row (i == len(ix.shards) is the overflow
+// shard), zero before the first scrape or while the shard does not exist.
+func (s *scrapeSnap) row(i int) shardRow {
+	if i >= len(s.rows) {
+		return shardRow{}
+	}
+	return s.rows[i]
 }
 
 // Instrument registers the engine's metrics on reg. Call it once, before
@@ -60,51 +64,16 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 		sh.mPanics = ix.mPanics
 	})
 
-	// Scrape-time tier: one locked walk per scrape, cached for the funcs.
-	// The snapshot is built on a fresh slice each scrape so a concurrent
-	// scrape still reading the previous snapshot never shares its backing
-	// array (scrapes are rare; the small allocation is irrelevant).
+	// Scrape-time tier: one census per scrape, cached for the funcs. A
+	// quarantined shard contributes a zero row, so its labels stay stable.
 	var mu sync.Mutex
 	var snap scrapeSnap
 	reg.OnScrape(func() {
-		s := scrapeSnap{perShard: make([]shardSnap, 0, len(ix.shards))}
-		st := Stats{Shards: len(ix.shards)}
-		first := true
-		for _, sh := range ix.shards {
-			// A quarantined shard contributes a zero row (its labels stay
-			// stable) and is never probed: its sub-index cannot be trusted.
-			if sh.quarantined.Load() {
-				st.Quarantined++
-				s.perShard = append(s.perShard, shardSnap{})
-				continue
-			}
-			p0, d0 := st.Pending, st.Deleted
-			n := ix.collect(sh, &st)
-			if first || n < st.MinShardLen {
-				st.MinShardLen = n
-				first = false
-			}
-			if n > st.MaxShardLen {
-				st.MaxShardLen = n
-			}
-			s.perShard = append(s.perShard, shardSnap{
-				live: n, pending: st.Pending - p0, deleted: st.Deleted - d0,
-			})
-			s.epochs += sh.sub.Epoch()
+		rows := ix.census()
+		s := scrapeSnap{st: aggregate(len(ix.shards), rows), rows: rows}
+		for _, r := range rows {
+			s.epochs += r.epoch
 		}
-		if sh := ix.overflow.Load(); sh != nil {
-			if sh.quarantined.Load() {
-				st.Quarantined++
-			} else {
-				p0, d0 := st.Pending, st.Deleted
-				st.OverflowLen = ix.collect(sh, &st)
-				s.overflow = shardSnap{
-					live: st.OverflowLen, pending: st.Pending - p0, deleted: st.Deleted - d0,
-				}
-				s.epochs += sh.sub.Epoch()
-			}
-		}
-		s.st = st
 		mu.Lock()
 		snap = s
 		mu.Unlock()
@@ -170,35 +139,20 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("quasii_shard_quarantined_shards",
 		"Shards currently quarantined after a sub-index panic (queries skip them).",
 		get(func(s *scrapeSnap) float64 { return float64(s.st.Quarantined) }))
-	for i := range ix.shards {
+	// One gauge set per spatial shard plus the overflow slot (0 while absent).
+	for i := 0; i <= len(ix.shards); i++ {
 		lbl := telemetry.L("shard", strconv.Itoa(i))
-		i := i
-		perShard := func(f func(shardSnap) float64) func() float64 {
-			return get(func(s *scrapeSnap) float64 {
-				if i >= len(s.perShard) {
-					return 0
-				}
-				return f(s.perShard[i])
-			})
+		if i == len(ix.shards) {
+			lbl = telemetry.L("shard", "overflow")
 		}
 		reg.GaugeFunc("quasii_shard_live_objects",
 			"Live objects in this shard.",
-			perShard(func(p shardSnap) float64 { return float64(p.live) }), lbl)
+			get(func(s *scrapeSnap) float64 { return float64(s.row(i).live) }), lbl)
 		reg.GaugeFunc("quasii_shard_pending_objects",
 			"Appended objects awaiting Flush in this shard.",
-			perShard(func(p shardSnap) float64 { return float64(p.pending) }), lbl)
+			get(func(s *scrapeSnap) float64 { return float64(s.row(i).pending) }), lbl)
 		reg.GaugeFunc("quasii_shard_deleted_objects",
 			"Tombstoned objects awaiting compaction in this shard.",
-			perShard(func(p shardSnap) float64 { return float64(p.deleted) }), lbl)
+			get(func(s *scrapeSnap) float64 { return float64(s.row(i).deleted) }), lbl)
 	}
-	ovl := telemetry.L("shard", "overflow")
-	reg.GaugeFunc("quasii_shard_live_objects",
-		"Live objects in the overflow shard (0 when absent).",
-		get(func(s *scrapeSnap) float64 { return float64(s.overflow.live) }), ovl)
-	reg.GaugeFunc("quasii_shard_pending_objects",
-		"Appended objects awaiting Flush in the overflow shard.",
-		get(func(s *scrapeSnap) float64 { return float64(s.overflow.pending) }), ovl)
-	reg.GaugeFunc("quasii_shard_deleted_objects",
-		"Tombstoned objects awaiting compaction in the overflow shard.",
-		get(func(s *scrapeSnap) float64 { return float64(s.overflow.deleted) }), ovl)
 }

@@ -1,6 +1,6 @@
 // Live updates on the sharded engine: Insert and Delete route each object
 // to the shard owning its tile and delegate to the sub-index's own update
-// machinery (core.Index.Append / DeleteShared / Delete / Flush: arrivals
+// machinery (core.Index.Append / DeleteShared / DeleteBudgeted / Flush: arrivals
 // are buffered and scanned by every query until a Flush folds them in,
 // deletions tombstone immediately).
 //
@@ -49,7 +49,7 @@ func (ix *Index) Insert(objs ...geom.Object) error {
 			return err
 		}
 		sh.extendBounds(objs[i].Box)
-		if !sh.appendSharedProbe(objs[i]) {
+		if !sh.guard(false, func(sub subIndex) { sub.Append(objs[i]) }) {
 			return fmt.Errorf("%w (insert of id %d dropped)", ErrQuarantined, objs[i].ID)
 		}
 		ix.count.Add(1)
@@ -119,14 +119,16 @@ func (ix *Index) ensureOverflow() (*shardEntry, error) {
 // reports the object found. The tombstone is first attempted under the
 // shard's read lock (DeleteShared publishes a new version without blocking
 // readers); only when the sub-index cannot locate the object read-only — an
-// unconverged region — does the probe escalate to the write lock. It
-// reports whether an object was deleted. Safe for concurrent use.
+// unconverged region — does the probe escalate to the write lock, refining
+// around the hint within the crack budget. It reports whether an object was
+// deleted. Safe for concurrent use.
 func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 	var hitBuf [16]*shardEntry
 	for _, sh := range ix.overlapping(hint, hitBuf[:0]) {
-		found, handled, healthy := sh.deleteSharedProbe(id, hint)
+		var found, handled bool
+		healthy := sh.guard(false, func(sub subIndex) { found, handled = sub.DeleteShared(id, hint) })
 		if healthy && !handled {
-			found, healthy = sh.deleteProbe(id, hint)
+			healthy = sh.guard(true, func(sub subIndex) { found = sub.DeleteBudgeted(id, hint, sh.crackBudget) })
 		}
 		if !healthy {
 			continue // shard just quarantined itself; probe the rest
@@ -142,14 +144,14 @@ func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 // Flush folds pending inserts into every shard's indexed array and compacts
 // tombstoned deletions, shard by shard under each shard's lock (queries on
 // other shards proceed meanwhile). Queries against a flushed QUASII shard
-// rebuild its refinement incrementally, as after construction. The error is
-// always nil: it dates from pluggable sub-indexes that could refuse updates,
-// and the signature is kept for the callers that check it.
+// rebuild its refinement incrementally, as after construction. A sub-index
+// that panics mid-flush quarantines its shard (see guard) and the remaining
+// shards are still flushed. The error is always nil: it dates from pluggable
+// sub-indexes that could refuse updates, and the signature is kept for the
+// callers that check it.
 func (ix *Index) Flush() error {
 	ix.forEach(func(sh *shardEntry) {
-		sh.mu.Lock()
-		sh.sub.Flush()
-		sh.mu.Unlock()
+		sh.guard(true, func(sub subIndex) { sub.Flush() })
 	})
 	return nil
 }

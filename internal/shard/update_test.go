@@ -258,3 +258,48 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		t.Errorf("KNN with huge k returned %d, want %d", len(all), len(live))
 	}
 }
+
+// TestBudgetedKNNLeavesPendingUnflushed drives the ladder's second rung the
+// way production does: a shard holding pending inserts takes a KNN into a
+// region no query has refined. The probe must refine in place — not fold
+// the pending inserts in, which would throw the shard's hierarchy away — so
+// Pending() stands still, the answer includes the pending objects, and range
+// queries afterwards still match the scan oracle.
+func TestBudgetedKNNLeavesPendingUnflushed(t *testing.T) {
+	data := dataset.Uniform(4000, 91)
+	ix := New(data, Config{Shards: 2, CrackBudget: 8})
+	for _, q := range workload.Uniform(dataset.Universe(), 20, 1e-3, 92) {
+		ix.Query(q, nil)
+	}
+	extra := dataset.Uniform(50, 93)
+	for i := range extra {
+		extra[i].ID = int32(600000 + i)
+	}
+	if err := ix.Insert(extra...); err != nil {
+		t.Fatal(err)
+	}
+	live := append(append([]geom.Object(nil), data...), extra...)
+	pending := ix.Pending()
+	for _, q := range workload.Uniform(dataset.Universe(), 12, 1e-3, 94) {
+		p := q.Center()
+		got, err := ix.KNN(p, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range bruteKNN(live, p, 5) {
+			if got[i] != want {
+				t.Fatalf("KNN(%v)[%d] = %+v, want %+v", p, i, got[i], want)
+			}
+		}
+		if n := ix.Pending(); n != pending {
+			t.Fatalf("KNN moved Pending() %d -> %d: the second rung flushed", pending, n)
+		}
+	}
+	if st := ix.Stats(); st.Core.Queries == 0 {
+		t.Fatal("no KNN probe reached the exclusive rung; the test exercises nothing")
+	}
+	checkAgainst(t, ix, live, 95)
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
