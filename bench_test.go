@@ -232,21 +232,6 @@ func BenchmarkAblationTau15(b *testing.B)  { benchAblationWorkload(b, quasii.QUA
 func BenchmarkAblationTau60(b *testing.B)  { benchAblationWorkload(b, quasii.QUASIIConfig{Tau: 60}) }
 func BenchmarkAblationTau240(b *testing.B) { benchAblationWorkload(b, quasii.QUASIIConfig{Tau: 240}) }
 
-// Assignment coordinate: the paper picks the lower corner because it is free;
-// center assignment needs symmetric extension.
-func BenchmarkAblationAssignLower(b *testing.B) {
-	benchAblationWorkload(b, quasii.QUASIIConfig{Assign: quasii.AssignLower})
-}
-func BenchmarkAblationAssignCenter(b *testing.B) {
-	benchAblationWorkload(b, quasii.QUASIIConfig{Assign: quasii.AssignCenter})
-}
-
-// Artificial refinement off: slices only ever split at query bounds, so the
-// hierarchy degenerates and converged queries scan wide slices.
-func BenchmarkAblationNoArtificialRefinement(b *testing.B) {
-	benchAblationWorkload(b, quasii.QUASIIConfig{DisableArtificial: true})
-}
-
 // SFCracker interval cap: exact decomposition cracks more, capped
 // decomposition scans more false positives.
 func benchSFCrackerIntervals(b *testing.B, maxIntervals int) {

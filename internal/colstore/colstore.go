@@ -5,10 +5,11 @@
 //
 // The layout exists for the two kernels every query runs:
 //
-//   - Partition (cracking) streams one 8-byte key lane instead of striding
-//     through whole structs, so the comparison scan is pure sequential
-//     memory traffic and the per-band bounds tracking reads exactly the two
-//     lanes it needs.
+//   - Partition (cracking) streams one 8-byte key lane — the lower-corner
+//     lane of the cracked dimension, the index's only representative
+//     coordinate — instead of striding through whole structs, so the
+//     comparison scan is pure sequential memory traffic and the per-band
+//     bounds tracking reads exactly the two lanes it needs.
 //   - ScanIntersect (the bottom-level interval filter) tests each lane
 //     against the query interval with branch-light compare-and-mask code
 //     over contiguous memory the compiler keeps in cache.
@@ -24,19 +25,13 @@ import (
 	"repro/internal/geom"
 )
 
-// KeyMode selects the representative coordinate of a row in a dimension,
-// mirroring core.AssignMode (lower corner, center, upper corner). The
-// numeric values must stay aligned with core's constants.
+// KeyMode names the representative coordinate Partition splits on. The
+// lower corner is the only one: KeyMode survives solely because the
+// benchmark module calls Partition with KeyLower.
 type KeyMode uint8
 
-const (
-	// KeyLower uses the row's lower coordinate (the paper's default).
-	KeyLower KeyMode = iota
-	// KeyCenter uses the row's center coordinate.
-	KeyCenter
-	// KeyUpper uses the row's upper coordinate.
-	KeyUpper
-)
+// KeyLower partitions on the row's lower coordinate (the paper's choice).
+const KeyLower KeyMode = 0
 
 // Bounds tracks the exact extent of a row band in one dimension: the
 // minimum lower coordinate and the maximum upper coordinate of its rows.
@@ -74,27 +69,7 @@ func FromObjects(objs []geom.Object) *Table {
 // Reload overwrites the table's rows with objs, reusing the existing lanes
 // when they are large enough.
 func (t *Table) Reload(objs []geom.Object) {
-	n := len(objs)
-	// Lane capacities can diverge after AppendObjects (append's size-class
-	// rounding differs between float64 and int32 lanes), so every lane must
-	// clear the bar before the reuse branch is taken.
-	fits := cap(t.ID) >= n
-	for d := 0; d < geom.Dims && fits; d++ {
-		fits = cap(t.Min[d]) >= n && cap(t.Max[d]) >= n
-	}
-	if !fits {
-		for d := 0; d < geom.Dims; d++ {
-			t.Min[d] = make([]float64, n)
-			t.Max[d] = make([]float64, n)
-		}
-		t.ID = make([]int32, n)
-	} else {
-		for d := 0; d < geom.Dims; d++ {
-			t.Min[d] = t.Min[d][:n]
-			t.Max[d] = t.Max[d][:n]
-		}
-		t.ID = t.ID[:n]
-	}
+	t.resize(len(objs))
 	for d := 0; d < geom.Dims; d++ {
 		min, max := t.Min[d], t.Max[d]
 		for i := range objs {
@@ -178,13 +153,23 @@ func (t *Table) Compact(dead map[int32]struct{}) int {
 	return w
 }
 
-// Swap exchanges rows i and j across all seven lanes.
-func (t *Table) Swap(i, j int) {
+// resize sets the table to n rows, reusing each lane whose capacity
+// suffices and reallocating the others (lane capacities can diverge after
+// AppendObjects: append's size-class rounding differs between float64 and
+// int32 lanes).
+func (t *Table) resize(n int) {
 	for d := 0; d < geom.Dims; d++ {
-		t.Min[d][i], t.Min[d][j] = t.Min[d][j], t.Min[d][i]
-		t.Max[d][i], t.Max[d][j] = t.Max[d][j], t.Max[d][i]
+		t.Min[d] = sized(t.Min[d], n)
+		t.Max[d] = sized(t.Max[d], n)
 	}
-	t.ID[i], t.ID[j] = t.ID[j], t.ID[i]
+	t.ID = sized(t.ID, n)
+}
+
+func sized[T any](lane []T, n int) []T {
+	if cap(lane) >= n {
+		return lane[:n]
+	}
+	return make([]T, n)
 }
 
 // MBB returns the minimum bounding box of rows [lo, hi). It runs on every
@@ -229,50 +214,21 @@ func (t *Table) MaxExtents() geom.Point {
 	return ext
 }
 
-// key returns the representative coordinate of row i in dimension dim.
-func (t *Table) key(i, dim int, mode KeyMode) float64 {
-	switch mode {
-	case KeyCenter:
-		return (t.Min[dim][i] + t.Max[dim][i]) / 2
-	case KeyUpper:
-		return t.Max[dim][i]
-	default:
-		return t.Min[dim][i]
-	}
-}
-
-// KeyRange returns the minimum and maximum representative coordinate of
-// rows [lo, hi) in dimension dim.
-func (t *Table) KeyRange(lo, hi, dim int, mode KeyMode) (min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	if lo >= hi {
-		return min, max
-	}
-	if mode == KeyLower {
-		return minMaxLane(t.Min[dim][lo:hi])
-	}
-	for i := lo; i < hi; i++ {
-		v := t.key(i, dim, mode)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
+// KeyRange returns the minimum and maximum lower coordinate of rows
+// [lo, hi) in dimension dim (+Inf, -Inf for an empty range).
+func (t *Table) KeyRange(lo, hi, dim int) (min, max float64) {
+	return minMaxLane(t.Min[dim][lo:hi])
 }
 
 // Partition is the cracking kernel: it reorders rows [lo, hi) so rows whose
-// representative coordinate in dim is < pivot precede the rest, returning
-// the split position together with the exact bounds of both bands in dim.
-// Bounds are tracked in the same pass — each row's final side is known
-// either when a scan pointer passes it or when it is swapped.
+// lower coordinate in dim is < pivot precede the rest, returning the split
+// position together with the exact bounds of both bands in dim. Bounds are
+// tracked in the same pass — each row's final side is known either when a
+// scan pointer passes it or when it is swapped. mode must be KeyLower, the
+// only KeyMode; the parameter is kept only because the benchmark module
+// calls Partition with it.
 func (t *Table) Partition(lo, hi, dim int, pivot float64, mode KeyMode) (mid int, left, right Bounds) {
-	if mode == KeyLower {
-		return t.partitionLower(lo, hi, dim, pivot)
-	}
-	return t.partitionGeneric(lo, hi, dim, pivot, mode)
+	return t.partitionLower(lo, hi, dim, pivot)
 }
 
 // scalarCutoff is the range size below which the branch-free kernel's
@@ -281,9 +237,9 @@ func (t *Table) Partition(lo, hi, dim int, pivot float64, mode KeyMode) (mid int
 // two-pointer kernel instead.
 const scalarCutoff = 128
 
-// partitionLower is the specialized kernel for lower-corner assignment (the
-// paper's default): the key lane IS the Min lane, so every pass streams
-// contiguous []float64 memory. Large ranges use a branch-free "fancy scan"
+// partitionLower is the one cracking kernel: the key lane IS the Min lane,
+// so every pass streams contiguous []float64 memory. Large ranges use a
+// branch-free "fancy scan"
 // (cracking-literature style): the classic two-pointer loop exits on a
 // data-dependent comparison that is a coin flip on unsorted data, so the
 // branch predictor misses every other row; instead we (1) count the left
@@ -536,41 +492,6 @@ func otherDims(dim int) (int, int) {
 	default:
 		return 0, 1
 	}
-}
-
-// partitionGeneric handles the ablation assignment modes (center/upper
-// representative coordinates).
-func (t *Table) partitionGeneric(lo, hi, dim int, pivot float64, mode KeyMode) (mid int, left, right Bounds) {
-	min := t.Min[dim]
-	max := t.Max[dim]
-	left, right = NewBounds(), NewBounds()
-	add := func(b *Bounds, k int) {
-		if min[k] < b.Min {
-			b.Min = min[k]
-		}
-		if max[k] > b.Max {
-			b.Max = max[k]
-		}
-	}
-	i, j := lo, hi-1
-	for i <= j {
-		for i <= j && t.key(i, dim, mode) < pivot {
-			add(&left, i)
-			i++
-		}
-		for i <= j && t.key(j, dim, mode) >= pivot {
-			add(&right, j)
-			j--
-		}
-		if i < j {
-			t.Swap(i, j)
-			add(&left, i)
-			add(&right, j)
-			i++
-			j--
-		}
-	}
-	return i, left, right
 }
 
 // ScanIntersect appends the positions of every row in [lo, hi) whose box

@@ -89,52 +89,44 @@ func TestScanIntersectMatchesAoS(t *testing.T) {
 	}
 }
 
+// TestPartitionAllModes checks the one partition kernel — the lower-corner
+// kernel, branch-free above scalarCutoff and scalar below — in every
+// dimension at range sizes on both sides of the cutoff: every row lands on
+// its side of the pivot, both bands' bounds are exact, and the rows stay a
+// permutation with their lanes in step.
 func TestPartitionAllModes(t *testing.T) {
-	for _, mode := range []KeyMode{KeyLower, KeyCenter, KeyUpper} {
-		objs := randomObjects(1000, 5+int64(mode))
-		tab := FromObjects(objs)
-		dim := 1
-		pivot := 500.0
-		mid, left, right := tab.Partition(0, tab.Len(), dim, pivot, mode)
+	for dim := 0; dim < geom.Dims; dim++ {
+		for _, n := range []int{1, scalarCutoff / 2, scalarCutoff, scalarCutoff + 1, 1000} {
+			objs := randomObjects(n, int64(100*dim+n))
+			tab := FromObjects(objs)
+			pivot := 500.0
+			mid, left, right := tab.Partition(0, n, dim, pivot, KeyLower)
 
-		key := func(i int) float64 { return tab.key(i, dim, mode) }
-		wantLeft, wantRight := NewBounds(), NewBounds()
-		for i := 0; i < mid; i++ {
-			if key(i) >= pivot {
-				t.Fatalf("mode %d: row %d key %g >= pivot on left side", mode, i, key(i))
+			wantLeft, wantRight := NewBounds(), NewBounds()
+			for i := 0; i < n; i++ {
+				key, b := tab.Min[dim][i], &wantRight
+				if i < mid {
+					b = &wantLeft
+				}
+				if (key < pivot) != (i < mid) {
+					t.Fatalf("dim %d n %d: row %d key %g on the wrong side of mid %d", dim, n, i, key, mid)
+				}
+				b.Min = min(b.Min, key)
+				b.Max = max(b.Max, tab.Max[dim][i])
 			}
-			if tab.Min[dim][i] < wantLeft.Min {
-				wantLeft.Min = tab.Min[dim][i]
+			if left != wantLeft || right != wantRight {
+				t.Fatalf("dim %d n %d: bounds (%v, %v), want (%v, %v)", dim, n, left, right, wantLeft, wantRight)
 			}
-			if tab.Max[dim][i] > wantLeft.Max {
-				wantLeft.Max = tab.Max[dim][i]
+			seen := make(map[int32]bool, n)
+			for i := 0; i < n; i++ {
+				seen[tab.ID[i]] = true
+				if tab.ObjectAt(i).Box != objs[tab.ID[i]].Box {
+					t.Fatalf("dim %d n %d: row %d lanes desynced from ID", dim, n, i)
+				}
 			}
-		}
-		for i := mid; i < tab.Len(); i++ {
-			if key(i) < pivot {
-				t.Fatalf("mode %d: row %d key %g < pivot on right side", mode, i, key(i))
+			if len(seen) != n {
+				t.Fatalf("dim %d n %d: %d distinct IDs after partition, want %d", dim, n, len(seen), n)
 			}
-			if tab.Min[dim][i] < wantRight.Min {
-				wantRight.Min = tab.Min[dim][i]
-			}
-			if tab.Max[dim][i] > wantRight.Max {
-				wantRight.Max = tab.Max[dim][i]
-			}
-		}
-		if left != wantLeft || right != wantRight {
-			t.Fatalf("mode %d: bounds (%v, %v), want (%v, %v)", mode, left, right, wantLeft, wantRight)
-		}
-
-		// The partition is a permutation: every original row survives.
-		seen := make(map[int32]bool, tab.Len())
-		for i := 0; i < tab.Len(); i++ {
-			seen[tab.ID[i]] = true
-			if tab.ObjectAt(i).Box != objs[tab.ID[i]].Box {
-				t.Fatalf("mode %d: row %d lanes desynced from ID", mode, i)
-			}
-		}
-		if len(seen) != len(objs) {
-			t.Fatalf("mode %d: %d distinct IDs after partition, want %d", mode, len(seen), len(objs))
 		}
 	}
 }
@@ -161,23 +153,22 @@ func TestPartitionSubRange(t *testing.T) {
 	}
 }
 
+// TestKeyRange checks the lower-coordinate range over sub-ranges of every
+// dimension, the empty range included.
 func TestKeyRange(t *testing.T) {
 	objs := randomObjects(200, 11)
 	tab := FromObjects(objs)
-	for _, mode := range []KeyMode{KeyLower, KeyCenter, KeyUpper} {
-		min, max := tab.KeyRange(20, 180, 2, mode)
-		wantMin, wantMax := math.Inf(1), math.Inf(-1)
-		for i := 20; i < 180; i++ {
-			v := tab.key(i, 2, mode)
-			if v < wantMin {
-				wantMin = v
+	for dim := 0; dim < geom.Dims; dim++ {
+		for _, r := range [][2]int{{0, 200}, {20, 180}, {7, 8}, {199, 200}, {50, 50}} {
+			min, max := tab.KeyRange(r[0], r[1], dim)
+			wantMin, wantMax := math.Inf(1), math.Inf(-1)
+			for i := r[0]; i < r[1]; i++ {
+				wantMin = math.Min(wantMin, objs[i].Min[dim])
+				wantMax = math.Max(wantMax, objs[i].Min[dim])
 			}
-			if v > wantMax {
-				wantMax = v
+			if min != wantMin || max != wantMax {
+				t.Fatalf("dim %d [%d,%d): KeyRange = (%g,%g), want (%g,%g)", dim, r[0], r[1], min, max, wantMin, wantMax)
 			}
-		}
-		if min != wantMin || max != wantMax {
-			t.Fatalf("mode %d: KeyRange = (%g,%g), want (%g,%g)", mode, min, max, wantMin, wantMax)
 		}
 	}
 }

@@ -58,9 +58,12 @@ func (t *Table) WriteLanes(w io.Writer) error {
 
 // ReadLanes deserializes a table previously written with WriteLanes,
 // overwriting t's rows (lanes are reused when large enough). maxRows bounds
-// the decoded row count so a corrupt or hostile length prefix cannot force
-// an enormous allocation: a non-negative maxRows is an inclusive ceiling
-// (0 admits only an empty table); pass a negative value for no bound.
+// the decoded row count: a non-negative maxRows is an inclusive ceiling (0
+// admits only an empty table); pass a negative value for no bound. Within
+// the bound the row count is still only a claim, so the first lane grows in
+// doubling steps as its bytes arrive — an input claiming millions of rows it
+// does not carry fails at EOF having allocated about what it did carry —
+// and only once that lane is complete are the other six sized in full.
 func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -71,11 +74,23 @@ func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 		return fmt.Errorf("row count %d out of range", n64)
 	}
 	n := int(n64)
-	t.resize(n)
 	crc := crc32.New(crcTable)
 	tr := io.TeeReader(r, crc)
 	var buf [8 * ioChunkRows]byte
-	for d := 0; d < geom.Dims; d++ {
+	first := t.Min[0][:0]
+	for k := 0; k < n; k = len(first) {
+		c := min(n-k, max(k, ioChunkRows))
+		if cap(first) < k+c {
+			first = append(make([]float64, 0, k+c), first...)
+		}
+		first = first[:k+c]
+		if err := readF64Lane(tr, first[k:], buf[:]); err != nil {
+			return fmt.Errorf("reading min lane 0: %w", err)
+		}
+	}
+	t.Min[0] = first
+	t.resize(n)
+	for d := 1; d < geom.Dims; d++ {
 		if err := readF64Lane(tr, t.Min[d], buf[:]); err != nil {
 			return fmt.Errorf("reading min lane %d: %w", d, err)
 		}
@@ -95,27 +110,6 @@ func (t *Table) ReadLanes(r io.Reader, maxRows int) error {
 		return fmt.Errorf("lane checksum mismatch: computed %08x, stored %08x", got, want)
 	}
 	return nil
-}
-
-// resize sets the table to n rows, reusing lane capacity like Reload.
-func (t *Table) resize(n int) {
-	fits := cap(t.ID) >= n
-	for d := 0; d < geom.Dims && fits; d++ {
-		fits = cap(t.Min[d]) >= n && cap(t.Max[d]) >= n
-	}
-	if !fits {
-		for d := 0; d < geom.Dims; d++ {
-			t.Min[d] = make([]float64, n)
-			t.Max[d] = make([]float64, n)
-		}
-		t.ID = make([]int32, n)
-		return
-	}
-	for d := 0; d < geom.Dims; d++ {
-		t.Min[d] = t.Min[d][:n]
-		t.Max[d] = t.Max[d][:n]
-	}
-	t.ID = t.ID[:n]
 }
 
 func writeF64Lane(w io.Writer, lane []float64, buf []byte) error {

@@ -2,7 +2,9 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -116,5 +118,30 @@ func TestLaneTruncationDetected(t *testing.T) {
 	var dst Table
 	if err := dst.ReadLanes(bytes.NewReader(raw[:len(raw)-5]), -1); err == nil {
 		t.Fatal("truncated lanes decoded without error")
+	}
+}
+
+// TestLaneRowClaimBoundedAllocation: a lane block whose row count claims
+// millions of rows it does not carry must fail at EOF having allocated about
+// what it read, not the seven lanes the claim would size.
+func TestLaneRowClaimBoundedAllocation(t *testing.T) {
+	src := randomTable(8, 6)
+	var buf bytes.Buffer
+	if err := src.WriteLanes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw, 8_000_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var dst Table
+	err := dst.ReadLanes(bytes.NewReader(raw), -1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("lane block claiming 8,000,000 rows decoded from a few hundred bytes")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<20); got > limit {
+		t.Fatalf("ReadLanes allocated %d bytes for a %d-byte input claiming 8,000,000 rows, want < %d",
+			got, len(raw), limit)
 	}
 }

@@ -11,11 +11,12 @@
 // bounding box; larger slices carry an open-ended box bounded only in the
 // dimensions already sliced.
 //
-// Objects are assigned to slices by a single representative coordinate (the
-// paper uses the lower corner). Because a volumetric object can overhang its
-// slice, refinement cracks on a query range extended by the maximum object
-// extent, and the search over sibling slices is extended by the maximum slice
-// extent — the "query extension" technique of Stefanakis et al.
+// Objects are assigned to slices by one representative coordinate, their
+// lower corner — free, since it is part of the stored MBB. Because a
+// volumetric object can overhang its slice, refinement cracks on a query
+// range whose lower bound is extended by the maximum object extent, and the
+// search over sibling slices is extended by the maximum slice extent — the
+// "query extension" technique of Stefanakis et al.
 //
 // Storage is columnar (internal/colstore): the objects live as seven
 // contiguous lanes (per-dimension min/max plus IDs) so the cracking kernel
@@ -35,37 +36,14 @@ import (
 	"repro/internal/geom"
 )
 
-// AssignMode selects the representative coordinate used to assign an object
-// to a slice.
-type AssignMode int
-
-const (
-	// AssignLower assigns by the object's lower corner (the paper's choice:
-	// free, since it is part of the stored MBB).
-	AssignLower AssignMode = iota
-	// AssignCenter assigns by the object's center. Kept as an ablation; it
-	// requires a symmetric half-extent query extension.
-	AssignCenter
-	// AssignUpper assigns by the object's upper corner — the paper's
-	// footnote notes it "can equally be used". It mirrors AssignLower: the
-	// query extension moves to the upper side.
-	AssignUpper
-)
-
 // Config controls QUASII's behaviour. The zero value is usable: it selects
-// the paper's defaults (τ = 60, lower-coordinate assignment, artificial
-// refinement enabled).
+// the paper's defaults (τ = 60). Objects are always assigned to slices by
+// their lower corner and artificial refinement is always on — neither is a
+// knob.
 type Config struct {
 	// Tau is the maximum number of objects in a fully refined slice at the
 	// finest (z) level. The paper uses 60. Values < 1 mean 60.
 	Tau int
-	// Assign selects the representative coordinate for slice assignment.
-	Assign AssignMode
-	// DisableArtificial turns off artificial (midpoint) refinement. Only the
-	// query bounds then crack the data; slices may stay arbitrarily large.
-	// This exists purely for the ablation benchmarks — the paper argues the
-	// hierarchy degenerates without it.
-	DisableArtificial bool
 	// Stochastic adds a random pre-cut when refining large slices, the
 	// stochastic-cracking defence (Halim et al., VLDB 2012) against
 	// sequential workloads that otherwise re-scan an ever-shrinking
@@ -142,10 +120,11 @@ type sliceList struct {
 }
 
 // lowerBound returns the index of the first slice whose lower bound in dim
-// is >= key — the sibling binary search of the query fast path. Callers
-// must have checked the AssignLower precondition (sibling Min is monotone
-// only under lower-corner assignment) and that maxExt is finite. The search
-// is hand-rolled so the hot path carries no sort.Search closure.
+// is >= key — the sibling binary search of the query fast path. Sibling Min
+// is monotone because bands partition the lower corner and Min is exactly
+// that coordinate's minimum; callers must have checked that maxExt is
+// finite. The search is hand-rolled so the hot path carries no sort.Search
+// closure.
 func (l *sliceList) lowerBound(key float64, dim int) int {
 	lo, hi := 0, len(l.slices)
 	for lo < hi {
@@ -323,44 +302,6 @@ func (ix *Index) Stats() Stats {
 // Tau returns the refinement threshold at the given level (0 = x).
 func (ix *Index) Tau(level int) int { return ix.tau[level] }
 
-// keyMode maps the configured assignment mode onto the storage layer's
-// representative-coordinate selector.
-func (ix *Index) keyMode() colstore.KeyMode {
-	switch ix.cfg.Assign {
-	case AssignCenter:
-		return colstore.KeyCenter
-	case AssignUpper:
-		return colstore.KeyUpper
-	default:
-		return colstore.KeyLower
-	}
-}
-
-// extendLo and extendHi return how far the query's lower/upper bound must be
-// relaxed in dimension d so that the representative coordinates of all
-// intersecting objects fall inside the extended range.
-func (ix *Index) extendLo(d int) float64 {
-	switch ix.cfg.Assign {
-	case AssignCenter:
-		return ix.live.Load().maxExt[d] / 2
-	case AssignUpper:
-		return 0 // upper(o) >= ql whenever o intersects q
-	default:
-		return ix.live.Load().maxExt[d]
-	}
-}
-
-func (ix *Index) extendHi(d int) float64 {
-	switch ix.cfg.Assign {
-	case AssignCenter:
-		return ix.live.Load().maxExt[d] / 2
-	case AssignUpper:
-		return ix.live.Load().maxExt[d]
-	default:
-		return 0 // lower-coordinate assignment: lower(o) <= qu whenever o intersects q
-	}
-}
-
 // Query returns the IDs of all objects whose boxes intersect q, appending
 // them to out. As a side effect it refines the index around q. On a
 // converged index the call is allocation-free when out has capacity.
@@ -438,12 +379,10 @@ func (ix *Index) Count(q geom.Box) int {
 // queryList implements Algorithm 1 of the paper on one sibling list.
 func (ix *Index) queryList(q geom.Box, list *sliceList, dim int, out []int32) []int32 {
 	// Binary search for the first slice that could overlap q in this
-	// dimension, extending the search key by the maximum slice extent.
-	// Sibling boxes' Min is monotone only under lower-corner assignment
-	// (bands partition the representative coordinate, and Min *is* the
-	// representative there); the ablation modes scan the whole list and rely
-	// on the per-slice box test.
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
+	// dimension, extending the search key by the maximum slice extent. An
+	// open-ended sibling (infinite maxExt) forces a scan from the start,
+	// relying on the per-slice box test.
+	fastPath := !math.IsInf(list.maxExt, 1)
 	var i int
 	if fastPath {
 		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)
@@ -578,10 +517,11 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 		return []*slice{s}
 	}
 
-	// Extended crack bounds: every object intersecting q has its
-	// representative coordinate within [lo, hi].
-	lo := q.Min[dim] - ix.extendLo(dim)
-	hi := q.Max[dim] + ix.extendHi(dim)
+	// Extended crack bounds: every object intersecting q has its lower
+	// corner within [lo, hi] — at most the maximum extent below q, and never
+	// above it.
+	lo := q.Min[dim] - ix.live.Load().maxExt[dim]
+	hi := q.Max[dim]
 	// Make the middle band inclusive of hi, matching the paper's [xl, xu].
 	hiExcl := math.Nextafter(hi, math.Inf(1))
 
@@ -644,9 +584,7 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 	// extended query range are split at midpoints until they comply.
 	result := make([]*slice, 0, len(bands)+2)
 	for _, b := range bands {
-		if !ix.cfg.DisableArtificial &&
-			b.size() > ix.tau[dim] &&
-			b.box.Max[dim] >= lo && b.box.Min[dim] <= hi {
+		if b.size() > ix.tau[dim] && b.box.Max[dim] >= lo && b.box.Min[dim] <= hi {
 			result = ix.artificial(b, dim, lo, hi, result)
 		} else {
 			result = append(result, b)
@@ -690,11 +628,13 @@ func (ix *Index) artificial(b *slice, dim int, qlo, qhi float64, out []*slice) [
 
 // artificialCut picks the midpoint split coordinate for range (lo, hi). The
 // paper floors the midpoint; we keep the untruncated midpoint since the data
-// domain is continuous, guarding against a cut equal to lo (which would make
-// no progress on pathological ranges).
+// domain is continuous. The halves are summed because lo+hi can overflow,
+// and a cut that is not above lo (adjacent floats, or NaN from an
+// infinite range) is moved just past it: either would put every row on one
+// side and recurse forever.
 func artificialCut(lo, hi float64) float64 {
-	c := (lo + hi) / 2
-	if c <= lo {
+	c := lo/2 + hi/2
+	if !(c > lo) {
 		c = math.Nextafter(lo, math.Inf(1))
 	}
 	return c
@@ -729,7 +669,7 @@ func (ix *Index) partition(lo, hi int, dim int, pivot float64) (mid int, left, r
 		ix.remCracks--
 	}
 	ix.epoch.Add(1)
-	return ix.data.Partition(lo, hi, dim, pivot, ix.keyMode())
+	return ix.data.Partition(lo, hi, dim, pivot, colstore.KeyLower)
 }
 
 // makeFragments materializes the non-empty fragments delimited by cuts
@@ -816,69 +756,69 @@ func (ix *Index) NumSlices() int {
 //
 //  1. sibling slices are sorted by lo and partition their parent's range,
 //  2. children cover exactly their parent's [lo,hi),
-//  3. refined slices respect τ (except degenerate duplicate-coordinate
-//     slices) and their box contains all their objects,
-//  4. every slice's box, where finite, bounds its objects' extents in the
-//     already-sliced dimension.
+//  3. every slice's box contains all its objects in every dimension (a
+//     query skips a slice on its box alone),
+//  4. where a sibling list's maxExt is finite, it bounds every sibling's
+//     extent and sibling Min is non-decreasing (the binary-search
+//     preconditions of lowerBound).
 //
+// The comparisons are written so a NaN bound or coordinate fails them: Load
+// relies on this check to refuse any hierarchy a query could walk wrongly.
 // It returns an error describing the first violation found.
 func (ix *Index) CheckInvariants() error {
 	if ix.root == nil {
 		return nil
 	}
-	return ix.checkList(ix.root, 0, ix.data.Len(), 0)
+	_, err := ix.checkList(ix.root, 0, ix.data.Len(), 0)
+	return err
 }
 
-func (ix *Index) checkList(l *sliceList, lo, hi, level int) error {
-	if len(l.slices) == 0 {
-		if lo != hi {
-			return fmt.Errorf("level %d: empty slice list for non-empty range [%d,%d)", level, lo, hi)
-		}
-		return nil
+// checkList checks one sibling list over rows [lo, hi) and returns those
+// rows' MBB. A slice's MBB is the union of its children's, so every row's
+// lanes are read once, by the deepest slice holding it.
+func (ix *Index) checkList(l *sliceList, lo, hi, level int) (geom.Box, error) {
+	mbb := geom.EmptyBox()
+	if len(l.slices) == 0 && lo != hi {
+		return mbb, fmt.Errorf("level %d: empty slice list for non-empty range [%d,%d)", level, lo, hi)
 	}
 	pos := lo
 	for k, s := range l.slices {
 		if s.level != level {
-			return fmt.Errorf("slice %d at level %d, want %d", k, s.level, level)
+			return mbb, fmt.Errorf("slice %d at level %d, want %d", k, s.level, level)
 		}
 		if s.lo != pos {
-			return fmt.Errorf("level %d: slice %d starts at %d, want %d (gap/overlap)", level, k, s.lo, pos)
+			return mbb, fmt.Errorf("level %d: slice %d starts at %d, want %d (gap/overlap)", level, k, s.lo, pos)
 		}
 		if s.hi < s.lo {
-			return fmt.Errorf("level %d: slice %d has inverted range [%d,%d)", level, k, s.lo, s.hi)
+			return mbb, fmt.Errorf("level %d: slice %d has inverted range [%d,%d)", level, k, s.lo, s.hi)
 		}
 		pos = s.hi
-		if s.refined {
-			mbb := ix.data.MBB(s.lo, s.hi)
-			if !s.box.Contains(mbb) && s.size() > 0 {
-				return fmt.Errorf("level %d: refined slice %d box %v does not contain objects MBB %v", level, k, s.box, mbb)
+		var sb geom.Box
+		var err error
+		if s.children == nil {
+			sb = ix.data.MBB(s.lo, s.hi)
+		} else if sb, err = ix.checkList(s.children, s.lo, s.hi, level+1); err != nil {
+			return mbb, err
+		}
+		for d := 0; d < geom.Dims; d++ {
+			if !(s.box.Min[d] <= sb.Min[d] && sb.Max[d] <= s.box.Max[d]) {
+				return mbb, fmt.Errorf("level %d: slice %d box %v does not contain its objects' MBB %v", level, k, s.box, sb)
 			}
 		}
-		// Exact-dimension bound check: finite bounds must cover objects.
-		for j := s.lo; j < s.hi; j++ {
-			if !math.IsInf(s.box.Min[level], -1) && ix.data.Min[level][j] < s.box.Min[level]-1e-9 {
-				return fmt.Errorf("level %d: slice %d lower bound %g violated by object %d (%g)",
-					level, k, s.box.Min[level], j, ix.data.Min[level][j])
-			}
-			if !math.IsInf(s.box.Max[level], 1) && ix.data.Max[level][j] > s.box.Max[level]+1e-9 {
-				return fmt.Errorf("level %d: slice %d upper bound %g violated by object %d (%g)",
-					level, k, s.box.Max[level], j, ix.data.Max[level][j])
-			}
+		if !math.IsInf(l.maxExt, 1) && (!(s.box.Max[level]-s.box.Min[level] <= l.maxExt) ||
+			k > 0 && !(l.slices[k-1].box.Min[level] <= s.box.Min[level])) {
+			return mbb, fmt.Errorf("level %d: slice %d box %v breaks the sibling search (max extent %g)", level, k, s.box, l.maxExt)
 		}
-		if s.children != nil {
-			if err := ix.checkList(s.children, s.lo, s.hi, level+1); err != nil {
-				return err
-			}
-		}
+		mbb = mbb.Extend(sb)
 	}
 	if pos != hi {
-		return fmt.Errorf("level %d: slices end at %d, want %d", level, pos, hi)
+		return mbb, fmt.Errorf("level %d: slices end at %d, want %d", level, pos, hi)
 	}
-	return nil
+	return mbb, nil
 }
 
-// lowerRange returns the min and max representative coordinate of s's objects
-// in dimension dim (a lane scan; used before a slice has exact bounds in dim).
+// lowerRange returns the min and max lower corner of s's objects in
+// dimension dim (a lane scan; used before a slice has exact bounds in dim).
 func (ix *Index) lowerRange(s *slice, dim int) (lo, hi float64) {
-	return ix.data.KeyRange(s.lo, s.hi, dim, ix.keyMode())
+	return ix.data.KeyRange(s.lo, s.hi, dim)
 }

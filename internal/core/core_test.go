@@ -132,18 +132,6 @@ func TestEquivalenceHighSelectivity(t *testing.T) {
 	runEquivalence(t, data, queries, Config{Tau: 32})
 }
 
-func TestEquivalenceCenterAssignment(t *testing.T) {
-	data := dataset.Uniform(3000, 17)
-	queries := workload.Uniform(dataset.Universe(), 100, 1e-3, 18)
-	runEquivalence(t, data, queries, Config{Tau: 32, Assign: AssignCenter})
-}
-
-func TestEquivalenceNoArtificialRefinement(t *testing.T) {
-	data := dataset.Uniform(3000, 19)
-	queries := workload.Uniform(dataset.Universe(), 100, 1e-3, 20)
-	runEquivalence(t, data, queries, Config{Tau: 32, DisableArtificial: true})
-}
-
 func TestEquivalenceTinyTau(t *testing.T) {
 	data := dataset.Uniform(1000, 21)
 	queries := workload.Uniform(dataset.Universe(), 80, 1e-2, 22)
@@ -249,6 +237,44 @@ func TestCrackingWorkDecreases(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigWorkPinned pins what Config{} does on a fixed clustered
+// stream, seeds 1–8: the exact crack, slice and scan counters and the final
+// slice count. Any change to how the default configuration cracks, splits
+// or scans moves one of these numbers.
+func TestDefaultConfigWorkPinned(t *testing.T) {
+	want := []struct {
+		cracks                       int
+		crackedObjects               int64
+		slicesCreated, slicesRefined int
+		objectsTested, resultObjects int64
+		numSlices                    int
+	}{
+		{95, 81178, 203, 104, 17938, 2544, 134},
+		{125, 84643, 255, 135, 29967, 6662, 161},
+		{125, 100326, 262, 139, 25238, 6951, 168},
+		{131, 63767, 268, 143, 26054, 5291, 169},
+		{99, 59615, 214, 112, 44478, 13408, 129},
+		{161, 67170, 323, 179, 39236, 11068, 196},
+		{109, 64230, 228, 116, 41131, 12346, 144},
+		{106, 65733, 219, 113, 25574, 5630, 141},
+	}
+	for i, w := range want {
+		seed := int64(i + 1)
+		data := dataset.Neuro(8000, seed, dataset.NeuroConfig{})
+		ix := New(data, Config{})
+		for _, q := range workload.ClusteredOn(dataset.Universe(), data, 5, 30, 1e-4, 200, seed+100) {
+			ix.Query(q, nil)
+		}
+		st := ix.Stats()
+		if st.Cracks != w.cracks || st.CrackedObjects != w.crackedObjects ||
+			st.SlicesCreated != w.slicesCreated || st.SlicesRefined != w.slicesRefined ||
+			st.ObjectsTested != w.objectsTested || st.ResultObjects != w.resultObjects ||
+			ix.NumSlices() != w.numSlices {
+			t.Errorf("seed %d: stats %+v, %d slices; want %+v", seed, st, ix.NumSlices(), w)
+		}
+	}
+}
+
 func TestTauLevels(t *testing.T) {
 	data := dataset.Uniform(100000, 33)
 	ix := New(data, Config{Tau: 60})
@@ -337,18 +363,6 @@ func TestStatsMonotone(t *testing.T) {
 	if prev.Queries != len(queries) {
 		t.Fatalf("Queries = %d, want %d", prev.Queries, len(queries))
 	}
-}
-
-func TestEquivalenceUpperAssignment(t *testing.T) {
-	data := dataset.Uniform(3000, 61)
-	queries := workload.Uniform(dataset.Universe(), 100, 1e-3, 62)
-	runEquivalence(t, data, queries, Config{Tau: 32, Assign: AssignUpper})
-}
-
-func TestEquivalenceUpperAssignmentLargeObjects(t *testing.T) {
-	data := dataset.RandomBoxes(1500, 63, dataset.Universe())
-	queries := workload.Uniform(dataset.Universe(), 60, 1e-3, 64)
-	runEquivalence(t, data, queries, Config{Tau: 16, Assign: AssignUpper})
 }
 
 func knnBrute(data []geom.Object, p geom.Point, k int) []Neighbor {

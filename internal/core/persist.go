@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"repro/internal/colstore"
 	"repro/internal/geom"
@@ -33,7 +34,7 @@ import (
 // snapshot is the gob-encoded on-disk form of a version-1 Index.
 type snapshot struct {
 	Version int
-	Cfg     Config
+	Cfg     persistedConfig
 	Data    []geom.Object
 	Pending []geom.Object
 	Deleted []int32
@@ -47,7 +48,7 @@ type snapshot struct {
 // snapshotV2 is the gob-encoded metadata block of a version-2 snapshot: the
 // v1 snapshot minus the data array, which follows as raw columnar lanes.
 type snapshotV2 struct {
-	Cfg     Config
+	Cfg     persistedConfig
 	DataLen int // rows in the lane block that follows
 	Pending []geom.Object
 	Deleted []int32
@@ -56,6 +57,49 @@ type snapshotV2 struct {
 	Tau     [geom.Dims]int
 	Root    *snapList
 	Stats   Stats
+}
+
+// persistedConfig is Config as both formats carry it. It still names
+// Assign, which Config has dropped: gob matches fields by name and never
+// transmits a zero value, so every older snapshot decodes unchanged, and
+// one written with a non-default Assign is seen (and refused by config)
+// rather than silently read as lower-corner. Older snapshots may also carry
+// the artificial-refinement switch; gob skips it, and that is safe: with
+// the switch off, slices larger than τ were only left unrefined (refined is
+// set only at ≤ τ) — a valid hierarchy the next query touching them refines
+// further.
+type persistedConfig struct {
+	Tau             int
+	Assign          int
+	Stochastic      bool
+	Seed            int64
+	DisableStats    bool
+	HeatSampleEvery int
+}
+
+func persistConfig(c Config) persistedConfig {
+	return persistedConfig{Tau: c.Tau, Stochastic: c.Stochastic, Seed: c.Seed,
+		DisableStats: c.DisableStats, HeatSampleEvery: c.HeatSampleEvery}
+}
+
+// config returns the Config a snapshot was written with. A hierarchy whose
+// slices partition some other representative coordinate than the lower
+// corner cannot be walked with lower-corner bounds: a non-zero Assign is an
+// error naming the mode.
+func (p persistedConfig) config() (Config, error) {
+	if p.Assign != 0 {
+		name := "unknown"
+		switch p.Assign {
+		case 1:
+			name = "center"
+		case 2:
+			name = "upper corner"
+		}
+		return Config{}, fmt.Errorf("objects are assigned to slices by their %s (assignment mode %d); only the lower corner (mode 0) is supported",
+			name, p.Assign)
+	}
+	return Config{Tau: p.Tau, Stochastic: p.Stochastic, Seed: p.Seed,
+		DisableStats: p.DisableStats, HeatSampleEvery: p.HeatSampleEvery}, nil
 }
 
 type snapList struct {
@@ -107,7 +151,7 @@ func (ix *Index) SaveVersion(w io.Writer, v *Version) error {
 		return err
 	}
 	head := snapshotV2{
-		Cfg:     ix.cfg,
+		Cfg:     persistConfig(ix.cfg),
 		DataLen: v.table.Len(),
 		Pending: v.pending,
 		Deleted: deletedIDs(v.deleted),
@@ -168,8 +212,13 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 	if hlen > maxHeaderBytes {
 		return nil, fmt.Errorf("quasii snapshot header length %d out of range", hlen)
 	}
-	hb := make([]byte, int(hlen))
-	if _, err := io.ReadFull(br, hb); err != nil {
+	// The length is only a claim until its bytes arrive: reading through a
+	// limit grows the buffer with what the input carries, not what it says.
+	hb, err := io.ReadAll(io.LimitReader(br, int64(hlen)))
+	if err == nil && uint64(len(hb)) != hlen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("reading quasii snapshot header: %w", err)
 	}
 	var head snapshotV2
@@ -193,8 +242,12 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 
 // buildIndex reconstructs an Index from decoded snapshot fields (shared by
 // both format versions) and validates its structural invariants.
-func buildIndex(cfg Config, data *colstore.Table, pending []geom.Object, deleted []int32,
+func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object, deleted []int32,
 	maxExt geom.Point, dataMBB geom.Box, tau [geom.Dims]int, root *snapList, st Stats) (*Index, error) {
+	cfg, err := pc.config()
+	if err != nil {
+		return nil, fmt.Errorf("quasii snapshot: %w", err)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -218,9 +271,10 @@ func buildIndex(cfg Config, data *colstore.Table, pending []geom.Object, deleted
 		ix.root = &sliceList{}
 	}
 	ix.initVersion(pending, deletedSet(deleted), maxExt, dataMBB)
-	// Bounds-check every slice range before the structural invariant check,
-	// which indexes into the data lanes and would panic on dangling ranges.
-	if err := checkRanges(ix.root, ix.data.Len()); err != nil {
+	// Bounds-check every slice range and the nesting depth before the
+	// structural invariant check, which indexes into the data lanes and the
+	// per-dimension box bounds and would panic on either.
+	if err := checkRanges(ix.root, ix.data.Len(), 0); err != nil {
 		return nil, fmt.Errorf("corrupt quasii snapshot: %w", err)
 	}
 	if err := ix.CheckInvariants(); err != nil {
@@ -229,13 +283,16 @@ func buildIndex(cfg Config, data *colstore.Table, pending []geom.Object, deleted
 	return ix, nil
 }
 
-func checkRanges(l *sliceList, n int) error {
+func checkRanges(l *sliceList, n, level int) error {
+	if level >= geom.Dims {
+		return fmt.Errorf("slice hierarchy nested deeper than %d levels", geom.Dims)
+	}
 	for _, s := range l.slices {
 		if s.lo < 0 || s.hi < s.lo || s.hi > n {
 			return fmt.Errorf("slice range [%d,%d) out of bounds for %d objects", s.lo, s.hi, n)
 		}
 		if s.children != nil {
-			if err := checkRanges(s.children, n); err != nil {
+			if err := checkRanges(s.children, n, level+1); err != nil {
 				return err
 			}
 		}
@@ -271,6 +328,8 @@ func (ix *Index) decodeList(l *snapList, level int) *sliceList {
 	return out
 }
 
+// deletedIDs lists a tombstone set in ascending order, so the same state
+// always saves to the same bytes (readers rebuild a set; order is free).
 func deletedIDs(set map[int32]struct{}) []int32 {
 	if len(set) == 0 {
 		return nil
@@ -279,6 +338,7 @@ func deletedIDs(set map[int32]struct{}) []int32 {
 	for id := range set {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"io"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +24,7 @@ func (ix *Index) saveV1(w io.Writer) error {
 	v := ix.live.Load()
 	snap := snapshot{
 		Version: snapshotVersion,
-		Cfg:     ix.cfg,
+		Cfg:     persistConfig(ix.cfg),
 		Data:    ix.data.Objects(make([]geom.Object, 0, ix.data.Len())),
 		Pending: v.pending,
 		Deleted: deletedIDs(v.deleted),
@@ -272,4 +276,253 @@ func TestLoadRejectsCorruptStructure(t *testing.T) {
 	if _, err := Load(&buf); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
+}
+
+func saveBytes(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rewriteHeader decodes the gob header of the v2 snapshot raw as an H,
+// applies edit and re-encodes it in front of the untouched lane block.
+func rewriteHeader[H any](tb testing.TB, raw []byte, edit func(*H)) []byte {
+	tb.Helper()
+	start := len(magicV2) + 8
+	end := start + int(binary.LittleEndian.Uint64(raw[len(magicV2):]))
+	var head H
+	if err := gob.NewDecoder(bytes.NewReader(raw[start:end])).Decode(&head); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&head)
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(&head); err != nil {
+		tb.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint64([]byte(magicV2), uint64(hb.Len()))
+	out = append(out, hb.Bytes()...)
+	return append(out, raw[end:]...)
+}
+
+// deepSnapshot is a completed index's snapshot with one more level hung
+// under its first z slice: a hierarchy nested deeper than geom.Dims.
+func deepSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	ix := New(genVisObjects(rand.New(rand.NewSource(1021)), 200, 0), Config{Tau: 8})
+	ix.Complete()
+	return rewriteHeader(tb, saveBytes(tb, ix), func(h *snapshotV2) {
+		z := &h.Root.Slices[0].Children.Slices[0].Children.Slices[0]
+		z.Children = &snapList{MaxExt: z.Box.Max[0] - z.Box.Min[0],
+			Slices: []snapSlice{{Lo: z.Lo, Hi: z.Hi, Box: z.Box, Refined: true}}}
+	})
+}
+
+// TestLoadRejectsNestingDeeperThanDims: a level below z has no dimension to
+// slice. Load must return an error rather than panic — shard restore calls
+// it from bare goroutines, where a panic kills the process.
+func TestLoadRejectsNestingDeeperThanDims(t *testing.T) {
+	_, err := Load(bytes.NewReader(deepSnapshot(t)))
+	if err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("Load of a four-level hierarchy = %v, want a nesting error", err)
+	}
+}
+
+// legacyConfig and legacyHeaderV2 are the v2 header as it was written while
+// Config still carried the assignment mode and the artificial-refinement
+// switch.
+type legacyConfig struct {
+	Tau               int
+	Assign            int
+	DisableArtificial bool
+	Stochastic        bool
+	Seed              int64
+	DisableStats      bool
+	HeatSampleEvery   int
+}
+
+type legacyHeaderV2 struct {
+	Cfg     legacyConfig
+	DataLen int
+	Pending []geom.Object
+	Deleted []int32
+	MaxExt  geom.Point
+	DataMBB geom.Box
+	Tau     [geom.Dims]int
+	Root    *snapList
+	Stats   Stats
+}
+
+// TestLoadRefusesNonLowerAssignment: a snapshot whose slices partition some
+// other representative coordinate than the lower corner is refused with an
+// error naming the mode, while one written with artificial refinement off
+// is a valid hierarchy and loads.
+func TestLoadRefusesNonLowerAssignment(t *testing.T) {
+	data := dataset.Uniform(500, 1022)
+	ix := New(dataset.Clone(data), Config{Tau: 16})
+	for _, q := range workload.Uniform(dataset.Universe(), 10, 1e-2, 1023) {
+		ix.Query(q, nil)
+	}
+	raw := saveBytes(t, ix)
+	legacy := func(edit func(*legacyConfig)) []byte {
+		return rewriteHeader(t, raw, func(h *legacyHeaderV2) { edit(&h.Cfg) })
+	}
+	for mode, name := range map[int]string{1: "center", 2: "upper corner", 9: "unknown"} {
+		_, err := Load(bytes.NewReader(legacy(func(c *legacyConfig) { c.Assign = mode })))
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Load with Assign %d = %v, want an error naming %q", mode, err, name)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(legacy(func(c *legacyConfig) { c.DisableArtificial = true })))
+	if err != nil {
+		t.Fatalf("Load with artificial refinement off: %v", err)
+	}
+	oracle := scan.New(data)
+	for qi, q := range workload.Uniform(dataset.Universe(), 20, 1e-2, 1024) {
+		if got, want := sortedIDs(loaded.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+		}
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRejectsUnsoundBoxes: a query skips a slice on its box alone and
+// binary-searches siblings by Min, so Load must refuse a hierarchy whose
+// boxes do not hold their objects (a NaN bound included) or whose sibling
+// list breaks the search's preconditions: either would make queries miss
+// objects.
+func TestLoadRejectsUnsoundBoxes(t *testing.T) {
+	ix := New(genVisObjects(rand.New(rand.NewSource(1028)), 300, 0), Config{Tau: 8})
+	ix.Complete()
+	raw := saveBytes(t, ix)
+	for name, edit := range map[string]func(l *snapList){
+		"box misses its objects": func(l *snapList) { l.Slices[1].Box.Max[1] = l.Slices[1].Box.Min[1] },
+		"NaN bound":              func(l *snapList) { l.Slices[1].Box.Min[2] = math.NaN() },
+		"extent above maxExt":    func(l *snapList) { l.MaxExt /= 2 },
+		"sibling Min decreases": func(l *snapList) {
+			l.MaxExt = math.MaxFloat64
+			l.Slices[1].Box.Min[0] = l.Slices[0].Box.Min[0] - 1
+		},
+	} {
+		bad := rewriteHeader(t, raw, func(h *snapshotV2) {
+			if len(h.Root.Slices) < 2 || math.IsInf(h.Root.MaxExt, 1) {
+				t.Fatalf("completed index has %d root slices, maxExt %g", len(h.Root.Slices), h.Root.MaxExt)
+			}
+			edit(h.Root)
+		})
+		if _, err := Load(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: Load accepted the snapshot", name)
+		}
+	}
+}
+
+// TestSaveDeterministic: one state saves to the same bytes every time, and
+// again after a Load round trip — tombstones live in a map, so their IDs
+// are sorted before encoding.
+func TestSaveDeterministic(t *testing.T) {
+	data := dataset.Uniform(3000, 1025)
+	ix := New(dataset.Clone(data), Config{Tau: 16})
+	for _, q := range workload.Uniform(dataset.Universe(), 20, 1e-3, 1026) {
+		ix.Query(q, nil)
+	}
+	for i := 0; i < 200; i++ {
+		if !ix.Delete(data[i*13].ID, data[i*13].Box) {
+			t.Fatalf("object %d not found", data[i*13].ID)
+		}
+	}
+	ix.Append(geom.Object{Box: geom.BoxAt(geom.Point{7, 7, 7}, 1), ID: 777777})
+	first := saveBytes(t, ix)
+	if !bytes.Equal(saveBytes(t, ix), first) {
+		t.Fatal("saving one state twice wrote different bytes")
+	}
+	loaded, err := Load(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, loaded), first) {
+		t.Fatal("saving a loaded snapshot wrote different bytes than the original")
+	}
+}
+
+// FuzzSnapshotLoad feeds Load arbitrary bytes seeded from real snapshots of
+// both formats and their corruptions. Load must never panic, must allocate
+// in proportion to its input rather than to the counts the input claims,
+// and every index it accepts must hold its invariants and answer like a
+// scan over its own visible objects. Run `go test -fuzz=FuzzSnapshotLoad
+// ./internal/core` to explore beyond the seeds.
+func FuzzSnapshotLoad(f *testing.F) {
+	rng := rand.New(rand.NewSource(1027))
+	data := genVisObjects(rng, 300, 0)
+	fresh := saveBytes(f, New(dataset.Clone(data), Config{Tau: 8}))
+	ix := New(dataset.Clone(data), Config{Tau: 8})
+	for i := 0; i < 12; i++ {
+		ix.Query(randVisBox(rng), nil)
+	}
+	refined := saveBytes(f, ix)
+	pending := genVisObjects(rng, 5, 1000)
+	ix.Append(pending...)
+	ix.Delete(pending[0].ID, pending[0].Box)
+	for _, o := range data[:20] {
+		ix.Delete(o.ID, o.Box)
+	}
+	deltas := saveBytes(f, ix)
+	var v1 bytes.Buffer
+	if err := ix.saveV1(&v1); err != nil {
+		f.Fatal(err)
+	}
+	// Length prefixes claiming far more than the input carries: a 1 GiB
+	// header, and a lane block of 8,000,000 rows.
+	headerClaim := bytes.Clone(fresh)
+	binary.LittleEndian.PutUint64(headerClaim[len(magicV2):], maxHeaderBytes)
+	laneClaim := rewriteHeader(f, fresh, func(h *snapshotV2) { h.DataLen = 8_000_000 })
+	at := len(magicV2) + 8 + int(binary.LittleEndian.Uint64(laneClaim[len(magicV2):]))
+	binary.LittleEndian.PutUint64(laneClaim[at:], 8_000_000)
+	for _, seed := range [][]byte{fresh, refined, deltas, v1.Bytes(), deepSnapshot(f), headerClaim, laneClaim,
+		rewriteHeader(f, refined, func(h *snapshotV2) { h.Cfg.Assign = 1 })} {
+		f.Add(seed)
+	}
+	// One flipped byte in each region of a v2 snapshot — magic, header
+	// length, gob header, lane row count, lane words, checksum — and
+	// truncations at the region boundaries and inside them.
+	lanes := len(magicV2) + 8 + int(binary.LittleEndian.Uint64(refined[len(magicV2):]))
+	for _, off := range []int{0, 9, (16 + lanes) / 2, lanes, lanes + 8 + 100, len(refined) - 1} {
+		c := bytes.Clone(refined)
+		c[off] ^= 0x5a
+		f.Add(c)
+	}
+	for _, n := range []int{0, 5, 12, 16, (16 + lanes) / 2, lanes + 4, (lanes + len(refined)) / 2, len(refined) - 1} {
+		f.Add(refined[:n])
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Load(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		// An accepted snapshot legitimately costs a few hundred bytes of
+		// memory per input byte (a zero-valued gob slice node is one byte);
+		// the bound is on claims, which must not be trusted before the
+		// bytes backing them arrive.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+256*len(raw)); got > limit {
+			t.Fatalf("Load allocated %d bytes for a %d-byte input, want < %d", got, len(raw), limit)
+		}
+		if err != nil {
+			return
+		}
+		oracle := scan.New(visibleObjects(ix.live.Load()))
+		rng := rand.New(rand.NewSource(int64(len(raw))))
+		for qi := 0; qi < 4; qi++ {
+			q := randVisBox(rng)
+			if got, want := sortedIDs(ix.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+				t.Fatalf("query %d %v on a loaded snapshot: got %d ids, scan says %d", qi, q, len(got), len(want))
+			}
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after querying a loaded snapshot: %v", err)
+		}
+	})
 }

@@ -100,6 +100,30 @@ func TestArtificialRefinementEnforcesTau(t *testing.T) {
 	}
 }
 
+// TestArtificialCutNearFloatLimit: lower corners whose sum overflows float64
+// must still split at a midpoint strictly inside their range; a cut at +Inf
+// puts every row on one side and the split recurses until the stack
+// overflows.
+func TestArtificialCutNearFloatLimit(t *testing.T) {
+	data := make([]geom.Object, 200)
+	for i := range data {
+		x := 1e308 + float64(i)*3.5e305
+		p := geom.Point{x, x, x}
+		data[i] = geom.Object{Box: geom.Box{Min: p, Max: p}, ID: int32(i)}
+	}
+	ix := New(data, Config{Tau: 8})
+	q := geom.Box{Max: geom.Point{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64}}
+	if got := len(ix.Query(q, nil)); got != len(data) {
+		t.Fatalf("query covering every object returned %d of %d", got, len(data))
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if c := artificialCut(math.Inf(-1), math.Inf(1)); !(c > math.Inf(-1) && c < math.Inf(1)) {
+		t.Fatalf("artificialCut(-Inf, +Inf) = %g, want a finite cut", c)
+	}
+}
+
 func TestNonOverlappingSlicesStayCoarse(t *testing.T) {
 	// Bands outside the query must not be refined further (lazy refinement).
 	data := lineData(1000)

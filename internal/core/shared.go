@@ -163,7 +163,7 @@ func (ix *Index) noteShared() {
 // shared walks run concurrently; the only mutation a sampled walk performs
 // is the atomic touch counter, which is still "read-only" structurally.
 func (ix *Index) walkRefined(q geom.Box, list *sliceList, dim int, heat bool, leaf func(lo, hi int)) bool {
-	fastPath := ix.cfg.Assign == AssignLower && !math.IsInf(list.maxExt, 1)
+	fastPath := !math.IsInf(list.maxExt, 1)
 	var i int
 	if fastPath {
 		i = list.lowerBound(q.Min[dim]-list.maxExt, dim)

@@ -8,74 +8,37 @@ package core
 // the refactor to bit-identical results vs the seed's AoS behaviour.
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/scan"
 	"repro/internal/workload"
 )
 
-// fuzzSeedCase mirrors one f.Add seed of FuzzQueryEquivalence.
+// fuzzSeedCase is one seed of FuzzQueryEquivalence; the first four are its
+// f.Add corpus.
 type fuzzSeedCase struct {
 	seed       int64
 	n, tau     int
-	mode       uint8
 	stochastic bool
 }
 
 var fuzzSeeds = []fuzzSeedCase{
-	{1, 100, 8, 0, false},
-	{2, 500, 1, 1, true},
-	{3, 50, 60, 2, false},
-	{4, 900, 16, 0, true},
-	// Extra corners beyond the fuzz corpus: τ=1 upper assignment, big τ.
-	{5, 777, 1, 2, true},
-	{6, 333, 200, 1, false},
+	{1, 100, 8, false},
+	{2, 500, 1, true},
+	{3, 50, 60, false},
+	{4, 900, 16, true},
+	// Extra corners beyond the fuzz corpus: τ=1 stochastic, big τ.
+	{5, 777, 1, true},
+	{6, 333, 200, false},
 }
 
 // TestEquivalenceFuzzSeeds replays the fuzz seed corpus as a deterministic
-// test, running the exact generation and query logic of the fuzz target so
-// the corpus stays covered in plain `go test` runs.
+// test through the fuzz target's own body, so the corpus stays covered in
+// plain `go test` runs.
 func TestEquivalenceFuzzSeeds(t *testing.T) {
 	for _, c := range fuzzSeeds {
-		n := c.n%1000 + 1
-		tau := c.tau%200 + 1
-		assign := AssignMode(c.mode % 3)
-
-		rng := rand.New(rand.NewSource(c.seed))
-		data := make([]geom.Object, n)
-		for i := range data {
-			var min, max geom.Point
-			for d := 0; d < geom.Dims; d++ {
-				min[d] = rng.Float64() * 1000
-				max[d] = min[d] + rng.Float64()*rng.Float64()*200
-			}
-			data[i] = geom.Object{Box: geom.Box{Min: min, Max: max}, ID: int32(i)}
-		}
-		oracle := scan.New(data)
-		ix := New(dataset.Clone(data), Config{
-			Tau: tau, Assign: assign, Stochastic: c.stochastic, Seed: c.seed,
-		})
-		var got, want []int32
-		for qi := 0; qi < 25; qi++ {
-			var a, b geom.Point
-			for d := 0; d < geom.Dims; d++ {
-				a[d] = rng.Float64()*1200 - 100
-				b[d] = a[d] + rng.Float64()*300
-			}
-			q := geom.Box{Min: a, Max: b}
-			got = sortedIDs(ix.Query(q, got[:0]))
-			want = sortedIDs(oracle.Query(q, want[:0]))
-			if !equalIDs(got, want) {
-				t.Fatalf("seed=%d n=%d tau=%d mode=%d stoch=%v query %d: got %d results, want %d",
-					c.seed, n, tau, assign, c.stochastic, qi, len(got), len(want))
-			}
-		}
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatalf("seed=%d: invariants: %v", c.seed, err)
-		}
+		runFuzzEquivalence(t, c.seed, c.n, c.tau, c.stochastic)
 	}
 }
 

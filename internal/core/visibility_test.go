@@ -15,7 +15,7 @@
 //     snapshot is replayed against the log — the visible set at pin seq S
 //     must be exactly {inserts ≤ S} minus {deletes ≤ S}.
 //   - FuzzVersionVisibility feeds the script runner fuzzer-chosen seeds,
-//     lengths, τ and assignment modes.
+//     lengths and τ.
 
 package core
 
@@ -36,20 +36,30 @@ import (
 // the shared lock even while cracking reorders rows, so this is the ground
 // truth a pinned reader must observe.
 func visibleIDs(v *Version) []int32 {
-	ids := make([]int32, 0, v.table.Len()+len(v.pending))
-	for i := 0; i < v.table.Len(); i++ {
-		id := v.table.ID[i]
-		if _, dead := v.deleted[id]; !dead {
-			ids = append(ids, id)
-		}
-	}
-	for i := range v.pending {
-		if _, dead := v.deleted[v.pending[i].ID]; !dead {
-			ids = append(ids, v.pending[i].ID)
-		}
+	objs := visibleObjects(v)
+	ids := make([]int32, len(objs))
+	for i := range objs {
+		ids[i] = objs[i].ID
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// visibleObjects is v's visible object set: lane rows plus pending objects,
+// minus tombstoned IDs.
+func visibleObjects(v *Version) []geom.Object {
+	var objs []geom.Object
+	for i := 0; i < v.table.Len(); i++ {
+		if _, dead := v.deleted[v.table.ID[i]]; !dead {
+			objs = append(objs, v.table.ObjectAt(i))
+		}
+	}
+	for _, o := range v.pending {
+		if _, dead := v.deleted[o.ID]; !dead {
+			objs = append(objs, o)
+		}
+	}
+	return objs
 }
 
 func genVisObjects(rng *rand.Rand, n int, firstID int32) []geom.Object {
@@ -134,7 +144,7 @@ func auditPin(t *testing.T, rng *rand.Rand, ix *Index, v *Version, want map[int3
 
 // runVisibilityScript is the deterministic interleaving harness shared by
 // the table test and the fuzz target.
-func runVisibilityScript(t *testing.T, seed int64, steps, tau int, assign AssignMode) {
+func runVisibilityScript(t *testing.T, seed int64, steps, tau int) {
 	rng := rand.New(rand.NewSource(seed))
 	n := rng.Intn(200) + 50
 	data := genVisObjects(rng, n, 0)
@@ -142,7 +152,7 @@ func runVisibilityScript(t *testing.T, seed int64, steps, tau int, assign Assign
 	for _, o := range data {
 		oracle[o.ID] = o
 	}
-	ix := New(dataset.Clone(data), Config{Tau: tau, Assign: assign, Seed: seed})
+	ix := New(dataset.Clone(data), Config{Tau: tau, Seed: seed})
 	nextID := int32(n)
 	lastSeq := ix.DataVersion()
 
@@ -281,7 +291,7 @@ func TestVersionVisibilityScript(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runVisibilityScript(t, seed, 400, int(seed%50)+4, AssignMode(seed%3))
+			runVisibilityScript(t, seed, 400, int(seed%50)+4)
 		})
 	}
 }
@@ -291,12 +301,12 @@ func TestVersionVisibilityScript(t *testing.T) {
 // oracle. Run `go test -fuzz=FuzzVersionVisibility ./internal/core` to go
 // beyond the seed corpus.
 func FuzzVersionVisibility(f *testing.F) {
-	f.Add(int64(1), 100, 8, uint8(0))
-	f.Add(int64(2), 300, 1, uint8(1))
-	f.Add(int64(3), 50, 60, uint8(2))
-	f.Add(int64(4), 250, 16, uint8(0))
+	f.Add(int64(1), 100, 8)
+	f.Add(int64(2), 300, 1)
+	f.Add(int64(3), 50, 60)
+	f.Add(int64(4), 250, 16)
 
-	f.Fuzz(func(t *testing.T, seed int64, steps, tau int, mode uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, steps, tau int) {
 		if steps < 0 {
 			steps = -steps
 		}
@@ -305,7 +315,7 @@ func FuzzVersionVisibility(f *testing.F) {
 			tau = 1
 		}
 		tau = tau%200 + 1
-		runVisibilityScript(t, seed, steps, tau, AssignMode(mode%3))
+		runVisibilityScript(t, seed, steps, tau)
 	})
 }
 

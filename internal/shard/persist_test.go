@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
@@ -183,5 +184,47 @@ func TestRestoreRejectsTruncatedShardFile(t *testing.T) {
 	}
 	if _, err := Restore(dir, Config{}); err == nil {
 		t.Fatal("restore with truncated shard file succeeded")
+	}
+}
+
+// TestSnapshotDeterministicWithTombstones: one engine state snapshots to
+// byte-identical files every time, shard files holding tombstones included.
+func TestSnapshotDeterministicWithTombstones(t *testing.T) {
+	data := dataset.Uniform(6000, 78)
+	ix := New(data, Config{Shards: 2})
+	for _, q := range workload.Uniform(dataset.Universe(), 30, 1e-3, 79) {
+		ix.Query(q, nil)
+	}
+	for i := 0; i < 200; i++ {
+		if ok, err := ix.Delete(data[i*29].ID, data[i*29].Box); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", data[i*29].ID, ok, err)
+		}
+	}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for _, dir := range dirs {
+		if err := ix.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := 0
+	for _, e := range entries {
+		a, errA := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		b, errB := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", e.Name(), errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two snapshots of one state", e.Name())
+		}
+		if filepath.Ext(e.Name()) == ".snap" {
+			snaps++
+		}
+	}
+	if snaps != ix.NumShards() {
+		t.Fatalf("compared %d shard files, want %d", snaps, ix.NumShards())
 	}
 }

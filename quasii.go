@@ -90,7 +90,8 @@ type (
 	// QUASII is the query-aware spatial incremental index (internal/core).
 	QUASII = core.Index
 	// QUASIIConfig configures QUASII; the zero value selects the paper's
-	// defaults (τ = 60, lower-coordinate assignment).
+	// defaults (τ = 60). Objects are always assigned to slices by their
+	// lower corner and artificial refinement is always on.
 	QUASIIConfig = core.Config
 	// QUASIIStats reports the cumulative indexing work QUASII performed.
 	QUASIIStats = core.Stats
@@ -99,17 +100,6 @@ type (
 	// While pinned, its view survives appends, deletes, flushes and
 	// checkpoints; SaveVersion serializes exactly that view.
 	QUASIIVersion = core.Version
-)
-
-// AssignMode values for QUASIIConfig.Assign.
-const (
-	// AssignLower assigns objects to slices by their lower corner (default).
-	AssignLower = core.AssignLower
-	// AssignCenter assigns by the object's center (ablation).
-	AssignCenter = core.AssignCenter
-	// AssignUpper assigns by the object's upper corner (ablation; the
-	// paper's footnote 1 notes it works equally).
-	AssignUpper = core.AssignUpper
 )
 
 // QUASIINeighbor is one kNN result from QUASII.KNN (implemented with
