@@ -445,9 +445,11 @@ func main() {
 	default:
 		data := buildData()
 		ix = quasii.NewSharded(data, shardCfg)
+		built := ix.BuildTimes()
 		logger.Info("index built",
 			"objects", len(data), "dataset", *datasetName, "shards", ix.NumShards(),
 			"elapsed_ms", time.Since(t0).Milliseconds(),
+			"partition_ms", built.Partition.Milliseconds(), "lanes_ms", built.Lanes.Milliseconds(),
 			"gomaxprocs", runtime.GOMAXPROCS(0))
 	}
 

@@ -225,6 +225,8 @@ type Index struct {
 	// successful Delete), so liveness probes need not take shard locks.
 	count atomic.Int64
 
+	built BuildTimes // set once by New; zero after Restore
+
 	// Engine-level metrics, nil until Instrument attaches a registry
 	// (before serving, by contract). mFanout covers whole-query
 	// observations; the path counters are copied onto every shardEntry —
@@ -255,7 +257,15 @@ func newIndex(data []geom.Object, cfg Config, build func([]geom.Object) subIndex
 	if p < 1 {
 		p = runtime.GOMAXPROCS(0)
 	}
+	t0 := time.Now()
 	parts := partition(data, p)
+	// partition's sort scratch (24 B/object) is garbage now. Collecting it
+	// before the lanes are allocated lets them reuse its pages; left to the
+	// pacer, it raised quasii-serve's peak RSS at 1 M objects by 3 %. Objects
+	// and lanes hold no pointers, so the cycle has little to mark (about
+	// 0.4 ms at 2 M objects).
+	runtime.GC()
+	t1 := time.Now()
 	ix := newEngine(cfg, len(parts), build)
 	for i, part := range parts {
 		sh := ix.newEntry(build(part), geom.MBB(part))
@@ -264,8 +274,20 @@ func newIndex(data []geom.Object, cfg Config, build func([]geom.Object) subIndex
 		ix.tileMBB = ix.tileMBB.Extend(sh.tile)
 	}
 	ix.count.Store(int64(len(data)))
+	ix.built = BuildTimes{Partition: t1.Sub(t0), Lanes: time.Since(t1)}
 	return ix
 }
+
+// BuildTimes splits the wall time New spent building the index: Partition is
+// the STR tiling (the radix sorts, the copy into tiles and collecting the
+// sorts' scratch), Lanes the per-shard sub-index construction that follows
+// it. Both are zero on an index that Restore loaded from a snapshot.
+type BuildTimes struct {
+	Partition, Lanes time.Duration
+}
+
+// BuildTimes reports how long New spent in each build stage.
+func (ix *Index) BuildTimes() BuildTimes { return ix.built }
 
 // newEngine resolves cfg into an engine with n empty shard slots; New and
 // Restore fill them in.

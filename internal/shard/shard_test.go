@@ -146,27 +146,37 @@ func TestDegenerateData(t *testing.T) {
 	}
 }
 
-// TestSmallAndEmptyData: shard count clamps to the object count, and the
-// empty index answers queries without panicking.
+// TestSmallAndEmptyData: with more shards requested than objects, the shard
+// count clamps to one per object — and to one empty shard for no objects —
+// the index answers queries, and an insert outside every tile lands in the
+// overflow shard.
 func TestSmallAndEmptyData(t *testing.T) {
-	small := dataset.Uniform(3, 9)
-	ix := New(small, Config{Shards: 16})
-	if got := ix.NumShards(); got > 3 {
-		t.Errorf("NumShards = %d for 3 objects", got)
-	}
-	if got := len(sortedIDs(ix.Query(geom.MBB(small), nil))); got != 3 {
-		t.Errorf("universe query hit %d of 3", got)
-	}
-
-	empty := New(nil, Config{Shards: 4})
-	if empty.Len() != 0 {
-		t.Errorf("empty Len = %d", empty.Len())
-	}
-	if got := empty.Query(dataset.Universe(), nil); len(got) != 0 {
-		t.Errorf("empty query returned %d IDs", len(got))
-	}
-	if got := empty.QueryBatch([]geom.Box{dataset.Universe()}); len(got) != 1 || len(got[0]) != 0 {
-		t.Errorf("empty batch returned %v", got)
+	far := geom.Object{Box: geom.BoxAt(geom.Point{-5000, -5000, -5000}, 1), ID: 777}
+	for _, n := range []int{0, 1, 2, 3} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ix := New(dataset.Uniform(n, 9), Config{Shards: 16})
+			if got, want := ix.NumShards(), max(n, 1); got != want {
+				t.Fatalf("NumShards = %d, want %d", got, want)
+			}
+			if got := ix.Len(); got != n {
+				t.Fatalf("Len = %d, want %d", got, n)
+			}
+			if got := ix.Query(geom.UniverseBox(), nil); len(got) != n {
+				t.Fatalf("universe query returned %d IDs, want %d", len(got), n)
+			}
+			if got := ix.QueryBatch([]geom.Box{geom.UniverseBox()}); len(got) != 1 || len(got[0]) != n {
+				t.Fatalf("universe batch returned %v, want %d IDs", got, n)
+			}
+			if err := ix.Insert(far); err != nil {
+				t.Fatal(err)
+			}
+			if st := ix.Stats(); st.OverflowLen != 1 || st.Objects != n+1 {
+				t.Fatalf("after insert: overflow %d, objects %d; want 1, %d", st.OverflowLen, st.Objects, n+1)
+			}
+			if got := ix.Query(far.Box, nil); len(got) != 1 || got[0] != far.ID {
+				t.Fatalf("query at the inserted object = %v, want [%d]", got, far.ID)
+			}
+		})
 	}
 }
 

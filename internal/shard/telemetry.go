@@ -21,6 +21,7 @@ package shard
 import (
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -63,6 +64,16 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 		sh.mExclusive = ix.mExclusive
 		sh.mPanics = ix.mPanics
 	})
+
+	// Build stages: fixed once New returns, zero on a restored index.
+	for _, st := range []struct {
+		stage string
+		d     time.Duration
+	}{{"partition", ix.built.Partition}, {"lanes", ix.built.Lanes}} {
+		reg.GaugeFunc("quasii_shard_build_seconds",
+			"Wall time New spent per build stage: STR tiling (partition) and sub-index construction (lanes); 0 on a restored index.",
+			func() float64 { return st.d.Seconds() }, telemetry.L("stage", st.stage))
+	}
 
 	// Scrape-time tier: one census per scrape, cached for the funcs. A
 	// quarantined shard contributes a zero row, so its labels stay stable.
