@@ -259,7 +259,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	// A write against the still-read-only follower must be rejected, not
 	// silently applied (it would fork the replica from the leader).
 	probe := server.InsertRequest{Objects: []server.ObjectJSON{{
-		ID: LoadgenWriteBase + 1<<29 + nonce + int32(cfg.AckWrites),
+		ID:      LoadgenWriteBase + 1<<29 + nonce + int32(cfg.AckWrites),
 		BoxJSON: server.BoxToJSON(geom.BoxAt(cfg.Queries[0].Center(), 1)),
 	}}}
 	if code := postStatus(client, cfg.FollowerURL+"/insert", probe); code == http.StatusServiceUnavailable {

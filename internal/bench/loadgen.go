@@ -122,15 +122,15 @@ func (p *URLPool) Pick() string {
 // LoadgenResult aggregates one run.
 type LoadgenResult struct {
 	Clients      int
-	Writers      int             // dedicated writer goroutines (mixed mode)
-	Queries      int             // range queries answered 200
-	Writes       int             // insert→delete cycles completed by readers (WriteEvery)
-	WriterCycles int             // insert→delete cycles completed by dedicated writers
-	Rejected     int64           // 429 responses absorbed by retry
-	Unavailable  int64           // 503 responses absorbed by retry (degraded store, restarts)
-	Transport    int64           // transport errors absorbed by retry (RetryTransport)
-	Errors       int64           // non-retryable failures (transport, 5xx, retries exhausted)
-	Mismatches   int64           // oracle disagreements
+	Writers      int   // dedicated writer goroutines (mixed mode)
+	Queries      int   // range queries answered 200
+	Writes       int   // insert→delete cycles completed by readers (WriteEvery)
+	WriterCycles int   // insert→delete cycles completed by dedicated writers
+	Rejected     int64 // 429 responses absorbed by retry
+	Unavailable  int64 // 503 responses absorbed by retry (degraded store, restarts)
+	Transport    int64 // transport errors absorbed by retry (RetryTransport)
+	Errors       int64 // non-retryable failures (transport, 5xx, retries exhausted)
+	Mismatches   int64 // oracle disagreements
 
 	// The acked-write visibility audit (AuditVisibility): read-your-writes
 	// checks performed and the ones that failed — an acked insert a
@@ -138,8 +138,8 @@ type LoadgenResult struct {
 	// visible. Always 0 violations on a correct server.
 	AuditedWrites        int64
 	VisibilityViolations int64
-	Wall         time.Duration   // wall clock for the whole run
-	Latencies    []time.Duration // per successful range query, all clients
+	Wall                 time.Duration   // wall clock for the whole run
+	Latencies            []time.Duration // per successful range query, all clients
 }
 
 // QPS returns successful range queries per second of wall time.

@@ -8,8 +8,9 @@
 // resulting slices form a d-level hierarchy (one level per dimension) that is
 // refined further by every subsequent query. Slices that grow small enough
 // (below the per-level threshold τ) are final and carry an exact minimum
-// bounding box; larger slices carry an open-ended box bounded only in the
-// dimensions already sliced.
+// bounding box; larger slices carry a looser box, exact in the dimension
+// they were cracked on and inherited (ultimately the data's MBB) in the
+// others.
 //
 // Objects are assigned to slices by one representative coordinate, their
 // lower corner — free, since it is part of the stored MBB. Because a
@@ -89,6 +90,7 @@ type Stats struct {
 	ObjectsTested  int64 // objects tested for final intersection
 	ResultObjects  int64 // objects reported
 	SharedQueries  int64 // queries answered on the optimistic shared read path (see shared.go)
+	ScannedRows    int64 // rows read by key-range sweeps outside crack passes (lowerRange)
 }
 
 // slice is one node of QUASII's hierarchy. It covers data[lo:hi) and lives at
@@ -97,9 +99,11 @@ type Stats struct {
 type slice struct {
 	level    int
 	lo, hi   int
-	box      geom.Box // exact MBB once refined; open-ended before
+	box      geom.Box // exact MBB once refined; a looser bound before
 	children *sliceList
-	refined  bool // size() <= tau[level] and box is the exact MBB
+	// refined: box is the exact MBB and the slice is never cracked again —
+	// size() <= tau[level], or every key in its dimension coincides.
+	refined bool
 	// heat counts sampled query touches (see Config.HeatSampleEvery).
 	// Atomic because shared-path queries record concurrently; monotone for
 	// the lifetime of the node. A slice replaced by refinement takes its
@@ -251,16 +255,25 @@ func New(data []geom.Object, cfg Config) *Index {
 	ix.computeTaus()
 	if len(data) == 0 {
 		ix.root = &sliceList{}
-		ix.initVersion(nil, nil, maxExt, dataMBB)
-		return ix
-	}
-	initial := ix.newSlice(0, 0, len(data), geom.UniverseBox())
-	ix.root = &sliceList{slices: []*slice{initial}, maxExt: math.Inf(1)}
-	if !ix.noStats {
-		ix.stats.SlicesCreated = len(ix.root.slices)
+	} else {
+		ix.newRoot(dataMBB)
 	}
 	ix.initVersion(nil, nil, maxExt, dataMBB)
 	return ix
+}
+
+// newRoot restarts the hierarchy from one unrefined slice over every row.
+// Its box is the data's MBB, which must contain every row: refine then reads
+// the slice's x bounds from the box instead of sweeping the key lane.
+// Snapshots from older versions carry a universe-box root; refine still
+// sweeps for those.
+func (ix *Index) newRoot(box geom.Box) {
+	initial := ix.newSlice(0, 0, ix.data.Len(), box)
+	ix.root = &sliceList{slices: []*slice{initial}}
+	ix.root.noteExtent(initial, 0)
+	if !ix.noStats {
+		ix.stats.SlicesCreated++
+	}
 }
 
 // computeTaus derives per-level thresholds from the bottom-level capacity:
@@ -399,10 +412,11 @@ func (ix *Index) queryList(q geom.Box, list *sliceList, dim int, out []int32) []
 		if !s.box.Intersects(q) {
 			continue
 		}
-		// Steady-state fast path: a slice already meeting its threshold is
-		// finalized in place and never replaced, so the converged query path
-		// performs no refinement bookkeeping (and no allocation).
-		if s.size() <= ix.tau[dim] {
+		// Steady-state fast path: a slice already meeting its threshold — or
+		// finalized above it because its keys all coincide — is never
+		// replaced, so the converged query path performs no refinement
+		// bookkeeping (and no allocation).
+		if s.refined || s.size() <= ix.tau[dim] {
 			ix.finalize(s)
 			if !s.box.Intersects(q) {
 				continue // the exact MBB ruled q out
@@ -505,7 +519,7 @@ func (ix *Index) splice(list *sliceList, replaced map[int][]*slice, dim int) {
 // its threshold is returned unchanged (after finalization).
 func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 	dim := s.level
-	if s.size() <= ix.tau[dim] {
+	if s.refined || s.size() <= ix.tau[dim] {
 		ix.finalize(s)
 		return []*slice{s}
 	}
@@ -526,10 +540,11 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 	hiExcl := math.Nextafter(hi, math.Inf(1))
 
 	// Slice bounds in dim: use the recorded box when finite (exact for
-	// fragments created by cracking); scan only for the initial open slice.
-	// The recorded Max is the max upper coordinate, which over-approximates
-	// the representative-coordinate range — the worst case is a crack pass
-	// that yields an empty band, which makeFragments drops.
+	// fragments created by cracking, the data MBB for the root); scan only
+	// for a universe-box root restored from an older snapshot. The recorded
+	// Max is the max upper coordinate, which over-approximates the
+	// representative-coordinate range — the worst case is a crack pass that
+	// yields an empty band, which makeFragments drops.
 	sMin, sMax := s.box.Min[dim], s.box.Max[dim]
 	if math.IsInf(sMin, -1) || math.IsInf(sMax, 1) {
 		sMin, sMax = ix.lowerRange(s, dim)
@@ -566,26 +581,41 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 	}
 
 	var bands []*slice
+	var pivots []float64 // the cuts made, ascending
 	switch {
 	case lo > sMin && hi < sMax && ix.remCracks != 1:
 		// Both bounds interior: three-way, two passes. With a single
 		// budgeted pass left the lower cut below goes alone, so a budget is
 		// never overdrawn; a later query makes the upper cut.
-		bands = ix.crackThree(s, dim, lo, hiExcl)
+		bands = ix.crackThree(s, dim, lo, hiExcl, sMin, sMax)
+		pivots = []float64{lo, hiExcl}
 	case lo > sMin: // only the lower bound interior: two-way at lo
 		bands = ix.crackTwo(s, dim, lo)
+		pivots = []float64{lo}
 	case hi < sMax: // only the upper bound interior: two-way just past hi
 		bands = ix.crackTwo(s, dim, hiExcl)
+		pivots = []float64{hiExcl}
 	default: // query contains the slice: artificial midpoint split
-		bands = ix.crackTwo(s, dim, artificialCut(sMin, sMax))
+		cut := artificialCut(sMin, sMax)
+		bands = ix.crackTwo(s, dim, cut)
+		pivots = []float64{cut}
 	}
 
 	// Artificial refinement: fragments that still exceed τ and overlap the
-	// extended query range are split at midpoints until they comply.
+	// extended query range are split at midpoints until they comply. Each
+	// band's keys end below the first pivot above its least key (exact from
+	// the crack), or past sMax for the top band.
 	result := make([]*slice, 0, len(bands)+2)
 	for _, b := range bands {
 		if b.size() > ix.tau[dim] && b.box.Max[dim] >= lo && b.box.Min[dim] <= hi {
-			result = ix.artificial(b, dim, lo, hi, result)
+			keyEnd := math.Nextafter(sMax, math.Inf(1))
+			for _, p := range pivots {
+				if p > b.box.Min[dim] {
+					keyEnd = p
+					break
+				}
+			}
+			result = ix.artificial(b, dim, lo, hi, keyEnd, result)
 		} else {
 			result = append(result, b)
 		}
@@ -595,27 +625,50 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 
 // artificial recursively splits slice b at the midpoint of its representative
 // coordinate range until every query-overlapping fragment meets τ, appending
-// the fragments to out in lo order.
-func (ix *Index) artificial(b *slice, dim int, qlo, qhi float64, out []*slice) []*slice {
-	if b.size() <= ix.tau[dim] {
+// the fragments to out in lo order. The range is [b.box.Min[dim], keyEnd):
+// the box's Min bounds the keys from below and keyEnd is a carried exclusive
+// upper bound — a left half's is its cut, a right half's its parent's — so a
+// level costs one partition pass and no key-range sweep. Only when that
+// range is loose enough for the cut to leave one side empty (or is
+// infinite) is the exact range read.
+func (ix *Index) artificial(b *slice, dim int, qlo, qhi, keyEnd float64, out []*slice) []*slice {
+	if b.refined || b.size() <= ix.tau[dim] {
 		ix.finalize(b)
 		return append(out, b)
 	}
 	if ix.remCracks == 0 {
 		return append(out, b) // budget exhausted: later queries finish the split
 	}
-	bMin, bMax := ix.lowerRange(b, dim)
-	if bMax <= bMin {
-		// All representative coordinates coincide: the slice cannot be split
-		// spatially. Accept it as final (degenerate duplicate-heavy data).
-		ix.finalize(b)
-		return append(out, b)
+	cut, m := math.NaN(), b.lo
+	var lb, rb colstore.Bounds
+	if !math.IsInf(b.box.Min[dim], -1) && !math.IsInf(keyEnd, 1) {
+		cut = artificialCut(b.box.Min[dim], keyEnd)
+		m, lb, rb = ix.partition(b.lo, b.hi, dim, cut)
 	}
-	cut := artificialCut(bMin, bMax)
-	halves := ix.crackTwo(b, dim, cut)
-	for _, h := range halves {
+	if m == b.lo || m == b.hi {
+		// No finite carried range, or one loose enough that the cut left a
+		// side empty: read the exact key range and cut inside it.
+		bMin, bMax := ix.lowerRange(b, dim)
+		if bMax <= bMin {
+			// All representative coordinates coincide: the slice cannot be
+			// split spatially. Accept it as final (degenerate duplicate-heavy
+			// data); its refined flag keeps later queries from cracking it.
+			ix.finalize(b)
+			return append(out, b)
+		}
+		if ix.remCracks == 0 {
+			return append(out, b)
+		}
+		cut, keyEnd = artificialCut(bMin, bMax), math.Nextafter(bMax, math.Inf(1))
+		m, lb, rb = ix.partition(b.lo, b.hi, dim, cut)
+	}
+	for _, h := range ix.makeFragments(b, dim, []int{b.lo, m, b.hi}, []colstore.Bounds{lb, rb}) {
 		if h.size() > ix.tau[dim] && h.box.Max[dim] >= qlo && h.box.Min[dim] <= qhi {
-			out = ix.artificial(h, dim, qlo, qhi, out)
+			end := keyEnd
+			if h.lo < m {
+				end = cut // the left half's keys are below its cut
+			}
+			out = ix.artificial(h, dim, qlo, qhi, end, out)
 		} else {
 			if h.size() <= ix.tau[dim] {
 				ix.finalize(h)
@@ -642,10 +695,20 @@ func artificialCut(lo, hi float64) float64 {
 
 // crackThree partitions s into up to three non-empty fragments around
 // [low, highExcl) of the representative coordinate. Fragment boxes carry the
-// exact extent in the cracked dimension and stay open in the others.
-func (ix *Index) crackThree(s *slice, dim int, low, highExcl float64) []*slice {
-	m1, lb, _ := ix.partition(s.lo, s.hi, dim, low)
-	m2, mb, rb := ix.partition(m1, s.hi, dim, highExcl)
+// exact extent in the cracked dimension and inherit s's box in the others.
+// The first pass cuts at whichever bound leaves the smaller remainder for the
+// second — estimated from s's key range [sMin, sMax] — so the second pass
+// re-reads the smaller side.
+func (ix *Index) crackThree(s *slice, dim int, low, highExcl, sMin, sMax float64) []*slice {
+	var m1, m2 int
+	var lb, mb, rb colstore.Bounds
+	if highExcl-sMin < sMax-low {
+		m2, _, rb = ix.partition(s.lo, s.hi, dim, highExcl)
+		m1, lb, mb = ix.partition(s.lo, m2, dim, low)
+	} else {
+		m1, lb, _ = ix.partition(s.lo, s.hi, dim, low)
+		m2, mb, rb = ix.partition(m1, s.hi, dim, highExcl)
+	}
 	return ix.makeFragments(s, dim,
 		[]int{s.lo, m1, m2, s.hi}, []colstore.Bounds{lb, mb, rb})
 }
@@ -818,7 +881,11 @@ func (ix *Index) checkList(l *sliceList, lo, hi, level int) (geom.Box, error) {
 }
 
 // lowerRange returns the min and max lower corner of s's objects in
-// dimension dim (a lane scan; used before a slice has exact bounds in dim).
+// dimension dim (a lane scan, counted in Stats.ScannedRows; used when a
+// slice's box does not bound its keys finitely, or too loosely to cut).
 func (ix *Index) lowerRange(s *slice, dim int) (lo, hi float64) {
+	if !ix.noStats {
+		ix.stats.ScannedRows += int64(s.size())
+	}
 	return ix.data.KeyRange(s.lo, s.hi, dim)
 }

@@ -249,14 +249,14 @@ func TestDefaultConfigWorkPinned(t *testing.T) {
 		objectsTested, resultObjects int64
 		numSlices                    int
 	}{
-		{95, 81178, 203, 104, 17938, 2544, 134},
-		{125, 84643, 255, 135, 29967, 6662, 161},
-		{125, 100326, 262, 139, 25238, 6951, 168},
-		{131, 63767, 268, 143, 26054, 5291, 169},
-		{99, 59615, 214, 112, 44478, 13408, 129},
-		{161, 67170, 323, 179, 39236, 11068, 196},
-		{109, 64230, 228, 116, 41131, 12346, 144},
-		{106, 65733, 219, 113, 25574, 5630, 141},
+		{95, 72117, 203, 104, 17928, 2544, 134},
+		{125, 74798, 255, 135, 30081, 6662, 161},
+		{125, 84434, 262, 139, 25198, 6951, 168},
+		{130, 64008, 266, 142, 26398, 5291, 168},
+		{99, 56461, 214, 112, 44491, 13408, 129},
+		{160, 65693, 321, 178, 39340, 11068, 195},
+		{109, 60150, 228, 116, 41082, 12346, 144},
+		{107, 61618, 221, 114, 25481, 5630, 142},
 	}
 	for i, w := range want {
 		seed := int64(i + 1)
@@ -271,6 +271,33 @@ func TestDefaultConfigWorkPinned(t *testing.T) {
 			st.ObjectsTested != w.objectsTested || st.ResultObjects != w.resultObjects ||
 			ix.NumSlices() != w.numSlices {
 			t.Errorf("seed %d: stats %+v, %d slices; want %+v", seed, st, ix.NumSlices(), w)
+		}
+	}
+}
+
+// TestFirstQueryPassesPinned pins the work of query #1 on 200 k uniform
+// objects: rows moved through crack passes and rows read by key-range
+// sweeps, for a box at the universe's centre and one at the centre of
+// crack_stream's first query cluster. The root carries the data MBB, the
+// crack-in-three's second pass re-reads the smaller side and artificial
+// refinement carries its key bound, so no sweep runs at all.
+func TestFirstQueryPassesPinned(t *testing.T) {
+	u := dataset.Universe()
+	side := workload.SideForSelectivity(u, 1e-4)
+	data := dataset.Uniform(200_000, 1)
+	for _, tc := range []struct {
+		name             string
+		centre           geom.Point
+		cracked, scanned int64
+	}{
+		{"centre", u.Center(), 586067, 0},
+		{"cluster0", geom.Point{1500, 1500, 1500}, 336526, 0},
+	} {
+		ix := New(dataset.Clone(data), Config{})
+		ix.Query(geom.BoxAt(tc.centre, side), nil)
+		if st := ix.Stats(); st.CrackedObjects != tc.cracked || st.ScannedRows != tc.scanned {
+			t.Errorf("%s: query #1 moved %d rows and swept %d; want %d and %d",
+				tc.name, st.CrackedObjects, st.ScannedRows, tc.cracked, tc.scanned)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (ix *Index) completeList(list *sliceList, dim int) {
 	// A query covering every coordinate: artificial splits every fragment.
 	var out []*slice
 	for _, s := range list.slices {
-		out = ix.artificial(s, dim, math.Inf(-1), math.Inf(1), out)
+		out = ix.artificial(s, dim, math.Inf(-1), math.Inf(1), math.Nextafter(s.box.Max[dim], math.Inf(1)), out)
 	}
 	list.slices = out
 	list.maxExt = 0
@@ -144,11 +144,7 @@ func (ix *Index) Flush() {
 		ix.data.AppendObjects(live)
 	}
 	ix.computeTaus()
-	initial := ix.newSlice(0, 0, ix.data.Len(), geom.UniverseBox())
-	ix.root = &sliceList{slices: []*slice{initial}, maxExt: math.Inf(1)}
-	if !ix.noStats {
-		ix.stats.SlicesCreated++
-	}
+	ix.newRoot(cur.dataMBB) // Append grew it over every pending object
 	// Publish the fresh base version: no deltas, new table/root generation.
 	ix.verMu.Lock()
 	ix.publishLocked(&Version{

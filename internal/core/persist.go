@@ -277,8 +277,20 @@ func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object,
 	if err := checkRanges(ix.root, ix.data.Len(), 0); err != nil {
 		return nil, fmt.Errorf("corrupt quasii snapshot: %w", err)
 	}
-	if err := ix.CheckInvariants(); err != nil {
+	rows, err := ix.checkList(ix.root, 0, ix.data.Len(), 0)
+	if err != nil {
 		return nil, fmt.Errorf("corrupt quasii snapshot: %w", err)
+	}
+	// Flush restarts the hierarchy from a root whose box is DataMBB, and a
+	// query skips whatever lies outside a slice's box: the box must contain
+	// every row and every pending object.
+	for i := range pending {
+		rows = rows.Extend(pending[i].Box)
+	}
+	for d := 0; d < geom.Dims; d++ {
+		if !(dataMBB.Min[d] <= rows.Min[d] && rows.Max[d] <= dataMBB.Max[d]) {
+			return nil, fmt.Errorf("corrupt quasii snapshot: data MBB %v does not contain the objects' MBB %v", dataMBB, rows)
+		}
 	}
 	return ix, nil
 }

@@ -513,16 +513,92 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Flush restarts the hierarchy from a root boxed by the snapshot's
+		// DataMBB: the queries after it must still see every object.
 		oracle := scan.New(visibleObjects(ix.live.Load()))
 		rng := rand.New(rand.NewSource(int64(len(raw))))
-		for qi := 0; qi < 4; qi++ {
-			q := randVisBox(rng)
-			if got, want := sortedIDs(ix.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
-				t.Fatalf("query %d %v on a loaded snapshot: got %d ids, scan says %d", qi, q, len(got), len(want))
+		for _, stage := range []string{"a loaded snapshot", "a flushed loaded snapshot"} {
+			for qi := 0; qi < 4; qi++ {
+				q := randVisBox(rng)
+				if got, want := sortedIDs(ix.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+					t.Fatalf("query %d %v on %s: got %d ids, scan says %d", qi, q, stage, len(got), len(want))
+				}
 			}
-		}
-		if err := ix.CheckInvariants(); err != nil {
-			t.Fatalf("invariants after querying a loaded snapshot: %v", err)
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after querying %s: %v", stage, err)
+			}
+			ix.Flush()
 		}
 	})
+}
+
+// TestLoadRejectsDataMBBMissingObjects: Flush boxes its new root with the
+// snapshot's DataMBB, so Load must refuse one that misses a row or a
+// pending object — a query after the Flush would skip them.
+func TestLoadRejectsDataMBBMissingObjects(t *testing.T) {
+	data := genVisObjects(rand.New(rand.NewSource(1029)), 300, 0)
+	ix := New(dataset.Clone(data), Config{Tau: 8})
+	rowsOnly := saveBytes(t, ix)
+	far := geom.Object{Box: geom.BoxAt(geom.Point{5000, 5000, 5000}, 1), ID: 9999}
+	ix.Append(far)
+	withPending := saveBytes(t, ix)
+	for name, bad := range map[string][]byte{
+		"a row outside": rewriteHeader(t, rowsOnly, func(h *snapshotV2) { h.DataMBB.Max[1] -= 10 }),
+		"NaN bound":     rewriteHeader(t, rowsOnly, func(h *snapshotV2) { h.DataMBB.Min[0] = math.NaN() }),
+		"pending outside": rewriteHeader(t, withPending, func(h *snapshotV2) {
+			h.DataMBB.Max = geom.Point{1100, 1100, 1100}
+		}),
+	} {
+		if _, err := Load(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: Load accepted the snapshot", name)
+		}
+	}
+	for name, good := range map[string][]byte{"rows": rowsOnly, "pending": withPending} {
+		if _, err := Load(bytes.NewReader(good)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestUniverseBoxRootLoads: snapshots written before the root carried the
+// data MBB have a universe-box root. Such an index must still load, refine
+// (sweeping the key lane for the root's range) and answer like a scan, and
+// its next Flush boxes the new root with the data MBB.
+func TestUniverseBoxRootLoads(t *testing.T) {
+	data := dataset.Uniform(3000, 1030)
+	raw := rewriteHeader(t, saveBytes(t, New(dataset.Clone(data), Config{Tau: 16})), func(h *snapshotV2) {
+		h.Root.MaxExt = math.Inf(1)
+		h.Root.Slices[0].Box = geom.UniverseBox()
+	})
+	ix, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.root.slices[0].box != geom.UniverseBox() {
+		t.Fatalf("loaded root box %v, want the universe box", ix.root.slices[0].box)
+	}
+	oracle := scan.New(data)
+	queries := workload.Uniform(dataset.Universe(), 30, 1e-3, 1031)
+	for qi, q := range queries {
+		if got, want := sortedIDs(ix.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+		}
+	}
+	if st := ix.Stats(); st.ScannedRows < int64(len(data)) {
+		t.Fatalf("ScannedRows = %d: the universe-box root's range was not swept", st.ScannedRows)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ix.Append(geom.Object{Box: geom.BoxAt(geom.Point{20000, 5, 5}, 2), ID: 77777})
+	ix.Flush()
+	want := ix.live.Load().dataMBB
+	if want.Max[0] < 20000 || ix.root.slices[0].box != want {
+		t.Fatalf("root box after Flush %v, want the data MBB %v", ix.root.slices[0].box, want)
+	}
+	for qi, q := range queries {
+		if got, want := len(ix.Query(q, nil)), len(oracle.Query(q, nil)); got != want {
+			t.Fatalf("query %d after Flush: got %d, want %d", qi, got, want)
+		}
+	}
 }

@@ -155,26 +155,43 @@ func TestFinalizedSliceHasExactMBB(t *testing.T) {
 	}
 }
 
-func TestOpenEndedBoxesBeforeRefinement(t *testing.T) {
-	// An unrefined x-slice has exact bounds in x but infinite bounds in y/z.
+// TestUnrefinedFragmentsInheritDataMBB: an unrefined x-slice has exact
+// bounds in x and, in the dimensions not yet sliced, the bounds of the data
+// MBB the root started with — finite, so no slice needs a key-lane sweep to
+// learn its range.
+func TestUnrefinedFragmentsInheritDataMBB(t *testing.T) {
 	data := lineData(1000)
+	mbb := geom.EmptyBox()
+	for _, o := range data {
+		mbb = mbb.Extend(o.Box)
+	}
 	ix := New(data, Config{Tau: 4})
+	if root := ix.root.slices[0]; root.box != mbb {
+		t.Fatalf("root box %v, want the data MBB %v", root.box, mbb)
+	}
 	q := geom.Box{Min: geom.Point{10.2, 0, 0}, Max: geom.Point{19.8, 1, 1}}
 	ix.Query(q, nil)
-	var sawOpen bool
+	var unrefined int
 	for _, s := range ix.root.slices {
 		if s.refined {
 			continue
 		}
-		if math.IsInf(s.box.Min[0], -1) || math.IsInf(s.box.Max[0], 1) {
-			t.Fatalf("unrefined slice missing exact x bounds: %v", s.box)
+		unrefined++
+		if want := ix.data.MBB(s.lo, s.hi); s.box.Min[0] != want.Min[0] || s.box.Max[0] != want.Max[0] {
+			t.Fatalf("unrefined slice [%d,%d) x bounds %v, want exact %v", s.lo, s.hi, s.box, want)
 		}
-		if math.IsInf(s.box.Min[1], -1) && math.IsInf(s.box.Max[2], 1) {
-			sawOpen = true
+		for d := 1; d < geom.Dims; d++ {
+			if s.box.Min[d] != mbb.Min[d] || s.box.Max[d] != mbb.Max[d] {
+				t.Fatalf("unrefined slice [%d,%d) box %v, want the data MBB %v in dim %d", s.lo, s.hi, s.box, mbb, d)
+			}
 		}
 	}
-	if !sawOpen {
-		t.Fatal("expected at least one open-ended slice box")
+	if unrefined == 0 {
+		t.Fatal("expected at least one unrefined slice")
+	}
+	// The root's x range came from its box: no sweep read the whole table.
+	if st := ix.Stats(); st.ScannedRows >= int64(len(data)) {
+		t.Fatalf("ScannedRows = %d, want < %d", st.ScannedRows, len(data))
 	}
 }
 

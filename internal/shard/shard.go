@@ -428,6 +428,7 @@ func aggregate(shards int, rows []shardRow) Stats {
 		st.Core.ObjectsTested += r.core.ObjectsTested
 		st.Core.ResultObjects += r.core.ResultObjects
 		st.Core.SharedQueries += r.core.SharedQueries
+		st.Core.ScannedRows += r.core.ScannedRows
 	}
 	return st
 }
