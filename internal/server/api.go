@@ -235,7 +235,6 @@ type IndexStats struct {
 	Shards      int `json:"shards"`
 	MinShardLen int `json:"min_shard_len"`
 	MaxShardLen int `json:"max_shard_len"`
-	OverflowLen int `json:"overflow_len"`
 	// Quarantined counts shards disabled after a sub-index panic; their
 	// objects are unreachable until the process restarts and recovers.
 	Quarantined int `json:"quarantined_shards"`

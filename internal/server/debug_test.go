@@ -54,8 +54,8 @@ func TestDebugIndexEndpoint(t *testing.T) {
 	if full.Objects != len(data) {
 		t.Fatalf("objects = %d, want %d", full.Objects, len(data))
 	}
-	if len(full.Tiles) < 3 {
-		t.Fatalf("tiles = %d, want >= 3 (spatial shards, overflow optional)", len(full.Tiles))
+	if len(full.Tiles) != 3 {
+		t.Fatalf("tiles = %d, want 3 (one per shard)", len(full.Tiles))
 	}
 	if !full.Converged {
 		t.Fatal("completed index not reported converged")

@@ -957,7 +957,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Shards:        st.Shards,
 			MinShardLen:   st.MinShardLen,
 			MaxShardLen:   st.MaxShardLen,
-			OverflowLen:   st.OverflowLen,
 			Quarantined:   st.Quarantined,
 			Pending:       st.Pending,
 			Deleted:       st.Deleted,

@@ -1,5 +1,5 @@
 // Engine-level introspection: one IndexReport aggregating the per-tile
-// hierarchy snapshots of every shard, overflow included. The serving layer
+// hierarchy snapshots of every healthy shard. The serving layer
 // turns this into /debug/index and /debug/heat; quasii-explore renders it.
 
 package shard
@@ -13,9 +13,8 @@ import (
 
 // TileReport is one shard's slice of the engine report.
 type TileReport struct {
-	// Shard names the tile: "0".."N-1" for the spatial shards in build
-	// order, "overflow" for the lazy out-of-tile shard. Matches the shard
-	// label on the per-shard telemetry gauges.
+	// Shard names the tile by its index in build order, "0".."N-1".
+	// Matches the shard label on the per-shard telemetry gauges.
 	Shard string `json:"shard"`
 	// Tile is the build-time STR tile MBB (immutable; routes inserts);
 	// Bounds is the live MBB, which only ever grows.
@@ -29,19 +28,19 @@ type TileReport struct {
 
 // IndexReport is a point-in-time snapshot of the whole sharded engine.
 type IndexReport struct {
-	// Shards counts the spatial shards (the overflow shard, when present,
-	// appears in Tiles but not here, matching Stats.Shards).
+	// Shards counts the spatial shards, quarantined ones included,
+	// matching Stats.Shards.
 	Shards  int `json:"shards"`
 	Workers int `json:"workers"`
 	// Objects sums the per-tile object counts at snapshot time.
 	Objects int `json:"objects"`
-	// TileMBB is the union of the build-time tiles (the insert router).
+	// TileMBB is the union of the build-time tiles.
 	TileMBB geom.Box `json:"tile_mbb"`
-	// Tiles holds one report per shard, build order first, overflow last.
+	// Tiles holds one report per healthy shard, in build order.
 	Tiles []TileReport `json:"tiles"`
 }
 
-// Inspect snapshots every shard under its read lock and aggregates the
+// Inspect snapshots every healthy shard under its read lock and aggregates the
 // per-tile reports. maxDepth is forwarded to each sub-index (see
 // core.Index.Inspect); the walk rides with shared-path readers, so a
 // concurrent cracking query on some shard delays only that shard's entry.
@@ -51,22 +50,19 @@ func (ix *Index) Inspect(maxDepth int) IndexReport {
 	rep := IndexReport{
 		Shards:  len(ix.shards),
 		Workers: ix.workers,
-		TileMBB: ix.tileMBB,
+		TileMBB: ix.tileUnion(),
 	}
-	i := 0
-	ix.forEach(func(sh *shardEntry) {
-		name := "overflow"
-		if i < len(ix.shards) {
-			name = strconv.Itoa(i)
+	for i, sh := range ix.shards {
+		if sh.quarantined.Load() {
+			continue
 		}
-		i++
-		t := TileReport{Shard: name, Tile: sh.tile, Bounds: sh.boundsBox()}
+		t := TileReport{Shard: strconv.Itoa(i), Tile: sh.tile, Bounds: sh.boundsBox()}
 		sh.mu.RLock()
 		t.Objects = sh.sub.Len()
 		t.Index = sh.sub.Inspect(maxDepth)
 		sh.mu.RUnlock()
 		rep.Objects += t.Objects
 		rep.Tiles = append(rep.Tiles, t)
-	})
+	}
 	return rep
 }

@@ -15,9 +15,9 @@
 //
 // The manifest records what the sub-index snapshots cannot: the build-time
 // STR tile of each shard (which routes inserts), the live bounding box
-// (which routes queries and only ever grows), the overflow shard, and the
-// union of tiles. File-level atomicity is the caller's concern: write into
-// a fresh directory and rename it into place (internal/durable does).
+// (which routes queries and only ever grows), and the union of tiles.
+// File-level atomicity is the caller's concern: write into a fresh
+// directory and rename it into place (internal/durable does).
 
 package shard
 
@@ -45,7 +45,9 @@ const manifestVersion = 1
 
 // manifest is the JSON index of a snapshot directory.
 type manifest struct {
-	Version  int            `json:"version"`
+	Version int `json:"version"`
+	// TileMBB is the union of the tiles. Restore recomputes it; it is
+	// written because earlier versions route inserts by it.
 	TileMBB  boxManifest    `json:"tile_mbb"`
 	Shards   []shardRecord  `json:"shards"`
 	Overflow *overflowEntry `json:"overflow,omitempty"`
@@ -57,15 +59,18 @@ type shardRecord struct {
 	Bounds boxManifest `json:"bounds"`
 }
 
+// overflowEntry decodes the separate out-of-tile shard that manifests
+// written by earlier versions may carry; Restore loads it as one more
+// ordinary shard.
 type overflowEntry struct {
 	File   string      `json:"file"`
 	Bounds boxManifest `json:"bounds"`
 }
 
 // boxManifest is a geom.Box in JSON-safe form. Coordinates are formatted as
-// strings because live bounds can legitimately be ±Inf (an empty overflow
-// shard), which JSON numbers cannot represent; strconv round-trips both the
-// infinities and every finite float64 exactly.
+// strings because boxes can legitimately be ±Inf (the empty tile of an
+// index built over no objects), which JSON numbers cannot represent;
+// strconv round-trips both the infinities and every finite float64 exactly.
 type boxManifest struct {
 	Min [geom.Dims]string `json:"min"`
 	Max [geom.Dims]string `json:"max"`
@@ -98,8 +103,6 @@ func boxFromManifest(m boxManifest) (geom.Box, error) {
 
 func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.snap", i) }
 
-const overflowFileName = "overflow.snap"
-
 // Snapshot writes the engine's state into dir (which must exist): it pins
 // every shard's current version, writes one snapshot file per shard plus
 // the manifest (see SnapshotPinnedFS), and releases the pins. Every file is
@@ -125,19 +128,18 @@ func writeManifest(fsys faultfs.FS, path string, m *manifest) error {
 // pinnedShard is one shard's pinned version plus everything the manifest
 // needs about it, captured under the shard's read lock at pin time.
 type pinnedShard struct {
-	sh       *shardEntry
-	ver      *core.Version
-	file     string
-	tile     geom.Box
-	bounds   geom.Box
-	overflow bool
+	sh     *shardEntry
+	ver    *core.Version
+	file   string
+	tile   geom.Box
+	bounds geom.Box
 }
 
 // PinSet is a consistent-per-shard set of pinned MVCC versions: one per
-// shard that existed at pin time. It is the handle behind the zero-pause
-// durable checkpoint — pin, let updates continue, serialize the pinned
-// views with SnapshotPinnedFS, then Release. A PinSet must be Released
-// exactly once; Release is idempotent so deferred cleanup is safe.
+// shard. It is the handle behind the zero-pause durable checkpoint — pin,
+// let updates continue, serialize the pinned views with SnapshotPinnedFS,
+// then Release. A PinSet must be Released exactly once; Release is
+// idempotent so deferred cleanup is safe.
 type PinSet struct {
 	pins     []pinnedShard
 	tileMBB  geom.Box
@@ -151,18 +153,14 @@ type PinSet struct {
 // promote a transient in-memory corruption into every future restart;
 // callers keep the previous generation instead. The set is per-shard
 // consistent but not a cross-shard point-in-time cut; the durable store
-// brackets PinVersions with its own update cut to get one. An overflow
-// shard created after PinVersions returns is not in the set (objects
-// routed there after the cut belong to the next checkpoint's log anyway).
+// brackets PinVersions with its own update cut to get one.
 func (ix *Index) PinVersions() (*PinSet, error) {
-	ps := &PinSet{tileMBB: ix.tileMBB}
-	fail := func(err error) (*PinSet, error) {
-		ps.Release()
-		return nil, err
-	}
-	add := func(sh *shardEntry, file string, tile geom.Box, overflow bool) error {
+	ps := &PinSet{tileMBB: ix.tileUnion()}
+	for i, sh := range ix.shards {
+		file := shardFileName(i)
 		if sh.quarantined.Load() {
-			return fmt.Errorf("pin refused, %s: %w", file, ErrQuarantined)
+			ps.Release()
+			return nil, fmt.Errorf("pin refused, %s: %w", file, ErrQuarantined)
 		}
 		// Bounds are read under the same lock as the pin: every object in
 		// the pinned version had its bounds extension completed before it
@@ -174,27 +172,13 @@ func (ix *Index) PinVersions() (*PinSet, error) {
 		ver := sh.sub.PinVersion()
 		bounds := sh.boundsBox()
 		sh.mu.RUnlock()
-		ps.pins = append(ps.pins, pinnedShard{
-			sh: sh, ver: ver, file: file, tile: tile, bounds: bounds, overflow: overflow,
-		})
-		return nil
-	}
-	for i, sh := range ix.shards {
-		if err := add(sh, shardFileName(i), sh.tile, false); err != nil {
-			return fail(err)
-		}
-	}
-	if sh := ix.overflow.Load(); sh != nil {
-		if err := add(sh, overflowFileName, geom.EmptyBox(), true); err != nil {
-			return fail(err)
-		}
+		ps.pins = append(ps.pins, pinnedShard{sh: sh, ver: ver, file: file, tile: sh.tile, bounds: bounds})
 	}
 	return ps, nil
 }
 
 // Versions returns the pinned version of every shard in the set, in shard
-// order (overflow last, when present). Test harnesses read these to audit
-// visibility against an oracle.
+// order. Test harnesses read these to audit visibility against an oracle.
 func (ps *PinSet) Versions() []*core.Version {
 	out := make([]*core.Version, len(ps.pins))
 	for i := range ps.pins {
@@ -256,10 +240,6 @@ func (ix *Index) SnapshotPinnedFS(dir string, fsys faultfs.FS, ps *PinSet) error
 		if j.err != nil {
 			return j.err
 		}
-		if j.p.overflow {
-			m.Overflow = &overflowEntry{File: j.p.file, Bounds: boxToManifest(j.p.bounds)}
-			continue
-		}
 		m.Shards = append(m.Shards, shardRecord{
 			File: j.p.file, Tile: boxToManifest(j.p.tile), Bounds: boxToManifest(j.p.bounds),
 		})
@@ -292,10 +272,11 @@ func writePinnedShardFile(fsys faultfs.FS, path string, p *pinnedShard) error {
 
 // Restore reassembles a sharded index from a snapshot directory written by
 // Snapshot. Shard files are loaded concurrently. The restored engine keeps
-// the snapshot's spatial layout (tiles, live bounds, overflow shard) and
-// every sub-index's accumulated refinement; cfg supplies the runtime knobs
-// exactly as for New (Workers, CrackBudget, and SubConfig for shards
-// created after restore, i.e. a fresh overflow).
+// the snapshot's spatial layout (tiles and live bounds) and every
+// sub-index's accumulated refinement; cfg supplies the runtime knobs
+// exactly as for New (Workers, CrackBudget). A manifest from an earlier
+// version that carries a separate overflow shard restores it as one more
+// shard whose tile is its recorded live bounds.
 func Restore(dir string, cfg Config) (*Index, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -311,14 +292,12 @@ func Restore(dir string, cfg Config) (*Index, error) {
 	if len(m.Shards) == 0 {
 		return nil, errors.New("snapshot manifest lists no shards")
 	}
-
-	ix := newEngine(cfg, len(m.Shards), coreBuilder(cfg.SubConfig))
-	ix.tileMBB, err = boxFromManifest(m.TileMBB)
-	if err != nil {
-		return nil, err
+	if ov := m.Overflow; ov != nil {
+		m.Shards = append(m.Shards, shardRecord{File: ov.File, Tile: ov.Bounds, Bounds: ov.Bounds})
 	}
 
-	errs := make([]error, len(m.Shards)+1)
+	ix := newEngine(cfg, len(m.Shards))
+	errs := make([]error, len(m.Shards))
 	var wg sync.WaitGroup
 	for i, rec := range m.Shards {
 		wg.Add(1)
@@ -343,25 +322,6 @@ func Restore(dir string, cfg Config) (*Index, error) {
 			sh.bounds.Store(&bounds)
 			ix.shards[i] = sh
 		}(i, rec)
-	}
-	if m.Overflow != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bounds, err := boxFromManifest(m.Overflow.Bounds)
-			if err != nil {
-				errs[len(m.Shards)] = err
-				return
-			}
-			sub, err := loadShardFile(filepath.Join(dir, m.Overflow.File))
-			if err != nil {
-				errs[len(m.Shards)] = err
-				return
-			}
-			sh := ix.newEntry(sub, geom.EmptyBox())
-			sh.bounds.Store(&bounds)
-			ix.overflow.Store(sh)
-		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/faultfs"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
@@ -92,33 +94,66 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreOverflowShard restores the layout earlier versions
+// wrote, which kept out-of-tile inserts in a separate "overflow" shard
+// beside the tiles. The test forges it from a 3-shard snapshot by moving
+// the last shard into the manifest's overflow entry; Restore must load it
+// as one more ordinary shard, and the next snapshot must not carry it.
 func TestSnapshotRestoreOverflowShard(t *testing.T) {
 	data := dataset.Uniform(2000, 73)
-	ix := New(data, Config{Shards: 2})
-	// An insert far outside the tile union lands in the overflow shard.
-	far := geom.Object{Box: geom.BoxAt(geom.Point{1e6, 1e6, 1e6}, 3), ID: 910001}
-	if err := ix.Insert(far); err != nil {
-		t.Fatal(err)
-	}
+	ix := New(data, Config{Shards: 3})
 	dir := t.TempDir()
 	if err := ix.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	last := m.Shards[len(m.Shards)-1]
+	m.Shards = m.Shards[:len(m.Shards)-1]
+	m.Overflow = &overflowEntry{File: "overflow.snap", Bounds: last.Bounds}
+	if err := os.Rename(filepath.Join(dir, last.File), filepath.Join(dir, m.Overflow.File)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(faultfs.OS{}, filepath.Join(dir, ManifestName), &m); err != nil {
+		t.Fatal(err)
+	}
+
 	restored, err := Restore(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Query(far.Box, nil)
-	if !sameIDs(sortedCopy(got), []int32{910001}) {
-		t.Fatalf("overflow object lost across snapshot: %v", got)
+	if n := restored.NumShards(); n != 3 {
+		t.Fatalf("NumShards = %d after legacy restore, want 3", n)
 	}
-	// Routing still works: another far insert reuses the restored overflow.
-	far2 := geom.Object{Box: geom.BoxAt(geom.Point{-1e6, 0, 0}, 3), ID: 910002}
-	if err := restored.Insert(far2); err != nil {
+	for _, o := range data {
+		if !idSet(restored.Query(o.Box, nil))[o.ID] {
+			t.Fatalf("object %d lost across legacy restore", o.ID)
+		}
+	}
+	far := geom.Object{Box: geom.BoxAt(geom.Point{-1e6, 0, 0}, 3), ID: 910002}
+	if err := restored.Insert(far); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Query(far2.Box, nil); !sameIDs(sortedCopy(got), []int32{910002}) {
-		t.Fatalf("post-restore overflow insert lost: %v", got)
+	if got := restored.Query(far.Box, nil); !sameIDs(sortedCopy(got), []int32{910002}) {
+		t.Fatalf("post-restore far insert lost: %v", got)
+	}
+
+	next := t.TempDir()
+	if err := restored.Snapshot(next); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(filepath.Join(next, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"overflow"`)) {
+		t.Fatalf("snapshot after legacy restore still writes an overflow entry:\n%s", raw)
 	}
 }
 

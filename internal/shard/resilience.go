@@ -28,9 +28,10 @@ import (
 	"runtime/debug"
 )
 
-// ErrQuarantined is returned by Insert when the target shard has been
-// quarantined after a sub-index panic, and by Snapshot/PinVersions when any
-// shard is quarantined (a poisoned structure must not be persisted).
+// ErrQuarantined is returned by Insert when the target shard — or every
+// shard — has been quarantined after a sub-index panic, and by
+// Snapshot/PinVersions when any shard is quarantined (a poisoned structure
+// must not be persisted).
 var ErrQuarantined = errors.New("shard: quarantined after sub-index panic")
 
 // poison records one recovered sub-index panic: the shard is quarantined
@@ -44,8 +45,8 @@ func (sh *shardEntry) poison(cause any) {
 		"cause", cause, "first", first, "stack", string(debug.Stack()))
 }
 
-// Quarantined reports how many shards (spatial plus overflow) are currently
-// quarantined. 0 on a healthy engine.
+// Quarantined reports how many shards are currently quarantined. 0 on a
+// healthy engine.
 func (ix *Index) Quarantined() int { return ix.Stats().Quarantined }
 
 // guard runs f on the shard's sub-index under the write lock (exclusive) or

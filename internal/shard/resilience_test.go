@@ -170,6 +170,13 @@ func TestQueryPanicQuarantinesShard(t *testing.T) {
 	if n := ix.Len(); n != 4 {
 		t.Fatalf("Len() = %d, want 4 (quarantined shard excluded)", n)
 	}
+
+	// /debug/index drops the quarantined shard 0; the survivor keeps its
+	// own index as its name.
+	rep := ix.Inspect(1)
+	if len(rep.Tiles) != 1 || rep.Tiles[0].Shard != "1" || rep.Tiles[0].Objects != 4 {
+		t.Fatalf("Inspect after quarantine = %+v, want the single tile \"1\" holding 4 objects", rep.Tiles)
+	}
 }
 
 func TestSnapshotRefusedWhenQuarantined(t *testing.T) {
@@ -197,6 +204,18 @@ func TestInsertRoutesAroundQuarantinedShard(t *testing.T) {
 	}
 	if got := idSet(ix.Query(obj.Box, nil)); !got[99] {
 		t.Fatalf("rerouted insert invisible to queries: %v", got)
+	}
+
+	// With every shard quarantined there is nowhere left to route.
+	good := bombFor(t, bombs, 11)
+	good.armQuery = true
+	ix.Query(geom.BoxAt(geom.Point{100, 0, 0}, 10), nil)
+	if q := ix.Quarantined(); q != 2 {
+		t.Fatalf("Quarantined() = %d, want 2", q)
+	}
+	err := ix.Insert(geom.Object{Box: geom.BoxAt(geom.Point{101, 0, 0}, 0.4), ID: 100})
+	if !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Insert with every shard quarantined: %v, want ErrQuarantined", err)
 	}
 }
 

@@ -134,12 +134,11 @@ const DefaultCrackBudget = 64
 // Stats aggregates the state and work counters of all shards. Core sums the
 // QUASII work counters of every sub-index.
 type Stats struct {
-	Shards       int        // number of spatial shards (excluding overflow)
-	Objects      int        // total live objects indexed (including overflow)
-	MinShardLen  int        // objects in the smallest spatial shard
-	MaxShardLen  int        // objects in the largest spatial shard
-	OverflowLen  int        // objects in the overflow shard (0 when absent)
-	Quarantined  int        // shards quarantined after a sub-index panic (incl. overflow)
+	Shards       int        // number of spatial shards
+	Objects      int        // total live objects indexed
+	MinShardLen  int        // objects in the smallest healthy shard
+	MaxShardLen  int        // objects in the largest healthy shard
+	Quarantined  int        // shards quarantined after a sub-index panic
 	Pending      int        // appended objects not yet folded in (see Flush)
 	Deleted      int        // tombstoned objects awaiting compaction
 	VersionsLive int        // MVCC versions retained across all sub-indexes
@@ -202,11 +201,9 @@ func (sh *shardEntry) extendBounds(b geom.Box) {
 // Index is a sharded spatial index. It satisfies the module-wide Index
 // interface and is safe for concurrent use.
 type Index struct {
-	shards []*shardEntry
-	// build constructs the sub-index of a shard created after construction
-	// (the lazy overflow shard) exactly like the build-time ones.
-	build   func([]geom.Object) subIndex
-	tileMBB geom.Box // union of the build-time tiles; routes inserts
+	// shards is fixed once New or Restore returns: every object, inserted
+	// ones included, lives in one of these.
+	shards  []*shardEntry
 	workers int
 	// crackBudget is the resolved Config.CrackBudget every entry inherits.
 	crackBudget int
@@ -214,12 +211,6 @@ type Index struct {
 	// concurrent Query calls. Slots are never acquired nested, so the
 	// semaphore cannot deadlock.
 	sem chan struct{}
-
-	// overflow is the extra shard holding objects inserted outside tileMBB.
-	// It is created lazily on the first such insert (under ovMu) and read
-	// lock-free by queries; nil until then.
-	ovMu     sync.Mutex
-	overflow atomic.Pointer[shardEntry]
 
 	// count tracks the live object total lock-free (+1 per Insert, -1 per
 	// successful Delete), so liveness probes need not take shard locks.
@@ -229,9 +220,8 @@ type Index struct {
 
 	// Engine-level metrics, nil until Instrument attaches a registry
 	// (before serving, by contract). mFanout covers whole-query
-	// observations; the path counters are copied onto every shardEntry —
-	// existing ones by Instrument, later ones (the lazy overflow shard) by
-	// newEntry — because queryShard has no *Index.
+	// observations; the path counters are copied onto every shardEntry by
+	// Instrument, because queryShard has no *Index.
 	mFanout    *telemetry.Histogram // shards overlapped per query
 	mShared    *telemetry.Counter
 	mExclusive *telemetry.Counter
@@ -266,12 +256,11 @@ func newIndex(data []geom.Object, cfg Config, build func([]geom.Object) subIndex
 	// 0.4 ms at 2 M objects).
 	runtime.GC()
 	t1 := time.Now()
-	ix := newEngine(cfg, len(parts), build)
+	ix := newEngine(cfg, len(parts))
 	for i, part := range parts {
 		sh := ix.newEntry(build(part), geom.MBB(part))
 		sh.bounds.Store(&sh.tile)
 		ix.shards[i] = sh
-		ix.tileMBB = ix.tileMBB.Extend(sh.tile)
 	}
 	ix.count.Store(int64(len(data)))
 	ix.built = BuildTimes{Partition: t1.Sub(t0), Lanes: time.Since(t1)}
@@ -291,11 +280,9 @@ func (ix *Index) BuildTimes() BuildTimes { return ix.built }
 
 // newEngine resolves cfg into an engine with n empty shard slots; New and
 // Restore fill them in.
-func newEngine(cfg Config, n int, build func([]geom.Object) subIndex) *Index {
+func newEngine(cfg Config, n int) *Index {
 	ix := &Index{
 		shards:      make([]*shardEntry, n),
-		build:       build,
-		tileMBB:     geom.EmptyBox(),
 		workers:     effectiveWorkers(cfg.Workers, n),
 		crackBudget: cfg.CrackBudget,
 	}
@@ -306,20 +293,23 @@ func newEngine(cfg Config, n int, build func([]geom.Object) subIndex) *Index {
 	return ix
 }
 
-// newEntry wraps a sub-index into a shard entry. It inherits the engine's
-// path counters so entries created after Instrument (the lazy overflow
-// shard) report like the rest.
+// newEntry wraps a sub-index into a shard entry.
 func (ix *Index) newEntry(sub subIndex, tile geom.Box) *shardEntry {
-	return &shardEntry{
-		sub: sub, tile: tile, crackBudget: ix.crackBudget,
-		mShared: ix.mShared, mExclusive: ix.mExclusive, mPanics: ix.mPanics,
-	}
+	return &shardEntry{sub: sub, tile: tile, crackBudget: ix.crackBudget}
 }
 
 // NumShards returns the effective spatial shard count (≤ Config.Shards for
-// small datasets: every shard holds at least one object). The overflow
-// shard, when present, is not counted.
+// small datasets: every shard holds at least one object).
 func (ix *Index) NumShards() int { return len(ix.shards) }
+
+// tileUnion returns the union of the build-time tiles.
+func (ix *Index) tileUnion() geom.Box {
+	u := geom.EmptyBox()
+	for _, sh := range ix.shards {
+		u = u.Extend(sh.tile)
+	}
+	return u
+}
 
 // Workers returns the effective worker-pool bound.
 func (ix *Index) Workers() int { return ix.workers }
@@ -327,18 +317,14 @@ func (ix *Index) Workers() int { return ix.workers }
 // ShardBounds returns the live bounding box of shard i's objects.
 func (ix *Index) ShardBounds(i int) geom.Box { return ix.shards[i].boundsBox() }
 
-// forEach calls f on every healthy shard including the overflow shard, if
-// any. Quarantined shards are skipped: their sub-indexes can no longer be
-// trusted not to panic, so walks (Len, Stats, Flush, KNN candidate
-// collection) treat them as absent.
+// forEach calls f on every healthy shard. Quarantined shards are skipped:
+// their sub-indexes can no longer be trusted not to panic, so walks (Len,
+// Flush, KNN candidate collection) treat them as absent.
 func (ix *Index) forEach(f func(sh *shardEntry)) {
 	for _, sh := range ix.shards {
 		if sh.quarantined.Load() {
 			continue
 		}
-		f(sh)
-	}
-	if sh := ix.overflow.Load(); sh != nil && !sh.quarantined.Load() {
 		f(sh)
 	}
 }
@@ -373,43 +359,38 @@ type shardRow struct {
 
 // census is the one per-shard walk behind Stats, Quarantined and the
 // /metrics scrape: it read-locks each shard in turn and returns one row per
-// spatial shard in build order, then one for the overflow shard if present.
+// shard in build order.
 func (ix *Index) census() []shardRow {
-	rows := make([]shardRow, 0, len(ix.shards)+1)
-	row := func(sh *shardEntry) {
-		if sh.quarantined.Load() {
-			rows = append(rows, shardRow{quarantined: true})
-			return
-		}
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		rows = append(rows, shardRow{
-			live: sh.sub.Len(), pending: sh.sub.Pending(), deleted: sh.sub.Deleted(),
-			versions: sh.sub.LiveVersions(), epoch: sh.sub.Epoch(), core: sh.sub.Stats(),
-		})
-	}
-	for _, sh := range ix.shards {
-		row(sh)
-	}
-	if sh := ix.overflow.Load(); sh != nil {
-		row(sh)
+	rows := make([]shardRow, len(ix.shards))
+	for i, sh := range ix.shards {
+		rows[i] = sh.row()
 	}
 	return rows
 }
 
-// aggregate folds census rows into Stats; rows[shards:] is the overflow
-// shard's row, if any.
-func aggregate(shards int, rows []shardRow) Stats {
-	st := Stats{Shards: shards}
+// row reads the shard's census row under its read lock.
+func (sh *shardEntry) row() shardRow {
+	if sh.quarantined.Load() {
+		return shardRow{quarantined: true}
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return shardRow{
+		live: sh.sub.Len(), pending: sh.sub.Pending(), deleted: sh.sub.Deleted(),
+		versions: sh.sub.LiveVersions(), epoch: sh.sub.Epoch(), core: sh.sub.Stats(),
+	}
+}
+
+// aggregate folds census rows, one per shard, into Stats.
+func aggregate(rows []shardRow) Stats {
+	st := Stats{Shards: len(rows)}
 	first := true
-	for i, r := range rows {
+	for _, r := range rows {
 		if r.quarantined {
 			st.Quarantined++
 			continue
 		}
 		switch {
-		case i >= shards:
-			st.OverflowLen = r.live
 		case first:
 			st.MinShardLen, st.MaxShardLen, first = r.live, r.live, false
 		default:
@@ -436,7 +417,7 @@ func aggregate(shards int, rows []shardRow) Stats {
 // Stats aggregates the census. Collection is read-only, so on a converged
 // index a /stats probe never blocks (or is blocked by) the concurrent query
 // traffic.
-func (ix *Index) Stats() Stats { return aggregate(len(ix.shards), ix.census()) }
+func (ix *Index) Stats() Stats { return aggregate(ix.census()) }
 
 // Complete finishes all outstanding refinement in every sub-index, shard by
 // shard under each shard's write lock. Afterwards — until the next Flush —
@@ -472,16 +453,12 @@ func (ix *Index) CheckInvariants() error {
 }
 
 // overlapping appends every shard whose live bounds intersect q, in shard
-// order with the overflow shard last, so result merge order stays
-// deterministic.
+// order, so result merge order stays deterministic.
 func (ix *Index) overlapping(q geom.Box, hit []*shardEntry) []*shardEntry {
 	for _, sh := range ix.shards {
 		if sh.boundsBox().Intersects(q) && !sh.quarantined.Load() {
 			hit = append(hit, sh)
 		}
-	}
-	if sh := ix.overflow.Load(); sh != nil && sh.boundsBox().Intersects(q) && !sh.quarantined.Load() {
-		hit = append(hit, sh)
 	}
 	return hit
 }

@@ -148,8 +148,8 @@ func TestDegenerateData(t *testing.T) {
 
 // TestSmallAndEmptyData: with more shards requested than objects, the shard
 // count clamps to one per object — and to one empty shard for no objects —
-// the index answers queries, and an insert outside every tile lands in the
-// overflow shard.
+// the index answers queries, and an insert outside every tile (even the
+// empty tile of n = 0) joins a shard and is found.
 func TestSmallAndEmptyData(t *testing.T) {
 	far := geom.Object{Box: geom.BoxAt(geom.Point{-5000, -5000, -5000}, 1), ID: 777}
 	for _, n := range []int{0, 1, 2, 3} {
@@ -170,8 +170,8 @@ func TestSmallAndEmptyData(t *testing.T) {
 			if err := ix.Insert(far); err != nil {
 				t.Fatal(err)
 			}
-			if st := ix.Stats(); st.OverflowLen != 1 || st.Objects != n+1 {
-				t.Fatalf("after insert: overflow %d, objects %d; want 1, %d", st.OverflowLen, st.Objects, n+1)
+			if st := ix.Stats(); st.Objects != n+1 || st.Shards != max(n, 1) {
+				t.Fatalf("after insert: %d objects in %d shards; want %d in %d", st.Objects, st.Shards, n+1, max(n, 1))
 			}
 			if got := ix.Query(far.Box, nil); len(got) != 1 || got[0] != far.ID {
 				t.Fatalf("query at the inserted object = %v, want [%d]", got, far.ID)

@@ -103,9 +103,9 @@ func TestStressSingleShard(t *testing.T) {
 	}
 }
 
-// TestStressMultiShard is the same storm across several shards plus the
-// overflow shard (out-of-tile inserts), exercising the fan-out path and
-// cross-shard routing under -race.
+// TestStressMultiShard is the same storm across several shards, with
+// out-of-tile inserts that the nearest tile absorbs by growing its live
+// bounds, exercising the fan-out path and cross-shard routing under -race.
 func TestStressMultiShard(t *testing.T) {
 	const n = 6000
 	base := dataset.Uniform(n, 13)

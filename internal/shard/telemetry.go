@@ -35,8 +35,7 @@ type scrapeSnap struct {
 	rows   []shardRow
 }
 
-// row returns shard i's census row (i == len(ix.shards) is the overflow
-// shard), zero before the first scrape or while the shard does not exist.
+// row returns shard i's census row, zero before the first scrape.
 func (s *scrapeSnap) row(i int) shardRow {
 	if i >= len(s.rows) {
 		return shardRow{}
@@ -81,7 +80,7 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 	var snap scrapeSnap
 	reg.OnScrape(func() {
 		rows := ix.census()
-		s := scrapeSnap{st: aggregate(len(ix.shards), rows), rows: rows}
+		s := scrapeSnap{st: aggregate(rows), rows: rows}
 		for _, r := range rows {
 			s.epochs += r.epoch
 		}
@@ -142,7 +141,7 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 
 	// Engine shape and occupancy.
 	reg.GaugeFunc("quasii_shard_count_shards",
-		"Spatial shards (excluding the overflow shard).",
+		"Spatial shards, quarantined ones included.",
 		get(func(s *scrapeSnap) float64 { return float64(s.st.Shards) }))
 	reg.GaugeFunc("quasii_shard_total_objects",
 		"Live objects across all shards.",
@@ -150,12 +149,9 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("quasii_shard_quarantined_shards",
 		"Shards currently quarantined after a sub-index panic (queries skip them).",
 		get(func(s *scrapeSnap) float64 { return float64(s.st.Quarantined) }))
-	// One gauge set per spatial shard plus the overflow slot (0 while absent).
-	for i := 0; i <= len(ix.shards); i++ {
+	// One gauge set per spatial shard.
+	for i := range ix.shards {
 		lbl := telemetry.L("shard", strconv.Itoa(i))
-		if i == len(ix.shards) {
-			lbl = telemetry.L("shard", "overflow")
-		}
 		reg.GaugeFunc("quasii_shard_live_objects",
 			"Live objects in this shard.",
 			get(func(s *scrapeSnap) float64 { return float64(s.row(i).live) }), lbl)

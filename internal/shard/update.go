@@ -29,19 +29,18 @@ package shard
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
 
-// Insert routes each object to the shard owning its tile — the spatial
-// shard whose build-time tile box is nearest to the object's center, or the
-// overflow shard when the center falls outside the union of all tiles —
-// and appends it there. The shard's live bounding box is grown first, so a
-// query that starts after Insert returns cannot miss the object. The append
-// runs under the shard's read lock — it publishes a new version instead of
-// mutating shared state, so concurrent readers are never evicted. Safe for
-// concurrent use. Fails with ErrQuarantined when the owning shard panicked.
+// Insert routes each object to the shard whose build-time tile box is
+// nearest to the object's center (see route) and appends it there. The
+// shard's live bounding box is grown first, so a query that starts after
+// Insert returns cannot miss the object. The append runs under the shard's
+// read lock — it publishes a new version instead of mutating shared state,
+// so concurrent readers are never evicted. Safe for concurrent use. Fails
+// with ErrQuarantined when the owning shard panicked or no healthy shard is
+// left.
 func (ix *Index) Insert(objs ...geom.Object) error {
 	for i := range objs {
 		sh, err := ix.route(&objs[i])
@@ -57,25 +56,23 @@ func (ix *Index) Insert(objs ...geom.Object) error {
 	return nil
 }
 
-// route picks the owning shard for an object: the nearest build-time tile
-// by the object's center (containment means distance zero; ties break in
-// shard order, deterministically), or the overflow shard when the center
-// lies outside the union of all tiles. Quarantined shards no longer accept
-// objects, so routing falls through to the next-nearest healthy tile (the
-// live bounds it extends keep queries correct) and, when every spatial
-// shard is poisoned, to the overflow shard.
+// route picks the owning shard for an object: the healthy shard whose
+// build-time tile is nearest to the object's center (containment means
+// distance zero; ties break in shard order, deterministically). A center
+// outside every tile goes to the nearest one all the same: the live bounds
+// Insert extends keep queries exact. Quarantined shards no longer accept
+// objects, so routing falls through to the next-nearest healthy tile. When
+// no tile has a finite distance — the one empty tile of an index built over
+// no objects — the first healthy shard wins.
 func (ix *Index) route(o *geom.Object) (*shardEntry, error) {
 	c := o.Center()
-	if !ix.tileMBB.ContainsPoint(c) {
-		return ix.ensureOverflow()
-	}
 	var best *shardEntry
-	bestD := math.Inf(1)
+	var bestD float64
 	for _, sh := range ix.shards {
 		if sh.quarantined.Load() {
 			continue
 		}
-		if d := sh.tile.MinDistSq(c); d < bestD {
+		if d := sh.tile.MinDistSq(c); best == nil || d < bestD {
 			best, bestD = sh, d
 			if d == 0 {
 				break
@@ -83,34 +80,9 @@ func (ix *Index) route(o *geom.Object) (*shardEntry, error) {
 		}
 	}
 	if best == nil {
-		return ix.ensureOverflow()
+		return nil, ErrQuarantined
 	}
 	return best, nil
-}
-
-// ensureOverflow returns the overflow shard, creating it on first use. The
-// overflow sub-index is built by the same constructor as the spatial shards,
-// over no objects; its bounding box starts empty and grows with inserts.
-func (ix *Index) ensureOverflow() (*shardEntry, error) {
-	if sh := ix.overflow.Load(); sh != nil {
-		if sh.quarantined.Load() {
-			return nil, ErrQuarantined
-		}
-		return sh, nil
-	}
-	ix.ovMu.Lock()
-	defer ix.ovMu.Unlock()
-	if sh := ix.overflow.Load(); sh != nil {
-		if sh.quarantined.Load() {
-			return nil, ErrQuarantined
-		}
-		return sh, nil
-	}
-	sh := ix.newEntry(ix.build(nil), geom.EmptyBox())
-	empty := geom.EmptyBox()
-	sh.bounds.Store(&empty)
-	ix.overflow.Store(sh)
-	return sh, nil
 }
 
 // Delete removes the object with the given ID, using hint (typically the

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -39,8 +40,8 @@ func checkAgainst(t *testing.T, ix *Index, live []geom.Object, seed int64) {
 }
 
 // TestInsertDeleteMatchesScan drives inserts (including out-of-bounds ones
-// that must land in the overflow shard) and deletes through the sharded
-// engine, checking against a scan oracle before and after Flush.
+// that the nearest tile absorbs) and deletes through the sharded engine,
+// checking against a scan oracle before and after Flush.
 func TestInsertDeleteMatchesScan(t *testing.T) {
 	data := dataset.Uniform(3000, 31)
 	ix := New(data, Config{Shards: 8, SubConfig: core.Config{Tau: 32}})
@@ -61,8 +62,18 @@ func TestInsertDeleteMatchesScan(t *testing.T) {
 	}
 	live = append(live, extra...)
 
-	// Out-of-bounds inserts: centers far outside every tile, must route to
-	// the overflow shard and still be found by queries reaching there.
+	// Out-of-bounds inserts: centers far outside every tile route to the
+	// nearest one, whose live bounds grow to cover them. No shard is added,
+	// and these in-universe queries still fan out to exactly the shards
+	// they did before.
+	queries := append(
+		workload.Uniform(dataset.Universe(), 40, 1e-3, 40),
+		workload.Uniform(dataset.Universe(), 10, 1e-1, 41)...)
+	before := make([][]*shardEntry, len(queries))
+	for i, q := range queries {
+		before[i] = ix.overlapping(q, nil)
+	}
+	shards := ix.NumShards()
 	var far []geom.Object
 	for i := 0; i < 50; i++ {
 		far = append(far, geom.Object{
@@ -74,15 +85,20 @@ func TestInsertDeleteMatchesScan(t *testing.T) {
 		t.Fatalf("Insert far: %v", err)
 	}
 	live = append(live, far...)
-	if st := ix.Stats(); st.OverflowLen != len(far) {
-		t.Errorf("OverflowLen = %d, want %d", st.OverflowLen, len(far))
+	if got := ix.NumShards(); got != shards {
+		t.Errorf("NumShards = %d after far inserts, want %d", got, shards)
+	}
+	for i, q := range queries {
+		if got := ix.overlapping(q, nil); !slices.Equal(got, before[i]) {
+			t.Errorf("query %d: far inserts changed its overlapped shards (%d before, %d after)", i, len(before[i]), len(got))
+		}
 	}
 	if ix.Pending() == 0 {
 		t.Error("Pending = 0 after inserts, want > 0")
 	}
 	checkAgainst(t, ix, live, 40)
 
-	// Delete a mix of original, inserted, and overflow objects.
+	// Delete a mix of original, inserted, and far objects.
 	drop := []geom.Object{data[0], data[1717], extra[7], extra[399], far[0], far[49]}
 	for _, o := range drop {
 		found, err := ix.Delete(o.ID, o.Box)
