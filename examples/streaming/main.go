@@ -5,7 +5,9 @@
 // two escape hatches, contrasted here on an insert-heavy exploration session:
 //
 //   - QUASII.Append buffers arrivals (scanned linearly by every query) and
-//     Flush folds them into the cracked array, restarting refinement;
+//     Flush merges them into the cracked array, each arrival joining the
+//     slice its lower corner routes to, so refinement carries on where the
+//     earlier queries left it;
 //   - DynRTree is a classic Guttman R-tree that absorbs inserts natively at
 //     the cost of slower construction and more node overlap than STR.
 //

@@ -21,6 +21,7 @@ package colstore
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -109,54 +110,124 @@ func (t *Table) Objects(out []geom.Object) []geom.Object {
 	return out
 }
 
-// AppendObjects adds rows for objs at the end of the table.
-func (t *Table) AppendObjects(objs []geom.Object) {
-	for i := range objs {
-		for d := 0; d < geom.Dims; d++ {
-			t.Min[d] = append(t.Min[d], objs[i].Min[d])
-			t.Max[d] = append(t.Max[d], objs[i].Max[d])
-		}
-		t.ID = append(t.ID, objs[i].ID)
+// Merge folds one batch of updates into the table in place, keeping every
+// segment's rows contiguous. The rows are cut into consecutive segments,
+// segment k ending (exclusively) at ends[k]; ends must cover the table. Every
+// row whose ID is in dead is dropped, add[i] joins the end of segment seg[i]
+// (seg non-decreasing, each < len(ends)), and the survivors keep their
+// relative order. ends is rewritten to the segments' new ends.
+//
+// Two sweeps move the rows, each starting at the first row it has to move:
+// left to right, the survivors close the gaps of the dropped rows; right to
+// left, the rows between two receiving segments shift right by the rows
+// added before them, opening room at each receiving segment's end for its
+// additions. Rows move a run at a time and no second table is built — the
+// lanes only grow when the batch adds more rows than it drops.
+func (t *Table) Merge(ends []int, dead map[int32]struct{}, add []geom.Object, seg []int) {
+	n := t.Len()
+	if len(dead) > 0 {
+		n = t.dropDead(ends, dead)
 	}
-}
-
-// Truncate shrinks the table to its first n rows.
-func (t *Table) Truncate(n int) {
+	m := n + len(add)
 	for d := 0; d < geom.Dims; d++ {
-		t.Min[d] = t.Min[d][:n]
-		t.Max[d] = t.Max[d][:n]
+		t.Min[d] = withLen(t.Min[d], n, m)
+		t.Max[d] = withLen(t.Max[d], n, m)
 	}
-	t.ID = t.ID[:n]
-}
+	t.ID = withLen(t.ID, n, m)
 
-// Compact removes every row whose ID is in dead, preserving the order of
-// the survivors, and returns the new length.
-func (t *Table) Compact(dead map[int32]struct{}) int {
-	if len(dead) == 0 {
-		return t.Len()
-	}
-	w := 0
-	for i := 0; i < t.Len(); i++ {
-		if _, gone := dead[t.ID[i]]; gone {
+	// i rows are still to be added, all to segments at or before k, so every
+	// row past segment k and before hi (the first row already placed) moves
+	// right by i.
+	i, hi := len(add), n
+	for k := len(ends) - 1; k >= 0 && i > 0; k-- {
+		j := i
+		for j > 0 && seg[j-1] == k {
+			j--
+		}
+		end := ends[k]
+		ends[k] = end + i
+		if j == i {
 			continue
 		}
-		if w != i {
-			for d := 0; d < geom.Dims; d++ {
-				t.Min[d][w] = t.Min[d][i]
-				t.Max[d][w] = t.Max[d][i]
-			}
-			t.ID[w] = t.ID[i]
+		t.moveRows(end+i, end, hi)
+		for a := j; a < i; a++ {
+			t.setRow(end+a, &add[a])
 		}
-		w++
+		hi, i = end, j
 	}
-	t.Truncate(w)
-	return w
+	if i > 0 {
+		panic("colstore: Merge segment indexes out of order or range")
+	}
+}
+
+// withLen returns lane resized to m rows, keeping its first n. A lane that
+// lacks the capacity grows as append grows it, one lane at a time, so the
+// superseded arrays can be collected while the next lane is copied.
+func withLen[T any](lane []T, n, m int) []T {
+	if m <= cap(lane) {
+		return lane[:m]
+	}
+	return slices.Grow(lane[:n], m-n)[:m]
+}
+
+// dropDead is Merge's left-to-right sweep: it closes the gaps of the rows
+// whose ID is in dead, rewrites ends to the compacted segment ends and
+// returns the surviving row count. A 2^16-bit screen over the IDs' low bits
+// answers "live" for most rows with one load and a test; only a row whose
+// bit is set pays the map lookup.
+func (t *Table) dropDead(ends []int, dead map[int32]struct{}) int {
+	var screen [1 << 10]uint64
+	for id := range dead {
+		screen[uint16(id)>>6] |= 1 << (uint(id) & 63)
+	}
+	w, run, r := 0, 0, 0 // rows [run, r) survive and belong at w
+	for k, end := range ends {
+		for ; r < end; r++ {
+			id := t.ID[r]
+			if screen[uint16(id)>>6]&(1<<(uint(id)&63)) == 0 {
+				continue
+			}
+			if _, gone := dead[id]; !gone {
+				continue
+			}
+			if w != run {
+				t.moveRows(w, run, r)
+			}
+			w += r - run
+			run = r + 1
+		}
+		ends[k] = w + end - run
+	}
+	n := t.Len()
+	if w != run {
+		t.moveRows(w, run, n)
+	}
+	return w + n - run
+}
+
+// moveRows copies rows [lo, hi) to start at row at in every lane; the
+// ranges may overlap.
+func (t *Table) moveRows(at, lo, hi int) {
+	for d := 0; d < geom.Dims; d++ {
+		copy(t.Min[d][at:], t.Min[d][lo:hi])
+		copy(t.Max[d][at:], t.Max[d][lo:hi])
+	}
+	copy(t.ID[at:], t.ID[lo:hi])
+}
+
+// setRow overwrites row i with o.
+func (t *Table) setRow(i int, o *geom.Object) {
+	for d := 0; d < geom.Dims; d++ {
+		t.Min[d][i] = o.Min[d]
+		t.Max[d][i] = o.Max[d]
+	}
+	t.ID[i] = o.ID
 }
 
 // resize sets the table to n rows, reusing each lane whose capacity
 // suffices and reallocating the others (lane capacities can diverge after
-// AppendObjects: append's size-class rounding differs between float64 and
-// int32 lanes).
+// Merge: append's size-class rounding differs between float64 and int32
+// lanes).
 func (t *Table) resize(n int) {
 	for d := 0; d < geom.Dims; d++ {
 		t.Min[d] = sized(t.Min[d], n)

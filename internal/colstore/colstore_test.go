@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -173,34 +174,80 @@ func TestKeyRange(t *testing.T) {
 	}
 }
 
-func TestAppendCompactTruncate(t *testing.T) {
-	objs := randomObjects(100, 13)
-	tab := FromObjects(objs[:50])
-	tab.AppendObjects(objs[50:])
-	if tab.Len() != 100 {
-		t.Fatalf("Len after append = %d", tab.Len())
-	}
-	dead := map[int32]struct{}{3: {}, 40: {}, 99: {}}
-	n := tab.Compact(dead)
-	if n != 97 || tab.Len() != 97 {
-		t.Fatalf("Compact -> %d rows, want 97", n)
-	}
-	for i := 0; i < tab.Len(); i++ {
-		if _, gone := dead[tab.ID[i]]; gone {
-			t.Fatalf("dead ID %d survived compaction", tab.ID[i])
+// TestMerge checks the update kernel against a per-segment reference over
+// rounds of merges on one table: segments of random sizes (empty ones
+// included), random dead rows, and additions spread over random segments,
+// so the table shrinks, keeps its size, grows within its lanes' capacity
+// and grows past it.
+func TestMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	nextID := int32(0)
+	fresh := func(n int) []geom.Object {
+		objs := randomObjects(n, rng.Int63())
+		for i := range objs {
+			objs[i].ID = nextID
+			nextID++
 		}
+		return objs
 	}
-	// Survivor order is preserved.
-	prev := int32(-1)
-	for i := 0; i < tab.Len(); i++ {
-		if tab.ID[i] <= prev {
-			t.Fatalf("order not preserved at row %d", i)
+	for trial := 0; trial < 100; trial++ {
+		tab := FromObjects(fresh(rng.Intn(300)))
+		for round := 0; round < 4; round++ {
+			rows := tab.Objects(nil)
+			n := len(rows)
+			var ends []int
+			for end := 0; end < n || len(ends) == 0; {
+				end = min(n, end+rng.Intn(40))
+				ends = append(ends, end)
+			}
+			dead := map[int32]struct{}{}
+			for _, o := range rows {
+				if rng.Intn(4) == 0 {
+					dead[o.ID] = struct{}{}
+				}
+			}
+			add := fresh(rng.Intn(200))
+			seg := make([]int, len(add))
+			for i := range seg {
+				seg[i] = rng.Intn(len(ends))
+			}
+			slices.Sort(seg)
+
+			// Reference: each segment's survivors, then its additions.
+			var want []geom.Object
+			var wantEnds []int
+			lo := 0
+			for k, end := range ends {
+				for _, o := range rows[lo:end] {
+					if _, gone := dead[o.ID]; !gone {
+						want = append(want, o)
+					}
+				}
+				for i := range add {
+					if seg[i] == k {
+						want = append(want, add[i])
+					}
+				}
+				wantEnds = append(wantEnds, len(want))
+				lo = end
+			}
+
+			tab.Merge(ends, dead, add, seg)
+			if tab.Len() != len(want) || !slices.Equal(ends, wantEnds) {
+				t.Fatalf("trial %d round %d: Len %d ends %v, want %d %v", trial, round, tab.Len(), ends, len(want), wantEnds)
+			}
+			for d := 0; d < geom.Dims; d++ {
+				if len(tab.Min[d]) != len(want) || len(tab.Max[d]) != len(want) {
+					t.Fatalf("trial %d round %d: dim %d lanes hold %d/%d rows, want %d",
+						trial, round, d, len(tab.Min[d]), len(tab.Max[d]), len(want))
+				}
+			}
+			for i := range want {
+				if got := tab.ObjectAt(i); got != want[i] {
+					t.Fatalf("trial %d round %d: row %d = %v, want %v", trial, round, i, got, want[i])
+				}
+			}
 		}
-		prev = tab.ID[i]
-	}
-	tab.Truncate(10)
-	if tab.Len() != 10 {
-		t.Fatalf("Truncate -> %d rows", tab.Len())
 	}
 }
 

@@ -262,11 +262,14 @@ func New(data []geom.Object, cfg Config) *Index {
 	return ix
 }
 
-// newRoot restarts the hierarchy from one unrefined slice over every row.
-// Its box is the data's MBB, which must contain every row: refine then reads
-// the slice's x bounds from the box instead of sweeping the key lane.
-// Snapshots from older versions carry a universe-box root; refine still
-// sweeps for those.
+// newRoot starts the hierarchy with one unrefined slice over every row: New
+// calls it over a non-empty table, and Flush when its merge finds the
+// hierarchy empty (an index built over no objects, or one whose every row
+// was deleted) but rows to index. Its box is the data's MBB, which must
+// contain every row: refine then reads the slice's x bounds from the box
+// instead of sweeping the key lane. Snapshots from older versions carry a
+// universe-box root; refine still sweeps for those, and Flush merges into
+// it like into any other.
 func (ix *Index) newRoot(box geom.Box) {
 	initial := ix.newSlice(0, 0, ix.data.Len(), box)
 	ix.root = &sliceList{slices: []*slice{initial}}

@@ -9,14 +9,16 @@
 //     (core.go) applied to every slice, not a second recursion.
 //   - Append/Delete/Flush: accept updates after construction; the paper
 //     assumes a static setting (Sec. 2), so arrivals are buffered, deletions
-//     tombstoned, and both merged/compacted on demand. Only an explicit
-//     Flush folds them in: every query, KNN included, reads pending inserts
-//     and tombstones from the version it pinned.
+//     tombstoned, and both merged into the hierarchy on demand. Only an
+//     explicit Flush folds them in: every query, KNN included, reads pending
+//     inserts and tombstones from the version it pinned.
 
 package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/geom"
 )
@@ -81,7 +83,7 @@ func (ix *Index) Pending() int { return len(ix.live.Load().pending) }
 // Delete removes the object with the given ID, using hint (typically the
 // object's own box) to locate it. Deletion is logical — a tombstone filters
 // the object out of all results immediately — and physical on the next
-// Flush, which compacts the lanes and restarts refinement. It reports
+// Flush, which compacts the lanes and keeps the slice hierarchy. It reports
 // whether a visible object was found; an ID already tombstoned reads as
 // absent. IDs are assumed unique for deletion; with duplicates every object
 // carrying the ID disappears from results.
@@ -105,14 +107,21 @@ func (ix *Index) DeleteBudgeted(id int32, hint geom.Box, budget int) bool {
 func (ix *Index) Deleted() int { return len(ix.live.Load().deleted) }
 
 // Flush folds all appended objects into the indexed lanes and compacts away
-// tombstoned ones. The slice hierarchy restarts from a single unrefined
-// slice — subsequent queries rebuild it incrementally, which is the
-// adaptive-indexing answer to bulk updates (refining the merge is future
-// work the paper leaves open).
+// tombstoned ones, keeping the slice hierarchy — the merge of updates into
+// a cracked column of Idreos, Kersten & Manegold ("Updating a Cracked
+// Database", SIGMOD 2007) applied to QUASII's levels. Every pending object
+// joins the leaf its lower corner routes to (see routeLeaf), the lanes are
+// regrouped in place (colstore's Merge: one sweep drops the tombstoned rows,
+// one opens room at the end of each receiving leaf), and every slice's range
+// is rewritten from the leaves' new ends. Slices left empty are dropped, and
+// a childless slice that now exceeds its level's τ loses its refined flag,
+// so the next query touching it cracks it again. No refined subtree is
+// discarded: queries after a Flush walk the hierarchy earlier queries built.
 //
 // Flush requires the exclusive lock. If any version in the chain is pinned
-// (a checkpoint mid-write), the lanes are cloned first so the pinned view
-// keeps its frozen generation; otherwise compaction is in place as before.
+// (a checkpoint mid-write), the lanes and the slice tree are copied first so
+// the pinned view keeps its frozen generation; otherwise the merge is in
+// place.
 func (ix *Index) Flush() {
 	cur := ix.live.Load()
 	if len(cur.pending) == 0 && len(cur.deleted) == 0 {
@@ -120,32 +129,14 @@ func (ix *Index) Flush() {
 	}
 	ix.epoch.Add(1)
 	if ix.chainPinned() {
-		// A pinned version references the current lanes; rebuilding must
-		// not touch them. The clone becomes the live table, the pinned
-		// version keeps the superseded one (its root and tau fields were
-		// captured at publish and stay consistent with it).
+		// A pinned version references the current lanes and tree; the merge
+		// must not touch them. The copies become the live generation, the
+		// pinned version keeps the superseded one (its root and tau fields
+		// were captured at publish and stay consistent with it).
 		ix.data = ix.data.Clone()
+		ix.root = ix.cloneList(ix.root)
 	}
-	if len(cur.deleted) > 0 {
-		ix.data.Compact(cur.deleted)
-	}
-	if len(cur.pending) > 0 {
-		live := cur.pending
-		if len(cur.deleted) > 0 {
-			// Drop tombstoned-while-pending objects instead of resurrecting
-			// them. Copy — cur.pending's backing array is shared COW state.
-			live = make([]geom.Object, 0, len(cur.pending))
-			for i := range cur.pending {
-				if _, dead := cur.deleted[cur.pending[i].ID]; !dead {
-					live = append(live, cur.pending[i])
-				}
-			}
-		}
-		ix.data.AppendObjects(live)
-	}
-	ix.computeTaus()
-	ix.newRoot(cur.dataMBB) // Append grew it over every pending object
-	// Publish the fresh base version: no deltas, new table/root generation.
+	ix.merge(cur)
 	ix.verMu.Lock()
 	ix.publishLocked(&Version{
 		seq:     ix.live.Load().seq + 1,
@@ -156,4 +147,134 @@ func (ix *Index) Flush() {
 		tau:     ix.tau,
 	})
 	ix.verMu.Unlock()
+}
+
+// merge folds cur's deltas into the live lanes and hierarchy (Flush's body).
+func (ix *Index) merge(cur *Version) {
+	leaves := collectLeaves(ix.root, nil)
+	ends := make([]int, max(len(leaves), 1)) // an empty hierarchy is one empty segment
+	for k, s := range leaves {
+		ends[k] = s.hi
+	}
+
+	// Route the live pending objects, skipping those tombstoned while still
+	// pending, and order them by the ordinal of the leaf they join (found
+	// among the leaves ending where it ends: empty leaves share an end).
+	type arrival struct {
+		seg int
+		obj geom.Object
+	}
+	arrivals := make([]arrival, 0, len(cur.pending))
+	for i := range cur.pending {
+		o := &cur.pending[i]
+		if _, dead := cur.deleted[o.ID]; dead {
+			continue
+		}
+		k := 0
+		if len(leaves) > 0 {
+			leaf := ix.routeLeaf(o)
+			k = sort.SearchInts(ends, leaf.hi)
+			for leaves[k] != leaf {
+				k++
+			}
+		}
+		arrivals = append(arrivals, arrival{k, *o})
+	}
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return a.seg - b.seg })
+	add := make([]geom.Object, len(arrivals))
+	seg := make([]int, len(arrivals))
+	for i, a := range arrivals {
+		add[i], seg[i] = a.obj, a.seg
+	}
+
+	ix.data.Merge(ends, cur.deleted, add, seg)
+	ix.computeTaus()
+	ix.regroup(ix.root, 0, ends, 0)
+	if len(ix.root.slices) == 0 && ix.data.Len() > 0 {
+		ix.newRoot(cur.dataMBB) // Append grew it over every pending object
+	}
+}
+
+// collectLeaves appends l's childless slices to out in row order. A slice
+// whose child list is empty (an empty slice restored from a snapshot) is
+// made childless, so every leaf collected here owns one segment.
+func collectLeaves(l *sliceList, out []*slice) []*slice {
+	for _, s := range l.slices {
+		if s.children != nil && len(s.children.slices) == 0 {
+			s.children = nil
+		}
+		if s.children == nil {
+			out = append(out, s)
+		} else {
+			out = collectLeaves(s.children, out)
+		}
+	}
+	return out
+}
+
+// routeLeaf descends the hierarchy to the leaf a pending object joins: at
+// each level the last sibling whose box starts at or below the object's
+// lower corner, or the first sibling when none does. The key then lies
+// below the next sibling's Min, as every key of a cracked band does, so a
+// later crack of the slice still yields fragments whose Min sorts before
+// that sibling's — the sibling search's precondition. Every box on the path
+// grows to cover the object and each list's maximum extent follows. The
+// root list must not be empty.
+func (ix *Index) routeLeaf(o *geom.Object) *slice {
+	l := ix.root
+	for {
+		dim := l.slices[0].level
+		k := sort.Search(len(l.slices), func(i int) bool { return l.slices[i].box.Min[dim] > o.Min[dim] })
+		s := l.slices[max(k-1, 0)]
+		s.box = s.box.Extend(o.Box)
+		l.noteExtent(s, dim)
+		if s.children == nil {
+			return s
+		}
+		l = s.children
+	}
+}
+
+// regroup rewrites the ranges of l's slices, which start at row lo, from
+// the merged leaf ends: the leaves of l's subtree own ends[next:] in row
+// order. Slices left empty are dropped, and a childless slice over its
+// level's τ is no longer refined. It returns the next unused leaf ordinal.
+func (ix *Index) regroup(l *sliceList, lo int, ends []int, next int) int {
+	kept := l.slices[:0]
+	for _, s := range l.slices {
+		s.lo = lo
+		if s.children == nil {
+			s.hi = ends[next]
+			s.refined = s.refined && s.size() <= ix.tau[s.level]
+			next++
+		} else {
+			next = ix.regroup(s.children, lo, ends, next)
+			s.hi = ends[next-1]
+		}
+		if s.hi > s.lo {
+			kept = append(kept, s)
+			lo = s.hi
+		}
+	}
+	clear(l.slices[len(kept):])
+	l.slices = kept
+	return next
+}
+
+// cloneList deep-copies a sibling list and every slice below it, heat
+// included, so a merge can reshape the copy while a pinned version keeps
+// walking the original.
+func (ix *Index) cloneList(l *sliceList) *sliceList {
+	if l == nil {
+		return nil
+	}
+	out := &sliceList{maxExt: l.maxExt, slices: make([]*slice, len(l.slices))}
+	for i, s := range l.slices {
+		c := ix.newSlice(s.level, s.lo, s.hi, s.box)
+		c.refined = s.refined
+		c.heat.Store(s.heat.Load())
+		c.children = ix.cloneList(s.children)
+		out.slices[i] = c
+	}
+	return out
 }

@@ -22,7 +22,10 @@ func FuzzQueryEquivalence(f *testing.F) {
 }
 
 // runFuzzEquivalence is the body of FuzzQueryEquivalence, shared with
-// TestEquivalenceFuzzSeeds.
+// TestEquivalenceFuzzSeeds. Between every few queries it runs an update
+// round — appends, deletes of indexed and still-pending objects, and
+// usually a Flush merging them into the hierarchy — and checks the
+// structural invariants after every Flush.
 func runFuzzEquivalence(t *testing.T, seed int64, n, tau int, stochastic bool) {
 	if n < 0 {
 		n = -n
@@ -34,19 +37,45 @@ func runFuzzEquivalence(t *testing.T, seed int64, n, tau int, stochastic bool) {
 	tau = tau%200 + 1
 
 	rng := rand.New(rand.NewSource(seed))
-	data := make([]geom.Object, n)
-	for i := range data {
+	object := func(id int) geom.Object {
 		var min, max geom.Point
 		for d := 0; d < geom.Dims; d++ {
 			min[d] = rng.Float64() * 1000
 			max[d] = min[d] + rng.Float64()*rng.Float64()*200
 		}
-		data[i] = geom.Object{Box: geom.Box{Min: min, Max: max}, ID: int32(i)}
+		return geom.Object{Box: geom.Box{Min: min, Max: max}, ID: int32(id)}
 	}
-	oracle := scan.New(data)
+	data := make([]geom.Object, n)
+	for i := range data {
+		data[i] = object(i)
+	}
+	live := dataset.Clone(data)
+	nextID := n
 	ix := New(dataset.Clone(data), Config{Tau: tau, Stochastic: stochastic, Seed: seed})
 	var got, want []int32
 	for qi := 0; qi < 25; qi++ {
+		if qi%5 == 4 {
+			for k := rng.Intn(n/10 + 3); k > 0; k-- {
+				o := object(nextID)
+				nextID++
+				ix.Append(o)
+				live = append(live, o)
+			}
+			for k := rng.Intn(n/10 + 3); k > 0 && len(live) > 0; k-- {
+				i := rng.Intn(len(live))
+				if !ix.Delete(live[i].ID, live[i].Box) {
+					t.Fatalf("seed=%d: Delete(%d) found nothing", seed, live[i].ID)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if rng.Intn(4) > 0 {
+				ix.Flush()
+				if err := ix.CheckInvariants(); err != nil {
+					t.Fatalf("seed=%d query %d: invariants after Flush: %v", seed, qi, err)
+				}
+			}
+		}
 		var a, b geom.Point
 		for d := 0; d < geom.Dims; d++ {
 			a[d] = rng.Float64()*1200 - 100
@@ -54,7 +83,7 @@ func runFuzzEquivalence(t *testing.T, seed int64, n, tau int, stochastic bool) {
 		}
 		q := geom.Box{Min: a, Max: b}
 		got = sortedIDs(ix.Query(q, got[:0]))
-		want = sortedIDs(oracle.Query(q, want[:0]))
+		want = sortedIDs(scan.New(live).Query(q, want[:0]))
 		if !equalIDs(got, want) {
 			t.Fatalf("seed=%d n=%d tau=%d stoch=%v query %d: got %d results, want %d",
 				seed, n, tau, stochastic, qi, len(got), len(want))

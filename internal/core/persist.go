@@ -281,9 +281,9 @@ func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object,
 	if err != nil {
 		return nil, fmt.Errorf("corrupt quasii snapshot: %w", err)
 	}
-	// Flush restarts the hierarchy from a root whose box is DataMBB, and a
-	// query skips whatever lies outside a slice's box: the box must contain
-	// every row and every pending object.
+	// Flush boxes the root of an empty hierarchy with DataMBB, and a query
+	// skips whatever lies outside a slice's box; KNN sizes its search by it
+	// too: the box must contain every row and every pending object.
 	for i := range pending {
 		rows = rows.Extend(pending[i].Box)
 	}

@@ -268,7 +268,7 @@ func TestLoadRejectsCorruptStructure(t *testing.T) {
 	ix := New(dataset.Clone(data), Config{Tau: 8})
 	ix.Query(workload.Uniform(dataset.Universe(), 1, 1e-2, 1008)[0], nil)
 	// Corrupt: shrink the data lanes so slice ranges dangle.
-	ix.data.Truncate(50)
+	ix.data.Reload(ix.data.Objects(nil)[:50])
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -513,8 +513,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Flush restarts the hierarchy from a root boxed by the snapshot's
-		// DataMBB: the queries after it must still see every object.
+		// Flush merges the pending objects into the loaded hierarchy (or
+		// boxes a new root with the snapshot's DataMBB when it is empty):
+		// the queries after it must still see every object.
 		oracle := scan.New(visibleObjects(ix.live.Load()))
 		rng := rand.New(rand.NewSource(int64(len(raw))))
 		for _, stage := range []string{"a loaded snapshot", "a flushed loaded snapshot"} {
@@ -532,9 +533,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 	})
 }
 
-// TestLoadRejectsDataMBBMissingObjects: Flush boxes its new root with the
-// snapshot's DataMBB, so Load must refuse one that misses a row or a
-// pending object — a query after the Flush would skip them.
+// TestLoadRejectsDataMBBMissingObjects: Flush boxes the root of an empty
+// hierarchy with the snapshot's DataMBB, so Load must refuse one that
+// misses a row or a pending object — a query after the Flush would skip
+// them.
 func TestLoadRejectsDataMBBMissingObjects(t *testing.T) {
 	data := genVisObjects(rand.New(rand.NewSource(1029)), 300, 0)
 	ix := New(dataset.Clone(data), Config{Tau: 8})
@@ -563,7 +565,8 @@ func TestLoadRejectsDataMBBMissingObjects(t *testing.T) {
 // TestUniverseBoxRootLoads: snapshots written before the root carried the
 // data MBB have a universe-box root. Such an index must still load, refine
 // (sweeping the key lane for the root's range) and answer like a scan, and
-// its next Flush boxes the new root with the data MBB.
+// its hierarchy — cracked or still the universe-box root — must survive a
+// Flush merging a far insert into it.
 func TestUniverseBoxRootLoads(t *testing.T) {
 	data := dataset.Uniform(3000, 1030)
 	raw := rewriteHeader(t, saveBytes(t, New(dataset.Clone(data), Config{Tau: 16})), func(h *snapshotV2) {
@@ -590,15 +593,24 @@ func TestUniverseBoxRootLoads(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	ix.Append(geom.Object{Box: geom.BoxAt(geom.Point{20000, 5, 5}, 2), ID: 77777})
-	ix.Flush()
-	want := ix.live.Load().dataMBB
-	if want.Max[0] < 20000 || ix.root.slices[0].box != want {
-		t.Fatalf("root box after Flush %v, want the data MBB %v", ix.root.slices[0].box, want)
+	far := geom.Object{Box: geom.BoxAt(geom.Point{20000, 5, 5}, 2), ID: 77777}
+	fresh, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for qi, q := range queries {
-		if got, want := len(ix.Query(q, nil)), len(oracle.Query(q, nil)); got != want {
-			t.Fatalf("query %d after Flush: got %d, want %d", qi, got, want)
+	for name, ix := range map[string]*Index{"cracked": ix, "universe-box root": fresh} {
+		ix.Append(far)
+		ix.Flush()
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: invariants after Flush: %v", name, err)
+		}
+		if got := ix.Query(far.Box, nil); !containsID32(got, far.ID) {
+			t.Fatalf("%s: the far insert is missing after Flush: %v", name, got)
+		}
+		for qi, q := range queries {
+			if got, want := len(ix.Query(q, nil)), len(oracle.Query(q, nil)); got != want {
+				t.Fatalf("%s: query %d after Flush: got %d, want %d", name, qi, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/dataset"
@@ -197,13 +198,25 @@ func TestOneWalkEquivalence(t *testing.T) {
 	}
 
 	// Writes after the pin, then a Flush: the pin keeps its superseded
-	// generation and must still answer as of the pin; the live index moves on.
+	// generation — lanes and hierarchy, byte for byte — and must still
+	// answer as of the pin; the live index moves on.
 	late := geom.Object{Box: geom.BoxAt(boxes[0].Center(), 2), ID: 800_000}
 	ix.Append(late)
 	ix.Delete(visible[0].ID, visible[0].Box)
+	var pinned bytes.Buffer
+	if err := ix.SaveVersion(&pinned, v); err != nil {
+		t.Fatal(err)
+	}
 	ix.Flush()
-	if v.table == ix.data {
+	if v.table == ix.data || v.root == ix.root {
 		t.Fatal("Flush under a pin did not supersede the pinned generation")
+	}
+	var flushed bytes.Buffer
+	if err := ix.SaveVersion(&flushed, v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pinned.Bytes(), flushed.Bytes()) {
+		t.Fatal("Flush changed the pinned version's snapshot")
 	}
 	after := scan.New(append(dataset.Clone(visible[1:]), late))
 	for i, q := range boxes {
@@ -446,8 +459,8 @@ const sharedOnly = -2
 
 // TestKNNBudgetedNeverFlushes pins the second rung's first guarantee: a KNN
 // that has to refine does so around its probes only. It never folds pending
-// inserts in — which would replace the hierarchy with one unrefined slice —
-// so Pending() stands still and the slice count never drops.
+// inserts in — only an explicit Flush does — so Pending() stands still and
+// the slice count never drops.
 func TestKNNBudgetedNeverFlushes(t *testing.T) {
 	ix, visible := unconvergedWithDeltas(t, 31)
 	pending, slices := ix.Pending(), ix.NumSlices()

@@ -172,8 +172,8 @@ func (ix *Index) gcLocked() {
 
 // chainPinned reports whether any version in the chain is pinned. Flush
 // consults it (under the exclusive lock, which excludes new pins by the
-// locking contract) to decide whether the lanes must be cloned before
-// compaction so pinned views stay immutable.
+// locking contract) to decide whether the lanes and the slice tree must be
+// copied before its merge so pinned views stay immutable.
 func (ix *Index) chainPinned() bool {
 	for v := ix.live.Load(); v != nil; v = v.prev.Load() {
 		if v.pins.Load() > 0 {

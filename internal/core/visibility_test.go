@@ -212,8 +212,11 @@ func runVisibilityScript(t *testing.T, seed int64, steps, tau int) {
 					t.Fatalf("step %d: shared query got %d ids, want %d", step, len(got), len(want))
 				}
 			}
-		case r < 80: // flush: folds deltas, restarts refinement, bumps seq
+		case r < 80: // flush: folds deltas into the hierarchy, bumps seq
 			ix.Flush()
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: invariants after Flush: %v", step, err)
+			}
 			lastSeq = ix.DataVersion()
 		case r < 92: // checkpoint start: pin the live version, freeze the oracle
 			pins = append(pins, pinRec{ix.PinVersion(), cloneOracle(oracle)})

@@ -223,6 +223,7 @@ type Index struct {
 	// observations; the path counters are copied onto every shardEntry by
 	// Instrument, because queryShard has no *Index.
 	mFanout    *telemetry.Histogram // shards overlapped per query
+	mFlush     *telemetry.Histogram // wall time per Flush
 	mShared    *telemetry.Counter
 	mExclusive *telemetry.Counter
 	mPanics    *telemetry.Counter

@@ -56,6 +56,8 @@ func (ix *Index) Instrument(reg *telemetry.Registry) {
 		"Shard probes that took the budgeted-exclusive (cracking) path.")
 	ix.mFanout = reg.Histogram("quasii_shard_fanout_width_shards",
 		"Shards overlapped per query.", telemetry.SizeBuckets)
+	ix.mFlush = reg.Histogram("quasii_shard_flush_duration_seconds",
+		"Wall time of each Flush merging the pending inserts and tombstones into every shard.", telemetry.DurationBuckets)
 	ix.mPanics = reg.Counter("quasii_shard_panics_total",
 		"Panics recovered inside shard probes; each one quarantines its shard.")
 	ix.forEach(func(sh *shardEntry) {

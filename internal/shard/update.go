@@ -20,7 +20,7 @@
 // on whether they saw it. Deletes take effect immediately (tombstones
 // filter results before compaction); inserts are visible immediately too
 // (the pending delta is scanned by every query) but cost O(pending) per
-// query until Flush folds them into the indexed arrays. Shard bounding
+// query until Flush merges them into the indexed arrays. Shard bounding
 // boxes only ever grow — deleting the outermost object does not shrink the
 // box — which keeps concurrent routing lock-free and is conservative but
 // always correct.
@@ -29,6 +29,7 @@ package shard
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -113,18 +114,22 @@ func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 	return false, nil
 }
 
-// Flush folds pending inserts into every shard's indexed array and compacts
-// tombstoned deletions, shard by shard under each shard's lock (queries on
-// other shards proceed meanwhile). Queries against a flushed QUASII shard
-// rebuild its refinement incrementally, as after construction. A sub-index
-// that panics mid-flush quarantines its shard (see guard) and the remaining
-// shards are still flushed. The error is always nil: it dates from pluggable
-// sub-indexes that could refuse updates, and the signature is kept for the
-// callers that check it.
+// Flush merges pending inserts and tombstoned deletions into every shard's
+// indexed array and slice hierarchy (see core.Index.Flush), shard by shard
+// under each shard's lock (queries on other shards proceed meanwhile). The
+// refinement a shard's queries did survives the merge: only leaves the
+// arrivals push past τ are cracked again. A sub-index that panics mid-flush
+// quarantines its shard (see guard) and the remaining shards are still
+// flushed. Each call is one observation of
+// quasii_shard_flush_duration_seconds. The error is always nil: it dates
+// from pluggable sub-indexes that could refuse updates, and the signature is
+// kept for the callers that check it.
 func (ix *Index) Flush() error {
+	t0 := time.Now()
 	ix.forEach(func(sh *shardEntry) {
 		sh.guard(true, func(sub subIndex) { sub.Flush() })
 	})
+	ix.mFlush.ObserveDuration(time.Since(t0))
 	return nil
 }
 

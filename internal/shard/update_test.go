@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/scan"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -278,8 +279,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 // TestBudgetedKNNLeavesPendingUnflushed drives the ladder's second rung the
 // way production does: a shard holding pending inserts takes a KNN into a
 // region no query has refined. The probe must refine in place — not fold
-// the pending inserts in, which would throw the shard's hierarchy away — so
-// Pending() stands still, the answer includes the pending objects, and range
+// the pending inserts in, which only Flush does — so Pending() stands still, the answer includes the pending objects, and range
 // queries afterwards still match the scan oracle.
 func TestBudgetedKNNLeavesPendingUnflushed(t *testing.T) {
 	data := dataset.Uniform(4000, 91)
@@ -318,4 +318,41 @@ func TestBudgetedKNNLeavesPendingUnflushed(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFlushObservesDuration: every Flush of an instrumented index is one
+// observation of quasii_shard_flush_duration_seconds, and the merged
+// shards keep answering like the scan oracle.
+func TestFlushObservesDuration(t *testing.T) {
+	data := dataset.Uniform(3000, 96)
+	ix := New(dataset.Clone(data), Config{Shards: 3})
+	reg := telemetry.NewRegistry()
+	ix.Instrument(reg)
+	ix.Complete()
+	live := dataset.Clone(data[100:])
+	for _, o := range data[:100] {
+		if found, err := ix.Delete(o.ID, o.Box); err != nil || !found {
+			t.Fatalf("Delete(%d) = %v, %v", o.ID, found, err)
+		}
+	}
+	extra := dataset.Uniform(100, 97)
+	for i := range extra {
+		extra[i].ID = int32(700000 + i)
+	}
+	if err := ix.Insert(extra...); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, extra...)
+	for i := 0; i < 2; i++ {
+		if err := ix.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ix.mFlush.Count(); n != 2 {
+		t.Fatalf("flush histogram holds %d observations, want 2", n)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainst(t, ix, live, 98)
 }
