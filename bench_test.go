@@ -10,10 +10,11 @@ package quasii_test
 
 import (
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	quasii "repro"
-	"repro/internal/bench"
 	"repro/internal/experiments"
 )
 
@@ -412,7 +413,7 @@ func BenchmarkQueryTwoLevelGrid(b *testing.B) {
 // --- Concurrent throughput: the sharded engine vs the global mutex ---
 //
 // benchThroughput answers a fixed uniform workload with 8 client goroutines
-// draining a shared queue; b.N iterations rebuild the engine each time so
+// draining a shared atomic cursor; b.N iterations rebuild the engine each time so
 // adaptive indexes start cold. Compare:
 //
 //	go test -bench 'Throughput' -benchtime 5x
@@ -431,7 +432,23 @@ func benchThroughput(b *testing.B, build func(data []quasii.Object) quasii.Index
 		b.StopTimer()
 		ix := build(data)
 		b.StartTimer()
-		bench.RunParallel("bench", func() bench.QueryIndex { return ix }, queries, throughputGoroutines)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < throughputGoroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []int32
+				for {
+					j := int(next.Add(1)) - 1
+					if j >= len(queries) {
+						return
+					}
+					buf = ix.Query(queries[j], buf[:0])
+				}
+			}()
+		}
+		wg.Wait()
 	}
 	b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }

@@ -71,8 +71,8 @@ import (
 
 	quasii "repro"
 	"repro/internal/bench"
-	"repro/internal/experiments"
 	"repro/internal/geom"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -140,14 +140,13 @@ func main() {
 		return data
 	}
 
-	// The same generator path as quasii-bench's throughput experiment, so
-	// serve-side and bench-side runs of one workload name measure the same
-	// query pattern.
+	// Clustered queries center on the dataset the server indexes, so only
+	// that pattern needs the data.
 	var wdata []quasii.Object
 	if *workloadName == "clustered" {
 		wdata = loadData()
 	}
-	boxes, err := experiments.WorkloadQueries(*workloadName, wdata, *queries, *selectivity, *skew, *querySeed)
+	boxes, err := workload.Named(*workloadName, quasii.Universe(), wdata, *queries, *selectivity, *skew, *querySeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -9,12 +9,21 @@
 // stdout stays clean:
 //
 //	quasii-report -scale medium > report.md 2> figures.log
+//
+// Name figures to run only those, extensions such as gridsweep included:
+//
+//	quasii-report -scale small gridsweep fig7
+//
+// With no names it runs the paper's figures in order, then patterns. An
+// unknown name exits 2 and lists the known ones.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -33,6 +42,21 @@ func main() {
 	}
 	if *seed != 0 {
 		scale.Seed = *seed
+	}
+	figures := flag.Args()
+	if len(figures) == 0 {
+		figures = append(append([]string{}, experiments.Order...), "patterns")
+	}
+	for _, name := range figures {
+		if _, ok := experiments.Registry[name]; !ok {
+			known := make([]string, 0, len(experiments.Registry))
+			for k := range experiments.Registry {
+				known = append(known, k)
+			}
+			sort.Strings(known)
+			fmt.Fprintf(os.Stderr, "unknown figure %q (want %s)\n", name, strings.Join(known, ", "))
+			os.Exit(2)
+		}
 	}
 
 	w := os.Stdout
@@ -57,7 +81,6 @@ func main() {
 	fmt.Fprintf(w, "Every index in every figure returned identical result counts on every query\n")
 	fmt.Fprintf(w, "(validated by the harness; a mismatch aborts the run).\n")
 
-	figures := append(append([]string{}, experiments.Order...), "patterns")
 	start := time.Now()
 	for _, name := range figures {
 		driver := experiments.Registry[name]

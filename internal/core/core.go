@@ -52,12 +52,6 @@ type Config struct {
 	Stochastic bool
 	// Seed drives the deterministic RNG behind Stochastic. 0 means 1.
 	Seed int64
-	// DisableStats turns off the cumulative work counters so instrumentation
-	// stops taxing the query hot loop (Stats then reports zeros). The index
-	// is single-threaded by contract, so the counters are plain integers —
-	// this flag exists for deployments that wrap every index in a shard lock
-	// and take their metrics at the serving layer instead.
-	DisableStats bool
 	// HeatSampleEvery records per-slice access heat for one query in every
 	// N: a sampled query atomically increments the touch counter of every
 	// slice it descends through or scans, on both the exclusive and the
@@ -65,7 +59,7 @@ type Config struct {
 	// serving layer's /debug/index and /debug/heat); sampling keeps the
 	// converged query path allocation-free and inside its overhead budget.
 	// 0 selects DefaultHeatSampleEvery; negative disables heat tracking
-	// entirely, mirroring DisableStats.
+	// entirely.
 	HeatSampleEvery int
 }
 
@@ -80,7 +74,8 @@ const DefaultHeatSampleEvery = 16
 
 // Stats counts the work performed by the index since Build. All counters are
 // cumulative and monotone; they exist to explain convergence behaviour.
-// With Config.DisableStats set, every counter stays zero.
+// The exclusive path bumps plain integers (it is single-threaded by
+// contract); the shared read path bumps one atomic, SharedQueries.
 type Stats struct {
 	Queries        int   // queries executed on the exclusive path
 	Cracks         int   // two-way partition passes over some sub-array
@@ -155,14 +150,13 @@ func (l *sliceList) noteExtent(s *slice, dim int) {
 // Index is a QUASII index over a columnar data table it owns and reorganizes
 // in place.
 type Index struct {
-	cfg     Config
-	data    *colstore.Table
-	root    *sliceList
-	tau     [geom.Dims]int
-	rng     *rand.Rand // deterministic source for stochastic refinement
-	arena   sliceArena // chunked allocator for slice nodes
-	noStats bool
-	stats   Stats
+	cfg   Config
+	data  *colstore.Table
+	root  *sliceList
+	tau   [geom.Dims]int
+	rng   *rand.Rand // deterministic source for stochastic refinement
+	arena sliceArena // chunked allocator for slice nodes
+	stats Stats
 
 	// live is the head of the MVCC version chain (see version.go): pending
 	// inserts, tombstones and the derived extent bookkeeping live in
@@ -246,7 +240,6 @@ func New(data []geom.Object, cfg Config) *Index {
 		cfg:       cfg,
 		data:      colstore.FromObjects(data),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		noStats:   cfg.DisableStats,
 		remCracks: -1,
 		heatEvery: heatEveryFor(cfg),
 	}
@@ -274,9 +267,7 @@ func (ix *Index) newRoot(box geom.Box) {
 	initial := ix.newSlice(0, 0, ix.data.Len(), box)
 	ix.root = &sliceList{slices: []*slice{initial}}
 	ix.root.noteExtent(initial, 0)
-	if !ix.noStats {
-		ix.stats.SlicesCreated++
-	}
+	ix.stats.SlicesCreated++
 }
 
 // computeTaus derives per-level thresholds from the bottom-level capacity:
@@ -370,9 +361,7 @@ func (ix *Index) QueryBudgeted(q geom.Box, out []int32, budget int) []int32 {
 // matching objects instead of their IDs. It is also the refining position
 // probe of KNN and delete (positionsRefining in knn.go).
 func (ix *Index) queryPositions(q geom.Box, out []int32) []int32 {
-	if !ix.noStats {
-		ix.stats.Queries++
-	}
+	ix.stats.Queries++
 	if ix.data.Len() == 0 || q.IsEmpty() {
 		return out
 	}
@@ -465,10 +454,8 @@ func (ix *Index) processSlice(s *slice, q geom.Box, dim int, out []int32) []int3
 func (ix *Index) scanSlice(s *slice, q geom.Box, out []int32) []int32 {
 	before := len(out)
 	out = ix.data.ScanIntersect(s.lo, s.hi, q, out)
-	if !ix.noStats {
-		ix.stats.ObjectsTested += int64(s.size())
-		ix.stats.ResultObjects += int64(len(out) - before)
-	}
+	ix.stats.ObjectsTested += int64(s.size())
+	ix.stats.ResultObjects += int64(len(out) - before)
 	return out
 }
 
@@ -482,9 +469,7 @@ func (ix *Index) createDefaultChild(s *slice) {
 	s.children = &sliceList{slices: []*slice{child}}
 	s.children.noteExtent(child, child.level)
 	ix.epoch.Add(1)
-	if !ix.noStats {
-		ix.stats.SlicesCreated++
-	}
+	ix.stats.SlicesCreated++
 }
 
 // splice replaces refined entries of list with their replacements, keeping
@@ -727,10 +712,8 @@ func (ix *Index) crackTwo(s *slice, dim int, pivot float64) []*slice {
 // returning the split position together with the exact bounds of both bands
 // in dim.
 func (ix *Index) partition(lo, hi int, dim int, pivot float64) (mid int, left, right colstore.Bounds) {
-	if !ix.noStats {
-		ix.stats.Cracks++
-		ix.stats.CrackedObjects += int64(hi - lo)
-	}
+	ix.stats.Cracks++
+	ix.stats.CrackedObjects += int64(hi - lo)
 	if ix.remCracks > 0 {
 		ix.remCracks--
 	}
@@ -756,9 +739,7 @@ func (ix *Index) makeFragments(s *slice, dim int, cuts []int, bds []colstore.Bou
 			ix.finalizeFragment(f, dim)
 		}
 		frags = append(frags, f)
-		if !ix.noStats {
-			ix.stats.SlicesCreated++
-		}
+		ix.stats.SlicesCreated++
 	}
 	return frags
 }
@@ -771,9 +752,7 @@ func (ix *Index) finalize(s *slice) {
 	}
 	s.box = ix.data.MBB(s.lo, s.hi)
 	s.refined = true
-	if !ix.noStats {
-		ix.stats.SlicesRefined++
-	}
+	ix.stats.SlicesRefined++
 	ix.epoch.Add(1)
 }
 
@@ -788,9 +767,7 @@ func (ix *Index) finalizeFragment(f *slice, dim int) {
 		f.box.Min[d], f.box.Max[d] = ix.data.LaneBounds(d, f.lo, f.hi)
 	}
 	f.refined = true
-	if !ix.noStats {
-		ix.stats.SlicesRefined++
-	}
+	ix.stats.SlicesRefined++
 	// No epoch bump: the fragment is not yet reachable from the hierarchy
 	// (its partition pass already bumped, and splice will bump on attach).
 }
@@ -887,8 +864,6 @@ func (ix *Index) checkList(l *sliceList, lo, hi, level int) (geom.Box, error) {
 // dimension dim (a lane scan, counted in Stats.ScannedRows; used when a
 // slice's box does not bound its keys finitely, or too loosely to cut).
 func (ix *Index) lowerRange(s *slice, dim int) (lo, hi float64) {
-	if !ix.noStats {
-		ix.stats.ScannedRows += int64(s.size())
-	}
+	ix.stats.ScannedRows += int64(s.size())
 	return ix.data.KeyRange(s.lo, s.hi, dim)
 }

@@ -247,7 +247,7 @@ func TestInspectDoesNotPerturbPersistedState(t *testing.T) {
 // on an existing node, never a heap object.
 func TestConvergedQueryNoAllocsWithHeat(t *testing.T) {
 	data := dataset.Uniform(100_000, 19)
-	ix := New(data, Config{DisableStats: true, HeatSampleEvery: DefaultHeatSampleEvery})
+	ix := New(data, Config{HeatSampleEvery: DefaultHeatSampleEvery})
 	ix.Complete()
 	queries := workload.Uniform(dataset.Universe(), 256, 1e-4, 20)
 	out := make([]int32, 0, 4096)

@@ -67,19 +67,19 @@ type snapshotV2 struct {
 // the artificial-refinement switch; gob skips it, and that is safe: with
 // the switch off, slices larger than τ were only left unrefined (refined is
 // set only at ≤ τ) — a valid hierarchy the next query touching them refines
-// further.
+// further. Older snapshots may likewise carry the switch that once turned
+// the work counters off; gob skips it too, and the loaded index counts.
 type persistedConfig struct {
 	Tau             int
 	Assign          int
 	Stochastic      bool
 	Seed            int64
-	DisableStats    bool
 	HeatSampleEvery int
 }
 
 func persistConfig(c Config) persistedConfig {
 	return persistedConfig{Tau: c.Tau, Stochastic: c.Stochastic, Seed: c.Seed,
-		DisableStats: c.DisableStats, HeatSampleEvery: c.HeatSampleEvery}
+		HeatSampleEvery: c.HeatSampleEvery}
 }
 
 // config returns the Config a snapshot was written with. A hierarchy whose
@@ -99,7 +99,7 @@ func (p persistedConfig) config() (Config, error) {
 			name, p.Assign)
 	}
 	return Config{Tau: p.Tau, Stochastic: p.Stochastic, Seed: p.Seed,
-		DisableStats: p.DisableStats, HeatSampleEvery: p.HeatSampleEvery}, nil
+		HeatSampleEvery: p.HeatSampleEvery}, nil
 }
 
 type snapList struct {
@@ -257,7 +257,6 @@ func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object,
 		data:      data,
 		tau:       tau,
 		rng:       rand.New(rand.NewSource(seed)),
-		noStats:   cfg.DisableStats,
 		stats:     st,
 		remCracks: -1,
 		heatEvery: heatEveryFor(cfg),

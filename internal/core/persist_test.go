@@ -331,8 +331,8 @@ func TestLoadRejectsNestingDeeperThanDims(t *testing.T) {
 }
 
 // legacyConfig and legacyHeaderV2 are the v2 header as it was written while
-// Config still carried the assignment mode and the artificial-refinement
-// switch.
+// Config still carried the assignment mode, the artificial-refinement
+// switch and the switch that turned the work counters off.
 type legacyConfig struct {
 	Tau               int
 	Assign            int
@@ -357,8 +357,9 @@ type legacyHeaderV2 struct {
 
 // TestLoadRefusesNonLowerAssignment: a snapshot whose slices partition some
 // other representative coordinate than the lower corner is refused with an
-// error naming the mode, while one written with artificial refinement off
-// is a valid hierarchy and loads.
+// error naming the mode, while one written with artificial refinement off,
+// or with the work counters off, is a valid hierarchy and loads — the
+// latter counting its work from the next query on.
 func TestLoadRefusesNonLowerAssignment(t *testing.T) {
 	data := dataset.Uniform(500, 1022)
 	ix := New(dataset.Clone(data), Config{Tau: 16})
@@ -375,18 +376,27 @@ func TestLoadRefusesNonLowerAssignment(t *testing.T) {
 			t.Fatalf("Load with Assign %d = %v, want an error naming %q", mode, err, name)
 		}
 	}
-	loaded, err := Load(bytes.NewReader(legacy(func(c *legacyConfig) { c.DisableArtificial = true })))
-	if err != nil {
-		t.Fatalf("Load with artificial refinement off: %v", err)
-	}
 	oracle := scan.New(data)
-	for qi, q := range workload.Uniform(dataset.Universe(), 20, 1e-2, 1024) {
-		if got, want := sortedIDs(loaded.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+	for name, edit := range map[string]func(*legacyConfig){
+		"artificial refinement off": func(c *legacyConfig) { c.DisableArtificial = true },
+		"work counters off":         func(c *legacyConfig) { c.DisableStats = true },
+	} {
+		loaded, err := Load(bytes.NewReader(legacy(edit)))
+		if err != nil {
+			t.Fatalf("Load with %s: %v", name, err)
 		}
-	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		for qi, q := range workload.Uniform(dataset.Universe(), 20, 1e-2, 1024) {
+			before := loaded.Stats()
+			if got, want := sortedIDs(loaded.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+				t.Fatalf("%s: query %d: got %d, want %d", name, qi, len(got), len(want))
+			}
+			if after := loaded.Stats(); after.Queries != before.Queries+1 || after.ObjectsTested <= before.ObjectsTested {
+				t.Fatalf("%s: query %d: counters did not move: %+v -> %+v", name, qi, before, after)
+			}
+		}
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

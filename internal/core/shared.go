@@ -99,7 +99,7 @@ func (ix *Index) queryAtVersion(v *Version, q geom.Box, out []int32) ([]int32, b
 		return out[:start], false
 	}
 	v.eachPending(q, func(id int32) { out = append(out, id) })
-	ix.noteShared()
+	ix.sharedQueries.Add(1)
 	return out, true
 }
 
@@ -118,7 +118,7 @@ func (ix *Index) CountShared(q geom.Box) (int, bool) {
 		return 0, false
 	}
 	v.eachPending(q, func(int32) { n++ })
-	ix.noteShared()
+	ix.sharedQueries.Add(1)
 	return n, true
 }
 
@@ -143,15 +143,6 @@ func (ix *Index) positionsShared(v *Version, q geom.Box, pos []int32) ([]int32, 
 		pos = v.table.ScanIntersect(lo, hi, q, pos)
 	})
 	return pos, ok
-}
-
-// noteShared counts one query answered on the shared path. It honors
-// DisableStats like every other counter — and keeps the one shared cache
-// line off the hot path when instrumentation is off.
-func (ix *Index) noteShared() {
-	if !ix.noStats {
-		ix.sharedQueries.Add(1)
-	}
 }
 
 // walkRefined is the read-only mirror of queryList — Algorithm 1 with every
@@ -204,6 +195,6 @@ func (ix *Index) KNNShared(p geom.Point, k int) ([]Neighbor, bool) {
 	if !ok || ix.epoch.Load() != e {
 		return nil, false
 	}
-	ix.noteShared()
+	ix.sharedQueries.Add(1)
 	return nn, true
 }

@@ -42,26 +42,6 @@ func TestEquivalenceFuzzSeeds(t *testing.T) {
 	}
 }
 
-func TestEquivalenceDisableStats(t *testing.T) {
-	data := dataset.Uniform(4000, 71)
-	queries := workload.Uniform(dataset.Universe(), 120, 1e-3, 72)
-	runEquivalence(t, data, queries, Config{Tau: 32, DisableStats: true})
-}
-
-func TestDisableStatsKeepsCountersZero(t *testing.T) {
-	data := dataset.Uniform(2000, 73)
-	ix := New(dataset.Clone(data), Config{DisableStats: true})
-	for _, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 74) {
-		ix.Query(q, nil)
-	}
-	if st := ix.Stats(); st != (Stats{}) {
-		t.Fatalf("counters moved despite DisableStats: %+v", st)
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConvergedQueryDoesNotAllocate pins the tentpole's allocation contract:
 // once the index is fully refined, Query with a pre-sized output buffer must
 // not allocate.

@@ -2,8 +2,8 @@
 // paper's evaluation (Section 6). Each driver generates the figure's
 // workload, runs every index the figure compares, validates that all indexes
 // returned identical result cardinalities, and prints the same rows/series
-// the paper plots. The drivers are shared by cmd/quasii-bench and by the
-// repository's testing.B benchmarks.
+// the paper plots. cmd/quasii-report runs them and renders EXPERIMENTS.md;
+// the repository's testing.B benchmarks reuse them.
 //
 // Scales: the paper ran 450 M – 1 B objects on a 768 GB machine; the drivers
 // default to laptop-scale datasets. Relative behaviour (who wins, roughly by
@@ -43,54 +43,6 @@ type Scale struct {
 	// by FigGridSweep).
 	GridUniform int
 	GridNeuro   int
-	// Shards / Goroutines parameterize the Throughput extension experiment:
-	// the sharded engine's partition count (0 = GOMAXPROCS) and the maximum
-	// concurrent client count (0 = 8).
-	Shards     int
-	Goroutines int
-	// NoStats disables the QUASII work counters in the Throughput
-	// experiment's engines (core.Config.DisableStats), measuring the index
-	// without instrumentation overhead — the production serving posture.
-	NoStats bool
-	// Workload selects the query pattern for the Throughput experiment:
-	// "uniform" (default), "clustered", "zipf" or "sequential" — the access
-	// patterns of the adaptive-indexing literature (see internal/workload).
-	Workload string
-}
-
-// Workloads lists the valid Scale.Workload values.
-var Workloads = []string{"uniform", "clustered", "zipf", "sequential"}
-
-// WorkloadQueries generates n queries of the named pattern over the
-// universe with the paper's parameterization (clustered centers sit on
-// data, as the paper's workload does; skew ≤ 0 selects 1.2). It is shared
-// by the throughput experiment and cmd/quasii-loadgen so both sides
-// measure the same workloads.
-func WorkloadQueries(name string, data []geom.Object, n int, sel, skew float64, seed int64) ([]geom.Box, error) {
-	if skew <= 0 {
-		skew = 1.2
-	}
-	switch name {
-	case "", "uniform":
-		return workload.Uniform(dataset.Universe(), n, sel, seed), nil
-	case "clustered":
-		// 5 clusters as in the paper; round perCluster up and truncate so
-		// the caller gets exactly n queries.
-		perCluster := (n + 4) / 5
-		if perCluster < 1 {
-			perCluster = 1
-		}
-		qs := workload.ClusteredOn(dataset.Universe(), data, 5, perCluster, sel, clusterSigma, seed)
-		if len(qs) > n {
-			qs = qs[:n]
-		}
-		return qs, nil
-	case "zipf":
-		return workload.Zipf(dataset.Universe(), n, sel, skew, seed), nil
-	case "sequential":
-		return workload.Sequential(dataset.Universe(), n, sel, 0), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (want uniform, clustered, zipf or sequential)", name)
 }
 
 // Small is the test/bench scale: fast enough for go test.
@@ -100,7 +52,7 @@ var Small = Scale{
 	PrintEvery: 25, GridUniform: 24, GridNeuro: 48,
 }
 
-// Medium is the default CLI scale.
+// Medium takes minutes per figure: the scale for headline numbers.
 var Medium = Scale{
 	Name: "medium", UniformN: 300000, NeuroN: 300000,
 	ClusteredQueries: 500, UniformQueries: 2000, Seed: 1,
@@ -574,18 +526,16 @@ func GridSweep(w io.Writer, sc Scale) (*Result, error) {
 
 // Registry maps figure names to drivers for the CLI.
 var Registry = map[string]func(io.Writer, Scale) (*Result, error){
-	"fig6a":       Fig6a,
-	"fig6b":       Fig6b,
-	"fig7":        Fig7,
-	"fig8":        Fig8,
-	"fig9":        Fig9,
-	"fig10":       Fig10,
-	"fig11":       Fig11,
-	"fig12":       Fig12,
-	"gridsweep":   GridSweep,
-	"patterns":    Patterns,
-	"throughput":  Throughput,
-	"readscaling": ReadScaling,
+	"fig6a":     Fig6a,
+	"fig6b":     Fig6b,
+	"fig7":      Fig7,
+	"fig8":      Fig8,
+	"fig9":      Fig9,
+	"fig10":     Fig10,
+	"fig11":     Fig11,
+	"fig12":     Fig12,
+	"gridsweep": GridSweep,
+	"patterns":  Patterns,
 }
 
 // Order lists the figures in paper order for "run everything".

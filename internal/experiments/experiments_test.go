@@ -89,23 +89,3 @@ func TestScalesRegistered(t *testing.T) {
 		}
 	}
 }
-
-func TestThroughputRuns(t *testing.T) {
-	sc := tiny
-	sc.Shards = 4
-	sc.Goroutines = 4
-	var sb strings.Builder
-	r, err := Throughput(&sb, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Notes) == 0 {
-		t.Fatal("throughput recorded no notes")
-	}
-	out := sb.String()
-	for _, want := range []string{"mutex+quasii", "rwlock+rtree", "sharded(4)", "queries/s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}

@@ -25,16 +25,15 @@ import (
 func benchConvergedParallel(b *testing.B, exclusive bool, goroutines int) {
 	const n = 200_000
 	data := dataset.Uniform(n, 45)
-	sub := core.Config{DisableStats: true}
 	var ix interface {
 		Query(q geom.Box, out []int32) []int32
 	}
 	if exclusive {
-		c := core.New(data, sub)
+		c := core.New(data, core.Config{})
 		c.Complete()
 		ix = syncidx.Wrap(c)
 	} else {
-		s := New(data, Config{Shards: 1, Workers: 1, SubConfig: sub})
+		s := New(data, Config{Shards: 1, Workers: 1})
 		s.Complete()
 		ix = s
 	}
@@ -93,11 +92,7 @@ func BenchmarkQueryMixedParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ix := New(dataset.Clone(master), Config{
-			Shards:    1,
-			Workers:   1,
-			SubConfig: core.Config{DisableStats: true},
-		})
+		ix := New(dataset.Clone(master), Config{Shards: 1, Workers: 1})
 		b.StartTimer()
 		var next atomic.Int64
 		var wg sync.WaitGroup

@@ -10,7 +10,6 @@ package shard
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -19,11 +18,7 @@ import (
 func benchConvergedTelemetry(b *testing.B, instrument bool) {
 	const n = 200_000
 	data := dataset.Uniform(n, 45)
-	ix := New(data, Config{
-		Shards:    1,
-		Workers:   1,
-		SubConfig: core.Config{DisableStats: true},
-	})
+	ix := New(data, Config{Shards: 1, Workers: 1})
 	if instrument {
 		ix.Instrument(telemetry.NewRegistry())
 	}
@@ -49,7 +44,7 @@ func BenchmarkQueryConvergedTelemetry(b *testing.B) {
 // regular test so it runs in every `go test` sweep, not only under -bench.
 func TestConvergedPathNoAllocsInstrumented(t *testing.T) {
 	data := dataset.Uniform(50_000, 45)
-	ix := New(data, Config{Shards: 1, Workers: 1, SubConfig: core.Config{DisableStats: true}})
+	ix := New(data, Config{Shards: 1, Workers: 1})
 	ix.Instrument(telemetry.NewRegistry())
 	ix.Complete()
 	queries := workload.Uniform(dataset.Universe(), 64, 1e-4, 46)

@@ -1,12 +1,14 @@
-// Package stats provides the summary-statistics helpers shared by the
-// experiment harness (internal/bench, internal/experiments) and the serving
-// metrics (internal/server): mean, sum, min/max, percentiles over duration
-// samples, running cumulative series, and the speedup ratios the QUASII
-// paper reports. All helpers tolerate empty inputs (returning zero) so
-// report generation never branches on sample counts.
+// Package stats provides the summary-statistics helpers of the experiment
+// harness (internal/experiments, internal/bench) and of the HTTP load
+// generator's latency report (internal/bench): mean, sum, max, nearest-rank
+// percentiles over duration samples, running cumulative series, and the
+// speedup ratios the QUASII paper reports. All helpers tolerate empty
+// inputs (returning zero) so report generation never branches on sample
+// counts.
 package stats
 
 import (
+	"math"
 	"sort"
 	"time"
 )
@@ -46,7 +48,12 @@ func Percentile(ds []time.Duration, p float64) time.Duration {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := int(p / 100 * float64(len(sorted)))
+	// Nearest rank: the smallest sample with at least p % of the samples at
+	// or below it, the ceil(p·n/100)-th in sorted order.
+	rank := int(math.Ceil(p*float64(len(sorted))/100)) - 1
+	if rank < 0 {
+		rank = 0
+	}
 	if rank >= len(sorted) {
 		rank = len(sorted) - 1
 	}
@@ -62,20 +69,6 @@ func Cumulative(ds []time.Duration) []time.Duration {
 		out[i] = sum
 	}
 	return out
-}
-
-// Min returns the smallest element, or 0 for an empty slice.
-func Min(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Max returns the largest element, or 0 for an empty slice.

@@ -39,8 +39,15 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile(data, 100); got != 100 {
 		t.Errorf("p100 = %d, want 100", got)
 	}
-	if got := Percentile(data, 50); got != 60 {
-		t.Errorf("p50 = %d, want 60", got)
+	if got := Percentile(data, 50); got != 50 {
+		t.Errorf("p50 = %d, want 50", got)
+	}
+	hundred := make([]int, 100)
+	for i := range hundred {
+		hundred[i] = i + 1
+	}
+	if got := Percentile(ds(hundred...), 99); got != 99 {
+		t.Errorf("p99 of 1..100 = %d, want 99", got)
 	}
 	if got := Percentile(nil, 50); got != 0 {
 		t.Errorf("empty percentile = %d", got)
@@ -67,15 +74,11 @@ func TestCumulative(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	data := ds(5, 1, 9, 3)
-	if got := Min(data); got != 1 {
-		t.Errorf("Min = %d", got)
-	}
-	if got := Max(data); got != 9 {
+	if got := Max(ds(5, 1, 9, 3)); got != 9 {
 		t.Errorf("Max = %d", got)
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty Min/Max should be 0")
+	if Max(nil) != 0 {
+		t.Error("empty Max should be 0")
 	}
 }
 

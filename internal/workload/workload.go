@@ -13,6 +13,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -180,4 +181,40 @@ func Zipf(universe geom.Box, n int, selectivity, skew float64, seed int64) []geo
 		queries[i] = clampedCube(universe, c, side)
 	}
 	return queries
+}
+
+// namedClusterSigma is the Gaussian spread, in universe units, of the
+// clustered pattern Named generates — the paper figures' cluster spread.
+const namedClusterSigma = 200
+
+// Named generates n queries of the named pattern — uniform (also ""),
+// clustered, zipf or sequential — with the paper's parameterization: five
+// clusters whose centers sit on data, as the paper's workload does, and a
+// zipf skew of 1.2 when skew ≤ 0. It is the one dispatcher behind
+// cmd/quasii-loadgen's -workload flag.
+func Named(name string, universe geom.Box, data []geom.Object, n int, sel, skew float64, seed int64) ([]geom.Box, error) {
+	if skew <= 0 {
+		skew = 1.2
+	}
+	switch name {
+	case "", "uniform":
+		return Uniform(universe, n, sel, seed), nil
+	case "clustered":
+		// Round perCluster up and truncate so the caller gets exactly n
+		// queries.
+		perCluster := (n + 4) / 5
+		if perCluster < 1 {
+			perCluster = 1
+		}
+		qs := ClusteredOn(universe, data, 5, perCluster, sel, namedClusterSigma, seed)
+		if len(qs) > n {
+			qs = qs[:n]
+		}
+		return qs, nil
+	case "zipf":
+		return Zipf(universe, n, sel, skew, seed), nil
+	case "sequential":
+		return Sequential(universe, n, sel, 0), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (want uniform, clustered, zipf or sequential)", name)
 }

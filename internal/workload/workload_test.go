@@ -194,3 +194,37 @@ func TestZipfDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestNamed pins loadgen's dispatcher: every pattern yields exactly n boxes
+// inside the universe (clustered included when n is not a multiple of its
+// five clusters), a non-positive skew means 1.2, a seed fixes the boxes, and
+// an unknown name is an error.
+func TestNamed(t *testing.T) {
+	u := dataset.Universe()
+	data := dataset.Uniform(2000, 11)
+	for _, name := range []string{"", "uniform", "clustered", "zipf", "sequential"} {
+		for _, n := range []int{7, 100} {
+			got, err := Named(name, u, data, n, 1e-4, 0, 12)
+			if err != nil {
+				t.Fatalf("%q n=%d: %v", name, n, err)
+			}
+			if len(got) != n {
+				t.Fatalf("%q n=%d: %d boxes", name, n, len(got))
+			}
+			checkQueries(t, got, u, 1e-4)
+			again, _ := Named(name, u, data, n, 1e-4, 0, 12)
+			skewed, _ := Named(name, u, data, n, 1e-4, 1.2, 12)
+			for i := range got {
+				if again[i] != got[i] {
+					t.Fatalf("%q n=%d: box %d differs under the same seed", name, n, i)
+				}
+				if skewed[i] != got[i] {
+					t.Fatalf("%q n=%d: box %d differs between skew 0 and 1.2", name, n, i)
+				}
+			}
+		}
+	}
+	if _, err := Named("nosuch", u, data, 10, 1e-4, 0, 12); err == nil {
+		t.Fatal("unknown workload name accepted")
+	}
+}
