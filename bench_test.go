@@ -256,30 +256,7 @@ func benchSFCrackerIntervals(b *testing.B, maxIntervals int) {
 func BenchmarkAblationSFCrackerExactIntervals(b *testing.B)  { benchSFCrackerIntervals(b, -1) }
 func BenchmarkAblationSFCrackerCappedIntervals(b *testing.B) { benchSFCrackerIntervals(b, 64) }
 
-// --- Extension benchmarks: STR vs dynamic insertion, Z-order vs Hilbert ---
-
-// The paper's stated reason for STR: lower pre-processing cost and less
-// overlap than inserting one object at a time.
-func BenchmarkBuildDynRTree(b *testing.B) {
-	data := benchData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quasii.NewDynRTreeFromData(data, quasii.RTreeConfig{})
-	}
-}
-
-func BenchmarkQueryDynRTree(b *testing.B) {
-	data := benchData(b)
-	dt := quasii.NewDynRTreeFromData(data, quasii.RTreeConfig{})
-	queries := quasii.UniformQueries(64, 1e-3, 3)
-	var buf []int32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = dt.Query(queries[i%len(queries)], buf[:0])
-	}
-}
+// --- Extension benchmarks: Z-order vs Hilbert ---
 
 func benchSFCCurve(b *testing.B, curve quasii.SFCConfig) {
 	b.Helper()
@@ -361,29 +338,6 @@ func BenchmarkQueryQUASIIKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.KNN(queries[i%len(queries)].Center(), 10)
-	}
-}
-
-// R-tree family comparison: STR bulk load vs Guttman vs R* (build cost and
-// query performance; leaf overlap is asserted in the test suite).
-func BenchmarkBuildRStarTree(b *testing.B) {
-	data := benchData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quasii.NewRStarTreeFromData(data, quasii.RTreeConfig{})
-	}
-}
-
-func BenchmarkQueryRStarTree(b *testing.B) {
-	data := benchData(b)
-	rs := quasii.NewRStarTreeFromData(data, quasii.RTreeConfig{})
-	queries := quasii.UniformQueries(64, 1e-3, 3)
-	var buf []int32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = rs.Query(queries[i%len(queries)], buf[:0])
 	}
 }
 

@@ -48,7 +48,7 @@ func (s *Index) Query(q geom.Box, out []int32) []int32 {
 }
 
 // Do runs fn with exclusive access to the underlying index, for operations
-// beyond Query (e.g. DynTree.Insert or QUASII stats snapshots).
+// beyond Query (e.g. QUASII stats snapshots).
 func (s *Index) Do(fn func(inner Queryable)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,11 +56,10 @@ func (s *Index) Do(fn func(inner Queryable)) {
 }
 
 // RWIndex wraps a *static* index with a read-write mutex: queries take the
-// read lock and run concurrently, mutations go through Do under the write
-// lock. It is ONLY correct for indexes whose Query does not mutate internal
-// state — RTree, DynTree, RStar, Grid, TwoLevelGrid, Octree, SFC and Scan
-// qualify; the incremental indexes (QUASII, SFCracker, Mosaic) crack their
-// data on every query and must use Wrap instead.
+// read lock and run concurrently. It is ONLY correct for indexes whose Query
+// does not mutate internal state — RTree, Grid, TwoLevelGrid, Octree, SFC and
+// Scan qualify; the incremental indexes (QUASII, SFCracker, Mosaic) crack
+// their data on every query and must use Wrap instead.
 type RWIndex struct {
 	mu    sync.RWMutex
 	inner Queryable
@@ -83,12 +82,4 @@ func (s *RWIndex) Query(q geom.Box, out []int32) []int32 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.inner.Query(q, out)
-}
-
-// Do runs fn with exclusive (write-locked) access to the underlying index,
-// for mutations such as DynTree.Insert.
-func (s *RWIndex) Do(fn func(inner Queryable)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.inner)
 }

@@ -133,44 +133,3 @@ func TestRWrapConcurrentReaders(t *testing.T) {
 		t.Fatal(e)
 	}
 }
-
-// TestRWrapDoExcludesReaders interleaves write-locked mutations of a dynamic
-// R-tree with concurrent readers; run with -race. Readers only ever observe
-// a multiple of the insertion batch size.
-func TestRWrapDoExcludesReaders(t *testing.T) {
-	const batch = 100
-	ix := RWrap(rtree.NewDyn(rtree.Config{}))
-	objs := dataset.Uniform(10*batch, 406)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < len(objs); i += batch {
-			ix.Do(func(in Queryable) {
-				dt := in.(*rtree.DynTree)
-				for _, o := range objs[i : i+batch] {
-					dt.Insert(o)
-				}
-			})
-		}
-	}()
-	errs := make(chan string, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if n := ix.Len(); n%batch != 0 {
-					errs <- "observed a torn insertion batch"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-}

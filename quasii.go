@@ -117,14 +117,6 @@ type (
 	RTree = rtree.Tree
 	// RTreeConfig configures the R-tree (node capacity, default 60).
 	RTreeConfig = rtree.Config
-	// DynRTree is a dynamic (Guttman, quadratic-split) R-tree supporting
-	// Insert and Delete — the one-at-a-time alternative STR is measured
-	// against in the paper.
-	DynRTree = rtree.DynTree
-	// RStarTree is the R*-tree (Beckmann et al.): improved subtree choice,
-	// margin-based splits and forced reinsertion — the refinement strategy
-	// the paper's Sec. 5 weighs against QUASII's artificial slicing.
-	RStarTree = rtree.RStar
 	// Neighbor is one k-nearest-neighbor result from RTree.KNN.
 	Neighbor = rtree.Neighbor
 	// Grid is the uniform grid baseline.
@@ -173,23 +165,6 @@ const (
 
 // NewRTree bulk-loads an R-tree over a copy of data using STR packing.
 func NewRTree(data []Object, cfg RTreeConfig) *RTree { return rtree.New(data, cfg) }
-
-// NewDynRTree returns an empty dynamic R-tree; add objects with Insert.
-func NewDynRTree(cfg RTreeConfig) *DynRTree { return rtree.NewDyn(cfg) }
-
-// NewDynRTreeFromData builds a dynamic R-tree by inserting every object in
-// order (the pre-processing strategy STR bulk loading replaces).
-func NewDynRTreeFromData(data []Object, cfg RTreeConfig) *DynRTree {
-	return rtree.NewDynFromData(data, cfg)
-}
-
-// NewRStarTree returns an empty R*-tree; add objects with Insert.
-func NewRStarTree(cfg RTreeConfig) *RStarTree { return rtree.NewRStar(cfg) }
-
-// NewRStarTreeFromData builds an R*-tree by inserting every object in order.
-func NewRStarTreeFromData(data []Object, cfg RTreeConfig) *RStarTree {
-	return rtree.NewRStarFromData(data, cfg)
-}
 
 // NewGrid builds a uniform grid over data (referenced, not copied).
 func NewGrid(data []Object, cfg GridConfig) *Grid { return grid.New(data, cfg) }
@@ -279,8 +254,8 @@ func Synchronize(ix Index) *Synchronized { return syncidx.Wrap(ix) }
 
 // SynchronizedStatic wraps a static index with a read-write mutex so
 // concurrent read-only queries proceed in parallel. Only correct for indexes
-// whose Query does not mutate state (RTree, DynRTree, RStarTree, Grid,
-// TwoLevelGrid, Octree, SFC, Scan); incremental indexes must use Synchronize.
+// whose Query does not mutate state (RTree, Grid, TwoLevelGrid, Octree, SFC,
+// Scan); incremental indexes must use Synchronize.
 type SynchronizedStatic = syncidx.RWIndex
 
 // SynchronizeStatic returns a read-concurrent view of the static index ix.
@@ -500,8 +475,6 @@ var (
 	_ Index = (*SFC)(nil)
 	_ Index = (*SFCracker)(nil)
 	_ Index = (*Scan)(nil)
-	_ Index = (*DynRTree)(nil)
-	_ Index = (*RStarTree)(nil)
 	_ Index = (*TwoLevelGrid)(nil)
 	_ Index = (*Synchronized)(nil)
 	_ Index = (*SynchronizedStatic)(nil)

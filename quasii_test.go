@@ -38,8 +38,6 @@ func allIndexes(data []quasii.Object) map[string]quasii.Index {
 		"SFC":            quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe()}),
 		"SFCracker":      quasii.NewSFCracker(quasii.CloneObjects(data), quasii.SFCConfig{Universe: quasii.Universe()}),
 		"SFC/Hilbert":    quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe(), Curve: quasii.CurveHilbert}),
-		"DynRTree":       quasii.NewDynRTreeFromData(data, quasii.RTreeConfig{}),
-		"RStarTree":      quasii.NewRStarTreeFromData(data, quasii.RTreeConfig{}),
 		"TwoLevelGrid":   quasii.NewTwoLevelGrid(data, quasii.TwoLevelGridConfig{Universe: quasii.Universe()}),
 		"QUASII/stoch":   quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{Stochastic: true}),
 		"Sharded/4":      quasii.NewSharded(data, quasii.ShardedConfig{Shards: 4}),
