@@ -113,9 +113,9 @@ func (t *Table) Objects(out []geom.Object) []geom.Object {
 // Merge folds one batch of updates into the table in place, keeping every
 // segment's rows contiguous. The rows are cut into consecutive segments,
 // segment k ending (exclusively) at ends[k]; ends must cover the table. Every
-// row whose ID is in dead is dropped, add[i] joins the end of segment seg[i]
-// (seg non-decreasing, each < len(ends)), and the survivors keep their
-// relative order. ends is rewritten to the segments' new ends.
+// row whose ID is tombstoned in dead is dropped, add[i] joins the end of
+// segment seg[i] (seg non-decreasing, each < len(ends)), and the survivors
+// keep their relative order. ends is rewritten to the segments' new ends.
 //
 // Two sweeps move the rows, each starting at the first row it has to move:
 // left to right, the survivors close the gaps of the dropped rows; right to
@@ -123,9 +123,9 @@ func (t *Table) Objects(out []geom.Object) []geom.Object {
 // added before them, opening room at each receiving segment's end for its
 // additions. Rows move a run at a time and no second table is built — the
 // lanes only grow when the batch adds more rows than it drops.
-func (t *Table) Merge(ends []int, dead map[int32]struct{}, add []geom.Object, seg []int) {
+func (t *Table) Merge(ends []int, dead Tombstones, add []geom.Object, seg []int) {
 	n := t.Len()
-	if len(dead) > 0 {
+	if dead.Len() > 0 {
 		n = t.dropDead(ends, dead)
 	}
 	m := n + len(add)
@@ -171,13 +171,13 @@ func withLen[T any](lane []T, n, m int) []T {
 }
 
 // dropDead is Merge's left-to-right sweep: it closes the gaps of the rows
-// whose ID is in dead, rewrites ends to the compacted segment ends and
-// returns the surviving row count. A 2^16-bit screen over the IDs' low bits
-// answers "live" for most rows with one load and a test; only a row whose
-// bit is set pays the map lookup.
-func (t *Table) dropDead(ends []int, dead map[int32]struct{}) int {
+// whose ID is tombstoned in dead, rewrites ends to the compacted segment
+// ends and returns the surviving row count. A 2^16-bit screen over the IDs'
+// low bits answers "live" for most rows with one load and a test; only a
+// row whose bit is set pays the table lookup.
+func (t *Table) dropDead(ends []int, dead Tombstones) int {
 	var screen [1 << 10]uint64
-	for id := range dead {
+	for _, id := range dead.IDs() {
 		screen[uint16(id)>>6] |= 1 << (uint(id) & 63)
 	}
 	w, run, r := 0, 0, 0 // rows [run, r) survive and belong at w
@@ -187,7 +187,7 @@ func (t *Table) dropDead(ends []int, dead map[int32]struct{}) int {
 			if screen[uint16(id)>>6]&(1<<(uint(id)&63)) == 0 {
 				continue
 			}
-			if _, gone := dead[id]; !gone {
+			if !dead.Has(id) {
 				continue
 			}
 			if w != run {

@@ -201,9 +201,11 @@ func TestMerge(t *testing.T) {
 				ends = append(ends, end)
 			}
 			dead := map[int32]struct{}{}
+			var view Tombstones
 			for _, o := range rows {
 				if rng.Intn(4) == 0 {
 					dead[o.ID] = struct{}{}
+					view = view.With(o.ID)
 				}
 			}
 			add := fresh(rng.Intn(200))
@@ -232,7 +234,7 @@ func TestMerge(t *testing.T) {
 				lo = end
 			}
 
-			tab.Merge(ends, dead, add, seg)
+			tab.Merge(ends, view, add, seg)
 			if tab.Len() != len(want) || !slices.Equal(ends, wantEnds) {
 				t.Fatalf("trial %d round %d: Len %d ends %v, want %d %v", trial, round, tab.Len(), ends, len(want), wantEnds)
 			}

@@ -2,21 +2,52 @@ package colstore
 
 import "repro/internal/geom"
 
-// Delta-merge kernels: the MVCC read path layers an immutable tombstone set
+// Delta-merge kernels: the MVCC read path layers an immutable tombstone view
 // over the lanes, so the bottom-level filters need variants that apply the
 // tombstone check inside the scan loop. Keeping the check fused (rather
 // than post-filtering a materialized position vector) preserves the single
 // sequential pass over the seven lanes and keeps the converged read path at
 // zero allocations: the only state is the caller's output slice and the
-// shared (read-only) tombstone map.
+// shared (read-only) tombstone view.
 
-// ScanIntersectVisible appends the IDs — not positions — of every row in
-// [lo, hi) whose box intersects q and whose ID is not tombstoned in dead.
-// The six interval comparisons stay branch-free; the map lookup runs only
-// for rows that already passed the geometric test, so a converged read with
-// no tombstones pays nothing beyond ScanIntersect plus the ID lane load.
-// dead may be nil.
+// deadSet is what the visible scan kernel asks of a tombstone set.
+type deadSet interface {
+	Has(id int32) bool
+}
+
+// mapSet adapts a map-keyed tombstone set to the kernel.
+type mapSet map[int32]struct{}
+
+func (m mapSet) Has(id int32) bool {
+	_, ok := m[id]
+	return ok
+}
+
+// ScanVisible appends the IDs — not positions — of every row in [lo, hi)
+// whose box intersects q and whose ID is not tombstoned in dead. The six
+// interval comparisons stay branch-free; the tombstone lookup runs only for
+// rows that already passed the geometric test, so a converged read with no
+// tombstones pays nothing beyond ScanIntersect plus the ID lane load.
+func (t *Table) ScanVisible(lo, hi int, q geom.Box, dead Tombstones, out []int32) []int32 {
+	if dead.Len() == 0 {
+		return t.scanIDs(lo, hi, q, out)
+	}
+	return scanVisible(t, lo, hi, q, dead, out)
+}
+
+// ScanIntersectVisible is ScanVisible over a map-keyed tombstone set (dead
+// may be nil), running the same kernel. The index never calls it; it keeps
+// the benchmark's colstore.scan_visible_ns_per_row probe compiling.
 func (t *Table) ScanIntersectVisible(lo, hi int, q geom.Box, dead map[int32]struct{}, out []int32) []int32 {
+	if len(dead) == 0 {
+		return t.scanIDs(lo, hi, q, out)
+	}
+	return scanVisible(t, lo, hi, q, mapSet(dead), out)
+}
+
+// scanIDs is the visible scan with no tombstones: ScanIntersect appending
+// IDs instead of positions.
+func (t *Table) scanIDs(lo, hi int, q geom.Box, out []int32) []int32 {
 	if lo >= hi {
 		return out
 	}
@@ -31,39 +62,53 @@ func (t *Table) ScanIntersectVisible(lo, hi int, q geom.Box, dead map[int32]stru
 	qlo0, qhi0 := q.Min[0], q.Max[0]
 	qlo1, qhi1 := q.Min[1], q.Max[1]
 	qlo2, qhi2 := q.Min[2], q.Max[2]
-	if len(dead) == 0 {
-		for k := range min0 {
-			ok := b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
-				b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
-				b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
-			if ok != 0 {
-				out = append(out, ids[k])
-			}
-		}
-		return out
-	}
 	for k := range min0 {
 		ok := b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
 			b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
 			b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
 		if ok != 0 {
-			if _, gone := dead[ids[k]]; !gone {
-				out = append(out, ids[k])
-			}
+			out = append(out, ids[k])
 		}
 	}
 	return out
 }
 
-// CountIntersectVisible counts the rows in [lo, hi) whose box intersects q
-// and whose ID is not tombstoned in dead — CountIntersect with the
-// visibility check fused in, for count-only callers that must stay
-// allocation-free even while deletes are pending. dead may be nil.
-func (t *Table) CountIntersectVisible(lo, hi int, q geom.Box, dead map[int32]struct{}) int {
+// scanVisible is the visible scan kernel over any tombstone set.
+func scanVisible[S deadSet](t *Table, lo, hi int, q geom.Box, dead S, out []int32) []int32 {
+	if lo >= hi {
+		return out
+	}
+	min0 := t.Min[0][lo:hi]
+	n := len(min0)
+	max0 := t.Max[0][lo:hi][:n]
+	min1 := t.Min[1][lo:hi][:n]
+	max1 := t.Max[1][lo:hi][:n]
+	min2 := t.Min[2][lo:hi][:n]
+	max2 := t.Max[2][lo:hi][:n]
+	ids := t.ID[lo:hi][:n]
+	qlo0, qhi0 := q.Min[0], q.Max[0]
+	qlo1, qhi1 := q.Min[1], q.Max[1]
+	qlo2, qhi2 := q.Min[2], q.Max[2]
+	for k := range min0 {
+		ok := b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
+			b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
+			b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
+		if ok != 0 && !dead.Has(ids[k]) {
+			out = append(out, ids[k])
+		}
+	}
+	return out
+}
+
+// CountVisible counts the rows in [lo, hi) whose box intersects q and whose
+// ID is not tombstoned in dead — CountIntersect with the visibility check
+// fused in, for count-only callers that must stay allocation-free even
+// while deletes are pending.
+func (t *Table) CountVisible(lo, hi int, q geom.Box, dead Tombstones) int {
 	if lo >= hi {
 		return 0
 	}
-	if len(dead) == 0 {
+	if dead.Len() == 0 {
 		return t.CountIntersect(lo, hi, q)
 	}
 	min0 := t.Min[0][lo:hi]
@@ -82,10 +127,8 @@ func (t *Table) CountIntersectVisible(lo, hi int, q geom.Box, dead map[int32]str
 		ok := b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
 			b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
 			b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
-		if ok != 0 {
-			if _, gone := dead[ids[k]]; !gone {
-				cnt++
-			}
+		if ok != 0 && !dead.Has(ids[k]) {
+			cnt++
 		}
 	}
 	return cnt

@@ -251,7 +251,7 @@ func New(data []geom.Object, cfg Config) *Index {
 	} else {
 		ix.newRoot(dataMBB)
 	}
-	ix.initVersion(nil, nil, maxExt, dataMBB)
+	ix.initVersion(nil, colstore.Tombstones{}, maxExt, dataMBB)
 	return ix
 }
 
@@ -294,7 +294,7 @@ func (ix *Index) computeTaus() {
 // writers (it reads one immutable version).
 func (ix *Index) Len() int {
 	v := ix.live.Load()
-	return v.table.Len() + len(v.pending) - len(v.deleted)
+	return v.table.Len() + len(v.pending) - v.deleted.Len()
 }
 
 // Stats returns a snapshot of the cumulative work counters. SharedQueries is
@@ -320,7 +320,7 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 	// refinement only reorders ranges not yet scanned); translate to IDs in
 	// place, filtering tombstoned objects.
 	ids := ix.data.ID
-	if v.deleted == nil {
+	if v.deleted.Len() == 0 {
 		for i := start; i < len(out); i++ {
 			out[i] = ids[out[i]]
 		}
@@ -328,7 +328,7 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 		w := start
 		for i := start; i < len(out); i++ {
 			id := ids[out[i]]
-			if _, dead := v.deleted[id]; dead {
+			if v.deleted.Has(id) {
 				continue
 			}
 			out[w] = id

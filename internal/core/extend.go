@@ -104,7 +104,7 @@ func (ix *Index) DeleteBudgeted(id int32, hint geom.Box, budget int) bool {
 }
 
 // Deleted returns the number of tombstoned objects awaiting compaction.
-func (ix *Index) Deleted() int { return len(ix.live.Load().deleted) }
+func (ix *Index) Deleted() int { return ix.live.Load().deleted.Len() }
 
 // Flush folds all appended objects into the indexed lanes and compacts away
 // tombstoned ones, keeping the slice hierarchy — the merge of updates into
@@ -124,7 +124,7 @@ func (ix *Index) Deleted() int { return len(ix.live.Load().deleted) }
 // place.
 func (ix *Index) Flush() {
 	cur := ix.live.Load()
-	if len(cur.pending) == 0 && len(cur.deleted) == 0 {
+	if len(cur.pending) == 0 && cur.deleted.Len() == 0 {
 		return
 	}
 	ix.epoch.Add(1)
@@ -167,7 +167,7 @@ func (ix *Index) merge(cur *Version) {
 	arrivals := make([]arrival, 0, len(cur.pending))
 	for i := range cur.pending {
 		o := &cur.pending[i]
-		if _, dead := cur.deleted[o.ID]; dead {
+		if cur.deleted.Has(o.ID) {
 			continue
 		}
 		k := 0

@@ -94,7 +94,7 @@ func (ix *Index) Inspect(maxDepth int) InspectReport {
 	rep := InspectReport{
 		Objects:         ix.data.Len(),
 		Pending:         len(v.pending),
-		Deleted:         len(v.deleted),
+		Deleted:         v.deleted.Len(),
 		Tau:             ix.tau,
 		Epoch:           ix.epoch.Load(),
 		HeatSampleEvery: int(ix.heatEvery),

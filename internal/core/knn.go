@@ -61,7 +61,7 @@ func (ix *Index) KNNBudgeted(p geom.Point, k, budget int) []Neighbor {
 // the same slices once per expansion, which would overweight them.
 func (ix *Index) knn(v *Version, p geom.Point, k int, probe positionProbe) (nn []Neighbor, ok bool) {
 	n := v.table.Len()
-	visible := n + len(v.pending) - len(v.deleted)
+	visible := n + len(v.pending) - v.deleted.Len()
 	if k <= 0 || visible <= 0 {
 		return nil, true
 	}
@@ -121,14 +121,14 @@ func rankVisible(pos []int32, v *Version, p geom.Point, k int) []Neighbor {
 	nn := make([]Neighbor, 0, len(pos)+len(v.pending))
 	for _, j := range pos {
 		id := v.table.ID[j]
-		if _, dead := v.deleted[id]; dead {
+		if v.deleted.Has(id) {
 			continue
 		}
 		nn = append(nn, Neighbor{ID: id, DistSq: v.table.MinDistSq(int(j), p)})
 	}
 	for i := range v.pending {
 		o := &v.pending[i]
-		if _, dead := v.deleted[o.ID]; dead {
+		if v.deleted.Has(o.ID) {
 			continue
 		}
 		nn = append(nn, Neighbor{ID: o.ID, DistSq: o.Box.MinDistSq(p)})

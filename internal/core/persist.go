@@ -269,7 +269,7 @@ func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object,
 	if ix.root == nil {
 		ix.root = &sliceList{}
 	}
-	ix.initVersion(pending, deletedSet(deleted), maxExt, dataMBB)
+	ix.initVersion(pending, colstore.TombstonesOf(deleted), maxExt, dataMBB)
 	// Bounds-check every slice range and the nesting depth before the
 	// structural invariant check, which indexes into the data lanes and the
 	// per-dimension box bounds and would panic on either.
@@ -339,27 +339,13 @@ func (ix *Index) decodeList(l *snapList, level int) *sliceList {
 	return out
 }
 
-// deletedIDs lists a tombstone set in ascending order, so the same state
-// always saves to the same bytes (readers rebuild a set; order is free).
-func deletedIDs(set map[int32]struct{}) []int32 {
-	if len(set) == 0 {
+// deletedIDs lists a tombstone view in ascending order, so the same state
+// always saves to the same bytes (Load rebuilds a view; order is free).
+func deletedIDs(dead colstore.Tombstones) []int32 {
+	if dead.Len() == 0 {
 		return nil
 	}
-	out := make([]int32, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
+	out := slices.Clone(dead.IDs())
 	slices.Sort(out)
 	return out
-}
-
-func deletedSet(ids []int32) map[int32]struct{} {
-	if len(ids) == 0 {
-		return nil
-	}
-	set := make(map[int32]struct{}, len(ids))
-	for _, id := range ids {
-		set[id] = struct{}{}
-	}
-	return set
 }

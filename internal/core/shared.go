@@ -93,7 +93,7 @@ func (ix *Index) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
 func (ix *Index) queryAtVersion(v *Version, q geom.Box, out []int32) ([]int32, bool) {
 	start := len(out)
 	ok := ix.walkVersion(v, q, func(lo, hi int) {
-		out = v.table.ScanIntersectVisible(lo, hi, q, v.deleted, out)
+		out = v.table.ScanVisible(lo, hi, q, v.deleted, out)
 	})
 	if !ok {
 		return out[:start], false
@@ -112,7 +112,7 @@ func (ix *Index) CountShared(q geom.Box) (int, bool) {
 	v := ix.live.Load()
 	n := 0
 	ok := ix.walkVersion(v, q, func(lo, hi int) {
-		n += v.table.CountIntersectVisible(lo, hi, q, v.deleted)
+		n += v.table.CountVisible(lo, hi, q, v.deleted)
 	})
 	if !ok {
 		return 0, false

@@ -11,13 +11,21 @@
 //
 // # Copy-on-write discipline
 //
-// pending grows append-only between flushes and successive versions share
-// its backing array: version v reads only pending[:len_v], and the slots
-// beyond len_v are written exactly once (by the serialized writer that
-// publishes the next version) before that next version is published. The
-// atomic publish gives the happens-before edge, so the sharing is race-free
-// by construction. deleted is a map and maps cannot be shared that way: a
-// delete copies it. Flush starts both fresh.
+// A generation runs from one Flush to the next, and both deltas are one
+// store per generation that every version reads a prefix of. pending grows
+// append-only and successive versions share its backing array: version v
+// reads only pending[:len_v], and the slots beyond len_v are written exactly
+// once (by the serialized writer that publishes the next version) before
+// that next version is published. deleted is a view of one insert-only
+// tombstone table (colstore.Tombstones): each entry carries its insertion
+// ordinal, and v sees exactly the entries whose ordinal is at most its
+// DeletedLen, so a delete adds one entry and publishes a view one longer —
+// nothing is copied. The table's slots are stored and loaded atomically and
+// an entry never moves; growth copies the entries into a new table that
+// only versions published afterwards reference, and the old table is never
+// written again. The atomic publish gives the happens-before edge, so the
+// sharing is race-free by construction. Flush publishes an empty pending
+// list and the empty tombstone view.
 //
 // # Locking contract
 //
@@ -47,15 +55,15 @@ import (
 )
 
 // Version is one immutable snapshot of the index's update state. A Version
-// obtained from PinVersion stays valid — its pending slice, tombstone set,
+// obtained from PinVersion stays valid — its pending slice, tombstone view,
 // and base table are never mutated — until Release. The zero Version is not
 // meaningful; versions are created only by the index.
 type Version struct {
 	seq     uint64
-	pending []geom.Object      // appended objects not yet folded into the lanes
-	deleted map[int32]struct{} // tombstoned IDs (lane rows and pending entries)
-	maxExt  geom.Point         // max object extent per dimension at this version
-	dataMBB geom.Box           // bounding box of all data at this version
+	pending []geom.Object       // appended objects not yet folded into the lanes
+	deleted colstore.Tombstones // tombstoned IDs (lane rows and pending entries)
+	maxExt  geom.Point          // max object extent per dimension at this version
+	dataMBB geom.Box            // bounding box of all data at this version
 
 	// table, root and tau identify the base the deltas layer over. They
 	// track the index's live fields until a Flush supersedes them, at which
@@ -79,7 +87,7 @@ func (v *Version) Seq() uint64 { return v.seq }
 
 // PendingLen and DeletedLen expose the delta sizes of this version's view.
 func (v *Version) PendingLen() int { return len(v.pending) }
-func (v *Version) DeletedLen() int { return len(v.deleted) }
+func (v *Version) DeletedLen() int { return v.deleted.Len() }
 
 // eachPending calls hit with the ID of every pending object of v that
 // intersects q and is not tombstoned. Appended objects are unindexed until
@@ -90,7 +98,7 @@ func (v *Version) eachPending(q geom.Box, hit func(id int32)) {
 	}
 	for i := range v.pending {
 		if v.pending[i].Intersects(q) {
-			if _, dead := v.deleted[v.pending[i].ID]; !dead {
+			if !v.deleted.Has(v.pending[i].ID) {
 				hit(v.pending[i].ID)
 			}
 		}
@@ -185,7 +193,7 @@ func (ix *Index) chainPinned() bool {
 
 // initVersion installs the index's first version from its freshly built
 // state. Called by New, Load, and nowhere else.
-func (ix *Index) initVersion(pending []geom.Object, deleted map[int32]struct{}, maxExt geom.Point, dataMBB geom.Box) {
+func (ix *Index) initVersion(pending []geom.Object, deleted colstore.Tombstones, maxExt geom.Point, dataMBB geom.Box) {
 	v := &Version{
 		seq:     1,
 		pending: pending,
@@ -250,7 +258,7 @@ func (ix *Index) DeleteShared(id int32, hint geom.Box) (found, ok bool) {
 func (ix *Index) deleteSeq(id int32, hint geom.Box, probe positionProbe) (seq uint64, found, ok bool) {
 	ix.verMu.Lock()
 	cur := ix.live.Load()
-	if _, dead := cur.deleted[id]; dead {
+	if cur.deleted.Has(id) {
 		ix.verMu.Unlock()
 		return 0, false, true
 	}
@@ -282,7 +290,7 @@ func (ix *Index) deleteSeq(id int32, hint geom.Box, probe positionProbe) (seq ui
 			ix.verMu.Lock()
 			defer ix.verMu.Unlock()
 			cur = ix.live.Load()
-			if _, dead := cur.deleted[id]; dead {
+			if cur.deleted.Has(id) {
 				return 0, false, true
 			}
 			return ix.tombstoneLocked(cur, id), true, true
@@ -293,17 +301,13 @@ func (ix *Index) deleteSeq(id int32, hint geom.Box, probe positionProbe) (seq ui
 
 // tombstoneLocked publishes cur's successor carrying one extra tombstone
 // and returns the publishing sequence. Caller holds verMu and has verified
-// id is visible in cur.
+// id is visible in cur. The tombstone joins the generation's shared table;
+// cur keeps seeing the table as it was.
 func (ix *Index) tombstoneLocked(cur *Version, id int32) uint64 {
-	del := make(map[int32]struct{}, len(cur.deleted)+1)
-	for k := range cur.deleted {
-		del[k] = struct{}{}
-	}
-	del[id] = struct{}{}
 	nv := &Version{
 		seq:     cur.seq + 1,
 		pending: cur.pending,
-		deleted: del,
+		deleted: cur.deleted.With(id),
 		maxExt:  cur.maxExt,
 		dataMBB: cur.dataMBB,
 		table:   cur.table,

@@ -50,12 +50,12 @@ func visibleIDs(v *Version) []int32 {
 func visibleObjects(v *Version) []geom.Object {
 	var objs []geom.Object
 	for i := 0; i < v.table.Len(); i++ {
-		if _, dead := v.deleted[v.table.ID[i]]; !dead {
+		if !v.deleted.Has(v.table.ID[i]) {
 			objs = append(objs, v.table.ObjectAt(i))
 		}
 	}
 	for _, o := range v.pending {
-		if _, dead := v.deleted[o.ID]; !dead {
+		if !v.deleted.Has(o.ID) {
 			objs = append(objs, o)
 		}
 	}
