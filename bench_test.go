@@ -3,8 +3,8 @@ package quasii_test
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one Benchmark per figure, delegating to the shared experiment drivers),
 // plus micro-benchmarks of the individual indexes and ablation benchmarks
-// for QUASII's design choices (τ, assignment coordinate, artificial
-// refinement) and SFCracker's interval cap.
+// for QUASII's design choices (τ, stochastic refinement) and SFCracker's
+// interval cap.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -208,7 +208,7 @@ func BenchmarkFirstQueryMosaic(b *testing.B) {
 	}
 }
 
-// --- Ablations: QUASII design choices (DESIGN.md) ---
+// --- Ablations: QUASII's τ and stochastic refinement, SFCracker's interval cap ---
 
 func benchAblationWorkload(b *testing.B, cfg quasii.QUASIIConfig) {
 	b.Helper()
@@ -255,34 +255,6 @@ func benchSFCrackerIntervals(b *testing.B, maxIntervals int) {
 
 func BenchmarkAblationSFCrackerExactIntervals(b *testing.B)  { benchSFCrackerIntervals(b, -1) }
 func BenchmarkAblationSFCrackerCappedIntervals(b *testing.B) { benchSFCrackerIntervals(b, 64) }
-
-// --- Extension benchmarks: Z-order vs Hilbert ---
-
-func benchSFCCurve(b *testing.B, curve quasii.SFCConfig) {
-	b.Helper()
-	data := benchData(b)
-	queries := quasii.UniformQueries(100, 1e-3, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		clone := quasii.CloneObjects(data)
-		b.StartTimer()
-		cr := quasii.NewSFCracker(clone, curve)
-		var buf []int32
-		for _, q := range queries {
-			buf = cr.Query(q, buf[:0])
-		}
-	}
-}
-
-func BenchmarkAblationCurveZOrder(b *testing.B) {
-	benchSFCCurve(b, quasii.SFCConfig{Universe: quasii.Universe(), Curve: quasii.CurveZOrder})
-}
-
-func BenchmarkAblationCurveHilbert(b *testing.B) {
-	benchSFCCurve(b, quasii.SFCConfig{Universe: quasii.Universe(), Curve: quasii.CurveHilbert})
-}
 
 // Stochastic refinement: extra random cuts guard against sequential sweeps.
 func BenchmarkAblationStochasticUniform(b *testing.B) {

@@ -1,4 +1,6 @@
-// Package sfc implements the one-dimensional baselines of the QUASII paper:
+// Package sfc implements the QUASII paper's two one-dimensional baselines
+// over the Z-order curve (package zorder), the paper's choice "due to its
+// simplicity":
 //
 //   - Index — the static SFC approach (Sec. 6.1): objects are mapped to
 //     Z-order codes during a pre-processing step, fully sorted, and queried
@@ -20,7 +22,6 @@ import (
 
 	"repro/internal/cracktree"
 	"repro/internal/geom"
-	"repro/internal/hilbert"
 	"repro/internal/zorder"
 )
 
@@ -29,21 +30,12 @@ import (
 // false-positive price; 0 means exact decomposition.
 const DefaultMaxIntervals = 256
 
-// Curve selects the space-filling curve used for the 1-d transformation.
-type Curve int
-
-const (
-	// ZOrder is the paper's choice ("due to its simplicity").
-	ZOrder Curve = iota
-	// Hilbert has strictly better locality at a higher encoding cost; the
-	// paper cites this trade-off when justifying Z-order.
-	Hilbert
-)
-
 // Config controls both SFC variants.
 type Config struct {
 	// Bits per dimension of the curve grid. Default (0) means 10, the
-	// paper's choice (32-bit codes).
+	// paper's choice (32-bit codes). At most zorder.MaxBitsPerDim (21):
+	// three coordinates must fit one 64-bit code, so wider values are
+	// clamped to 21.
 	Bits uint
 	// MaxIntervals caps the per-query curve-interval decomposition.
 	// Default (0) means DefaultMaxIntervals; negative means exact.
@@ -51,13 +43,13 @@ type Config struct {
 	// Universe is the bounding box the grid is laid over. Empty means it is
 	// derived from the data.
 	Universe geom.Box
-	// Curve selects Z-order (default, as in the paper) or Hilbert.
-	Curve Curve
 }
 
 func (c *Config) defaults(data []geom.Object) {
 	if c.Bits == 0 {
 		c.Bits = zorder.BitsPerDim
+	} else if c.Bits > zorder.MaxBitsPerDim {
+		c.Bits = zorder.MaxBitsPerDim
 	}
 	if c.MaxIntervals == 0 {
 		c.MaxIntervals = DefaultMaxIntervals
@@ -78,11 +70,10 @@ type grid struct {
 	universe geom.Box
 	bits     uint
 	scale    [3]float64
-	curve    Curve
 }
 
-func newGrid(universe geom.Box, bits uint, curve Curve) grid {
-	g := grid{universe: universe, bits: bits, curve: curve}
+func newGrid(universe geom.Box, bits uint) grid {
+	g := grid{universe: universe, bits: bits}
 	cells := float64(uint64(1) << bits)
 	for d := 0; d < geom.Dims; d++ {
 		span := universe.Max[d] - universe.Min[d]
@@ -113,18 +104,7 @@ func (g grid) cellOf(p geom.Point) [3]uint32 {
 
 func (g grid) codeOf(o *geom.Object) uint64 {
 	c := g.cellOf(o.Center())
-	if g.curve == Hilbert {
-		return hilbert.Encode(c[0], c[1], c[2], g.bits)
-	}
 	return zorder.Encode(c[0], c[1], c[2])
-}
-
-// decompose dispatches the range decomposition to the configured curve.
-func (g grid) decompose(lo, hi [3]uint32, maxIvs int) []zorder.Interval {
-	if g.curve == Hilbert {
-		return hilbert.Decompose(lo, hi, g.bits, maxIvs)
-	}
-	return zorder.Decompose(lo, hi, g.bits, maxIvs)
 }
 
 type entry struct {
@@ -146,7 +126,7 @@ type Index struct {
 func New(data []geom.Object, cfg Config) *Index {
 	cfg.defaults(data)
 	ix := &Index{
-		grid:   newGrid(cfg.Universe, cfg.Bits, cfg.Curve),
+		grid:   newGrid(cfg.Universe, cfg.Bits),
 		maxExt: geom.MaxExtents(data),
 		maxIvs: cfg.MaxIntervals,
 	}
@@ -167,7 +147,7 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 		return out
 	}
 	lo, hi := extendedCellRange(ix.grid, q, ix.maxExt)
-	for _, iv := range ix.grid.decompose(lo, hi, ix.maxIvs) {
+	for _, iv := range zorder.Decompose(lo, hi, ix.grid.bits, ix.maxIvs) {
 		i := sort.Search(len(ix.entries), func(k int) bool { return ix.entries[k].code >= iv.Lo })
 		for ; i < len(ix.entries) && ix.entries[i].code <= iv.Hi; i++ {
 			if ix.entries[i].obj.Intersects(q) {
@@ -216,7 +196,7 @@ type Cracker struct {
 func NewCracker(data []geom.Object, cfg Config) *Cracker {
 	cfg.defaults(data)
 	return &Cracker{
-		grid:   newGrid(cfg.Universe, cfg.Bits, cfg.Curve),
+		grid:   newGrid(cfg.Universe, cfg.Bits),
 		data:   data,
 		maxExt: geom.MaxExtents(data),
 		maxIvs: cfg.MaxIntervals,
@@ -252,7 +232,7 @@ func (c *Cracker) Query(q geom.Box, out []int32) []int32 {
 		return out
 	}
 	lo, hi := extendedCellRange(c.grid, q, c.maxExt)
-	for _, iv := range c.grid.decompose(lo, hi, c.maxIvs) {
+	for _, iv := range zorder.Decompose(lo, hi, c.grid.bits, c.maxIvs) {
 		c.stats.Intervals++
 		pLo := c.crackAt(iv.Lo)
 		pHi := c.crackAt(iv.Hi + 1)

@@ -196,50 +196,32 @@ func TestConfigDerivedUniverse(t *testing.T) {
 	}
 }
 
-func TestStaticHilbertMatchesScan(t *testing.T) {
-	data := dataset.Uniform(4000, 141)
+func TestWideBitsMatchScan(t *testing.T) {
+	// A code holds 21 bits per dimension. A wider grid must be clamped to
+	// that, or distinct cells share a code and query ranges overflow.
+	data := dataset.Uniform(5000, 161)
 	oracle := scan.New(data)
-	ix := New(data, Config{Universe: dataset.Universe(), Curve: Hilbert})
-	for qi, q := range workload.Uniform(dataset.Universe(), 60, 1e-3, 142) {
-		got := sortedIDs(ix.Query(q, nil))
-		want := sortedIDs(oracle.Query(q, nil))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+	queries := workload.Uniform(dataset.Universe(), 50, 1e-3, 162)
+	for _, bits := range []uint{21, 22, 32} {
+		cfg := Config{Universe: dataset.Universe(), Bits: bits}
+		variants := []struct {
+			name string
+			ix   interface {
+				Query(geom.Box, []int32) []int32
+			}
+		}{
+			{"static", New(data, cfg)},
+			{"cracker", NewCracker(dataset.Clone(data), cfg)},
 		}
-	}
-}
-
-func TestCrackerHilbertMatchesScan(t *testing.T) {
-	data := dataset.Uniform(2000, 143)
-	oracle := scan.New(data)
-	cr := NewCracker(dataset.Clone(data), Config{Universe: dataset.Universe(), Curve: Hilbert})
-	for qi, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 144) {
-		got := sortedIDs(cr.Query(q, nil))
-		want := sortedIDs(oracle.Query(q, nil))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+		for _, v := range variants {
+			for qi, q := range queries {
+				got := sortedIDs(v.ix.Query(q, nil))
+				want := sortedIDs(oracle.Query(q, nil))
+				if !equalIDs(got, want) {
+					t.Fatalf("bits %d %s query %d: got %d, want %d", bits, v.name, qi, len(got), len(want))
+				}
+			}
 		}
-	}
-	if err := cr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHilbertFewerIntervalsThanZOrder(t *testing.T) {
-	// The locality advantage: on the same workload the Hilbert decomposition
-	// needs no more (usually fewer) intervals than Z-order on average.
-	data := dataset.Uniform(2000, 145)
-	queries := workload.Uniform(dataset.Universe(), 15, 1e-3, 146)
-	run := func(curve Curve) int64 {
-		cr := NewCracker(dataset.Clone(data), Config{Universe: dataset.Universe(), Curve: curve, MaxIntervals: -1})
-		for _, q := range queries {
-			cr.Query(q, nil)
-		}
-		return cr.Stats().Intervals
-	}
-	z, h := run(ZOrder), run(Hilbert)
-	if h > z {
-		t.Errorf("Hilbert needed more intervals (%d) than Z-order (%d)", h, z)
 	}
 }
 

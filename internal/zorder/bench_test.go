@@ -34,13 +34,3 @@ func BenchmarkDecomposeCapped(b *testing.B) {
 		Decompose(lo, hi, BitsPerDim, 256)
 	}
 }
-
-func BenchmarkBigMin(b *testing.B) {
-	lo, hi := [3]uint32{100, 200, 300}, [3]uint32{400, 500, 600}
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		v, _ := BigMin(uint64(i)&0x3fffffff, lo, hi, BitsPerDim)
-		sink += v
-	}
-	_ = sink
-}

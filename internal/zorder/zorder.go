@@ -1,16 +1,21 @@
-// Package zorder implements the Z-order (Morton) space-filling curve used by
-// the SFC and SFCracker baselines: 3-d cell coordinates with a configurable
-// number of bits per dimension (the paper uses 10, i.e. 32-bit codes), plus
-// the decomposition of a 3-d cell range into the minimal set of curve
-// intervals that exactly cover it. The decomposition is the octant-recursion
-// equivalent of the Tropf–Herzog BIGMIN technique: it yields intervals fully
-// contained in the query range, eliminating the false-positive explosion of a
-// naive (code_lo, code_hi) transformation (paper Fig. 1).
+// Package zorder implements the Z-order (Morton) space-filling curve, the one
+// curve of the SFC and SFCracker baselines: 3-d cell coordinates with a
+// configurable number of bits per dimension (the paper uses 10, i.e. 32-bit
+// codes), plus the decomposition of a 3-d cell range into the minimal set of
+// curve intervals that exactly cover it. The decomposition is the
+// octant-recursion equivalent of the Tropf–Herzog BIGMIN technique: it yields
+// intervals fully contained in the query range, eliminating the
+// false-positive explosion of a naive (code_lo, code_hi) transformation
+// (paper Fig. 1).
 package zorder
 
 // BitsPerDim is the default number of bits per dimension (the paper's
 // trade-off between memory and precision).
 const BitsPerDim = 10
+
+// MaxBitsPerDim is the widest grid a code can hold: three 21-bit coordinates
+// fill 63 bits of a uint64. Encode ignores coordinate bits above it.
+const MaxBitsPerDim = 21
 
 // MaxCoord returns the largest cell coordinate for the given bit width.
 func MaxCoord(bits uint) uint32 { return 1<<bits - 1 }
@@ -125,69 +130,4 @@ func (d *decomposer) walk(level uint, prefix uint64, origin [3]uint32) {
 		}
 		d.walk(level-1, prefix<<3|child, co)
 	}
-}
-
-// BigMin returns the smallest Morton code >= code whose decoded cell lies
-// inside the query range [lo, hi], and ok=false when no such code exists.
-// It is the classic Tropf–Herzog BIGMIN operation, provided as an
-// alternative range-scan primitive (and cross-checked against Decompose in
-// tests).
-func BigMin(code uint64, lo, hi [3]uint32, bits uint) (uint64, bool) {
-	zlo := Encode(lo[0], lo[1], lo[2])
-	zhi := Encode(hi[0], hi[1], hi[2])
-	var bigmin uint64
-	found := false
-	// Walk bits from most significant to least, maintaining the candidate
-	// search range [zlo', zhi'] per the published algorithm.
-	min, max := zlo, zhi
-	for bit := int(3*bits) - 1; bit >= 0; bit-- {
-		codeBit := (code >> uint(bit)) & 1
-		minBit := (min >> uint(bit)) & 1
-		maxBit := (max >> uint(bit)) & 1
-		switch {
-		case codeBit == 0 && minBit == 0 && maxBit == 0:
-			// continue
-		case codeBit == 0 && minBit == 0 && maxBit == 1:
-			bigmin = loadOnes(min, uint(bit))
-			found = true
-			max = loadZeros(max, uint(bit))
-		case codeBit == 0 && minBit == 1 && maxBit == 1:
-			return min, true
-		case codeBit == 1 && minBit == 0 && maxBit == 0:
-			return bigmin, found
-		case codeBit == 1 && minBit == 0 && maxBit == 1:
-			min = loadOnes(min, uint(bit))
-		case codeBit == 1 && minBit == 1 && maxBit == 1:
-			// continue
-		default:
-			// codeBit==0,min==1,max==0 and codeBit==1,min==1,max==0 are
-			// impossible for a consistent range.
-			return bigmin, found
-		}
-	}
-	// code itself lies within the range.
-	return code, true
-}
-
-// loadOnes sets bit `bit` of v to 1 and clears the lower bits of the same
-// dimension (bits bit-3, bit-6, …) — the "load 10000…" step of BIGMIN.
-func loadOnes(v uint64, bit uint) uint64 {
-	return (v | 1<<bit) &^ dimMaskBelow(bit)
-}
-
-// loadZeros clears bit `bit` of v and sets the lower bits of the same
-// dimension — the "load 01111…" step of BIGMIN.
-func loadZeros(v uint64, bit uint) uint64 {
-	mask := dimMaskBelow(bit)
-	return (v &^ (1 << bit)) | mask
-}
-
-// dimMaskBelow returns a mask of the bits strictly below `bit` that belong to
-// the same dimension (same residue mod 3).
-func dimMaskBelow(bit uint) uint64 {
-	var mask uint64
-	for b := int(bit) - 3; b >= 0; b -= 3 {
-		mask |= 1 << uint(b)
-	}
-	return mask
 }

@@ -2,7 +2,6 @@ package zorder
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -167,42 +166,6 @@ func TestDecomposeCapLimitsIntervals(t *testing.T) {
 	for code := range want {
 		if !intervalsCover(capped, code) {
 			t.Fatalf("capped decomposition misses cell %d", code)
-		}
-	}
-}
-
-func TestBigMinBruteForce(t *testing.T) {
-	const bits = 3
-	rng := rand.New(rand.NewSource(9))
-	total := uint64(1) << (3 * bits)
-	for iter := 0; iter < 200; iter++ {
-		var lo, hi [3]uint32
-		for d := 0; d < 3; d++ {
-			a, b := rng.Uint32()&MaxCoord(bits), rng.Uint32()&MaxCoord(bits)
-			if a > b {
-				a, b = b, a
-			}
-			lo[d], hi[d] = a, b
-		}
-		inRange := make([]uint64, 0, total)
-		for code := uint64(0); code < total; code++ {
-			x, y, z := Decode(code)
-			if x >= lo[0] && x <= hi[0] && y >= lo[1] && y <= hi[1] && z >= lo[2] && z <= hi[2] {
-				inRange = append(inRange, code)
-			}
-		}
-		for code := uint64(0); code < total; code++ {
-			got, ok := BigMin(code, lo, hi, bits)
-			idx := sort.Search(len(inRange), func(i int) bool { return inRange[i] >= code })
-			if idx == len(inRange) {
-				if ok {
-					t.Fatalf("iter %d: BigMin(%d) = %d, want none (lo=%v hi=%v)", iter, code, got, lo, hi)
-				}
-				continue
-			}
-			if !ok || got != inRange[idx] {
-				t.Fatalf("iter %d: BigMin(%d) = %d,%v, want %d (lo=%v hi=%v)", iter, code, got, ok, inRange[idx], lo, hi)
-			}
 		}
 	}
 }

@@ -141,7 +141,9 @@ type (
 	SFC = sfc.Index
 	// SFCracker is the incremental cracking variant of SFC.
 	SFCracker = sfc.Cracker
-	// SFCConfig configures both SFC variants.
+	// SFCConfig configures both SFC variants: grid bits per dimension (at
+	// most 21), the per-query interval cap and the universe. The curve is
+	// always Z-order, the paper's.
 	SFCConfig = sfc.Config
 	// Scan is the full-scan baseline.
 	Scan = scan.Index
@@ -153,14 +155,6 @@ const (
 	GridQueryExtension = grid.QueryExtension
 	// GridReplication assigns objects to every overlapping cell.
 	GridReplication = grid.Replication
-)
-
-// Space-filling curves for SFCConfig.Curve.
-const (
-	// CurveZOrder is the paper's curve choice for SFC/SFCracker (default).
-	CurveZOrder = sfc.ZOrder
-	// CurveHilbert trades encoding cost for strictly better locality.
-	CurveHilbert = sfc.Hilbert
 )
 
 // NewRTree bulk-loads an R-tree over a copy of data using STR packing.

@@ -37,7 +37,6 @@ func allIndexes(data []quasii.Object) map[string]quasii.Index {
 		"Octree":         quasii.NewOctree(data, quasii.OctreeConfig{Universe: quasii.Universe()}),
 		"SFC":            quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe()}),
 		"SFCracker":      quasii.NewSFCracker(quasii.CloneObjects(data), quasii.SFCConfig{Universe: quasii.Universe()}),
-		"SFC/Hilbert":    quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe(), Curve: quasii.CurveHilbert}),
 		"TwoLevelGrid":   quasii.NewTwoLevelGrid(data, quasii.TwoLevelGridConfig{Universe: quasii.Universe()}),
 		"QUASII/stoch":   quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{Stochastic: true}),
 		"Sharded/4":      quasii.NewSharded(data, quasii.ShardedConfig{Shards: 4}),
