@@ -500,211 +500,175 @@ func (ix *Index) splice(list *sliceList, replaced map[int][]*slice, dim int) {
 	ix.epoch.Add(1)
 }
 
-// refine implements Algorithm 2: slice s is cracked on the (extended) query
-// bounds in its dimension, and resulting fragments that still exceed τ and
-// overlap the query are split artificially until they meet the threshold.
-// It returns the slices replacing s, sorted by lo; a slice already meeting
-// its threshold is returned unchanged (after finalization).
+// refine implements Algorithm 2 for slice s and query q: split cracks s on
+// the extended query bounds in its dimension and splits the fragments that
+// still exceed τ and overlap the query until they meet the threshold. It
+// returns the slices replacing s, sorted by lo; a slice already meeting its
+// threshold, or one the crack budget leaves uncracked, is returned alone.
 func (ix *Index) refine(s *slice, q geom.Box) []*slice {
+	dim := s.level
+	// Extended crack bounds: every object intersecting q has its lower
+	// corner within [lo, hi] — at most the maximum extent below q, and never
+	// above it. The slice's keys lie in its box's range in dim: exact for
+	// fragments, the data MBB for the root, infinite only for a universe-box
+	// root restored from an older snapshot (split then sweeps).
+	lo := q.Min[dim] - ix.live.Load().maxExt[dim]
+	return ix.split(s, lo, q.Max[dim], s.box.Min[dim], math.Nextafter(s.box.Max[dim], math.Inf(1)),
+		make([]*slice, 0, 4))
+}
+
+// split is Algorithm 2's one executor. Slice s holds keys in [kMin, keyEnd)
+// of its dimension; split cuts it as planCuts directs, then splits each
+// resulting band that still exceeds τ and overlaps the extended query range
+// [lo, hi] the same way, carrying the band's exclusive key bound — a band's
+// is the cut above it, the top band's its parent's — so a level costs its
+// partition passes and no key-range sweep. Only when that range is infinite,
+// or loose enough for a cut to leave one side empty, is the exact range
+// read, once. The slices replacing s are appended to out in lo order.
+func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*slice {
 	dim := s.level
 	if s.refined || s.size() <= ix.tau[dim] {
 		ix.finalize(s)
-		return []*slice{s}
+		return append(out, s)
 	}
 	// Crack budget exhausted: leave the slice uncracked. The caller still
 	// answers correctly — processSlice descends (creating pass-through
 	// children) until the bottom level scans the whole range — and a later
 	// query with fresh budget finishes the refinement.
 	if ix.remCracks == 0 {
-		return []*slice{s}
+		return append(out, s)
 	}
-
-	// Extended crack bounds: every object intersecting q has its lower
-	// corner within [lo, hi] — at most the maximum extent below q, and never
-	// above it.
-	lo := q.Min[dim] - ix.live.Load().maxExt[dim]
-	hi := q.Max[dim]
-	// Make the middle band inclusive of hi, matching the paper's [xl, xu].
-	hiExcl := math.Nextafter(hi, math.Inf(1))
-
-	// Slice bounds in dim: use the recorded box when finite (exact for
-	// fragments created by cracking, the data MBB for the root); scan only
-	// for a universe-box root restored from an older snapshot. The recorded
-	// Max is the max upper coordinate, which over-approximates the
-	// representative-coordinate range — the worst case is a crack pass that
-	// yields an empty band, which makeFragments drops.
-	sMin, sMax := s.box.Min[dim], s.box.Max[dim]
-	if math.IsInf(sMin, -1) || math.IsInf(sMax, 1) {
-		sMin, sMax = ix.lowerRange(s, dim)
+	var bands [3]band
+	n := 0
+	if !math.IsInf(kMin, -1) && !math.IsInf(keyEnd, 1) {
+		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi)
+		bands, n = ix.applyCuts(s, keyEnd, cuts[:k])
 	}
-
-	// Stochastic cracking: pre-cut large slices at a random coordinate so a
-	// sequential sweep cannot keep every query cracking the same shrinking
-	// tail. Each half is then refined normally (recursing only into halves
-	// the query touches).
-	if ix.cfg.Stochastic && s.size() > 2*ix.tau[dim] && sMax > sMin {
-		cut := ix.stochasticCut(sMin, sMax)
-		if halves := ix.crackTwo(s, dim, cut); len(halves) == 2 {
-			result := make([]*slice, 0, 4)
-			for _, h := range halves {
-				if h.size() > ix.tau[dim] && h.box.Max[dim] >= lo && h.box.Min[dim] <= hi {
-					result = append(result, ix.refine(h, q)...)
-				} else {
-					if h.size() <= ix.tau[dim] {
-						ix.finalize(h)
-					}
-					result = append(result, h)
-				}
-			}
-			return result
-		} else if len(halves) == 1 {
-			// Degenerate cut; continue refining the (rebounded) survivor.
-			s = halves[0]
-			sMin, sMax = s.box.Min[dim], s.box.Max[dim]
-			if s.size() <= ix.tau[dim] {
-				ix.finalize(s)
-				return []*slice{s}
-			}
-		}
-	}
-
-	var bands []*slice
-	var pivots []float64 // the cuts made, ascending
-	switch {
-	case lo > sMin && hi < sMax && ix.remCracks != 1:
-		// Both bounds interior: three-way, two passes. With a single
-		// budgeted pass left the lower cut below goes alone, so a budget is
-		// never overdrawn; a later query makes the upper cut.
-		bands = ix.crackThree(s, dim, lo, hiExcl, sMin, sMax)
-		pivots = []float64{lo, hiExcl}
-	case lo > sMin: // only the lower bound interior: two-way at lo
-		bands = ix.crackTwo(s, dim, lo)
-		pivots = []float64{lo}
-	case hi < sMax: // only the upper bound interior: two-way just past hi
-		bands = ix.crackTwo(s, dim, hiExcl)
-		pivots = []float64{hiExcl}
-	default: // query contains the slice: artificial midpoint split
-		cut := artificialCut(sMin, sMax)
-		bands = ix.crackTwo(s, dim, cut)
-		pivots = []float64{cut}
-	}
-
-	// Artificial refinement: fragments that still exceed τ and overlap the
-	// extended query range are split at midpoints until they comply. Each
-	// band's keys end below the first pivot above its least key (exact from
-	// the crack), or past sMax for the top band.
-	result := make([]*slice, 0, len(bands)+2)
-	for _, b := range bands {
-		if b.size() > ix.tau[dim] && b.box.Max[dim] >= lo && b.box.Min[dim] <= hi {
-			keyEnd := math.Nextafter(sMax, math.Inf(1))
-			for _, p := range pivots {
-				if p > b.box.Min[dim] {
-					keyEnd = p
-					break
-				}
-			}
-			result = ix.artificial(b, dim, lo, hi, keyEnd, result)
-		} else {
-			result = append(result, b)
-		}
-	}
-	return result
-}
-
-// artificial recursively splits slice b at the midpoint of its representative
-// coordinate range until every query-overlapping fragment meets τ, appending
-// the fragments to out in lo order. The range is [b.box.Min[dim], keyEnd):
-// the box's Min bounds the keys from below and keyEnd is a carried exclusive
-// upper bound — a left half's is its cut, a right half's its parent's — so a
-// level costs one partition pass and no key-range sweep. Only when that
-// range is loose enough for the cut to leave one side empty (or is
-// infinite) is the exact range read.
-func (ix *Index) artificial(b *slice, dim int, qlo, qhi, keyEnd float64, out []*slice) []*slice {
-	if b.refined || b.size() <= ix.tau[dim] {
-		ix.finalize(b)
-		return append(out, b)
-	}
-	if ix.remCracks == 0 {
-		return append(out, b) // budget exhausted: later queries finish the split
-	}
-	cut, m := math.NaN(), b.lo
-	var lb, rb colstore.Bounds
-	if !math.IsInf(b.box.Min[dim], -1) && !math.IsInf(keyEnd, 1) {
-		cut = artificialCut(b.box.Min[dim], keyEnd)
-		m, lb, rb = ix.partition(b.lo, b.hi, dim, cut)
-	}
-	if m == b.lo || m == b.hi {
-		// No finite carried range, or one loose enough that the cut left a
-		// side empty: read the exact key range and cut inside it.
-		bMin, bMax := ix.lowerRange(b, dim)
-		if bMax <= bMin {
+	if n < 2 {
+		// No finite key range, or one loose enough that the cuts left a
+		// single band: read the exact range and plan again inside it.
+		kMin, kMax := ix.lowerRange(s, dim)
+		if kMax <= kMin {
 			// All representative coordinates coincide: the slice cannot be
 			// split spatially. Accept it as final (degenerate duplicate-heavy
 			// data); its refined flag keeps later queries from cracking it.
-			ix.finalize(b)
-			return append(out, b)
+			ix.finalize(s)
+			return append(out, s)
 		}
 		if ix.remCracks == 0 {
-			return append(out, b)
+			return append(out, s)
 		}
-		cut, keyEnd = artificialCut(bMin, bMax), math.Nextafter(bMax, math.Inf(1))
-		m, lb, rb = ix.partition(b.lo, b.hi, dim, cut)
+		// Inside the exact range every planned first cut leaves both sides
+		// non-empty.
+		keyEnd = math.Nextafter(kMax, math.Inf(1))
+		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi)
+		bands, n = ix.applyCuts(s, keyEnd, cuts[:k])
 	}
-	for _, h := range ix.makeFragments(b, dim, []int{b.lo, m, b.hi}, []colstore.Bounds{lb, rb}) {
-		if h.size() > ix.tau[dim] && h.box.Max[dim] >= qlo && h.box.Min[dim] <= qhi {
-			end := keyEnd
-			if h.lo < m {
-				end = cut // the left half's keys are below its cut
-			}
-			out = ix.artificial(h, dim, qlo, qhi, end, out)
-		} else {
-			if h.size() <= ix.tau[dim] {
-				ix.finalize(h)
-			}
-			out = append(out, h)
+	for _, b := range bands[:n] {
+		f := ix.newSlice(dim, b.lo, b.hi, s.box)
+		f.box.Min[dim], f.box.Max[dim] = b.Min, b.Max
+		ix.stats.SlicesCreated++
+		switch {
+		case f.size() <= ix.tau[dim]:
+			ix.finalizeFragment(f, dim)
+			out = append(out, f)
+		case b.Max >= lo && b.Min <= hi:
+			out = ix.split(f, lo, hi, b.Min, b.keyEnd, out)
+		default:
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// artificialCut picks the midpoint split coordinate for range (lo, hi). The
-// paper floors the midpoint; we keep the untruncated midpoint since the data
-// domain is continuous. The halves are summed because lo+hi can overflow,
-// and a cut that is not above lo (adjacent floats, or NaN from an
-// infinite range) is moved just past it: either would put every row on one
-// side and recurse forever.
+// planCuts is Algorithm 2's one cut planner: for a band of size rows whose
+// keys lie in the finite range [kMin, keyEnd), refined toward the extended
+// query range [lo, hi], it returns up to two cuts in the order they are to
+// be made (the first n of cuts). Each cut c sends keys < c below it.
+func (ix *Index) planCuts(size, dim int, kMin, keyEnd, lo, hi float64) (cuts [2]float64, n int) {
+	// Stochastic cracking (Halim et al., VLDB 2012): a large band is cut at
+	// a random coordinate first, so a sequential sweep cannot keep every
+	// query cracking the same shrinking tail.
+	if ix.cfg.Stochastic && size > 2*ix.tau[dim] {
+		c := kMin + ix.rng.Float64()*(keyEnd-kMin)
+		if !(c > kMin && c < keyEnd) {
+			c = artificialCut(kMin, keyEnd)
+		}
+		return [2]float64{c}, 1
+	}
+	// The query's bounds, where they fall strictly inside the range; hiExcl
+	// makes the middle band inclusive of hi, matching the paper's [xl, xu].
+	hiExcl := math.Nextafter(hi, math.Inf(1))
+	loIn := kMin < lo && lo < keyEnd
+	hiIn := kMin < hiExcl && hiExcl < keyEnd
+	switch {
+	case loIn && hiIn && ix.remCracks != 1:
+		// Crack-in-three (Idreos, Kersten & Manegold, CIDR 2007): the first
+		// pass cuts at whichever bound leaves the smaller remainder, so the
+		// second re-reads the smaller side. With a single budgeted pass left
+		// the lower cut below goes alone, so a budget is never overdrawn.
+		if hiExcl-kMin < keyEnd-lo {
+			return [2]float64{hiExcl, lo}, 2
+		}
+		return [2]float64{lo, hiExcl}, 2
+	case loIn:
+		return [2]float64{lo}, 1
+	case hiIn:
+		return [2]float64{hiExcl}, 1
+	}
+	// The query contains the range: artificial refinement's midpoint split.
+	return [2]float64{artificialCut(kMin, keyEnd)}, 1
+}
+
+// artificialCut picks the midpoint split coordinate for the key range
+// [lo, hi). The paper floors the midpoint; we keep the untruncated midpoint
+// since the data domain is continuous. The halves are summed because lo+hi
+// can overflow, an infinite hi counts as the largest float, and a cut that
+// is not above lo (adjacent floats, or an infinite lo) is moved just past
+// it: either would put every row on one side.
 func artificialCut(lo, hi float64) float64 {
-	c := lo/2 + hi/2
+	c := lo/2 + min(hi, math.MaxFloat64)/2
 	if !(c > lo) {
 		c = math.Nextafter(lo, math.Inf(1))
 	}
 	return c
 }
 
-// crackThree partitions s into up to three non-empty fragments around
-// [low, highExcl) of the representative coordinate. Fragment boxes carry the
-// exact extent in the cracked dimension and inherit s's box in the others.
-// The first pass cuts at whichever bound leaves the smaller remainder for the
-// second — estimated from s's key range [sMin, sMax] — so the second pass
-// re-reads the smaller side.
-func (ix *Index) crackThree(s *slice, dim int, low, highExcl, sMin, sMax float64) []*slice {
-	var m1, m2 int
-	var lb, mb, rb colstore.Bounds
-	if highExcl-sMin < sMax-low {
-		m2, _, rb = ix.partition(s.lo, s.hi, dim, highExcl)
-		m1, lb, mb = ix.partition(s.lo, m2, dim, low)
-	} else {
-		m1, lb, _ = ix.partition(s.lo, s.hi, dim, low)
-		m2, mb, rb = ix.partition(m1, s.hi, dim, highExcl)
-	}
-	return ix.makeFragments(s, dim,
-		[]int{s.lo, m1, m2, s.hi}, []colstore.Bounds{lb, mb, rb})
+// band is a run of rows [lo, hi) left by applyCuts: the exact bounds of its
+// rows in the cut dimension (least lower corner, greatest upper one) and
+// the exclusive upper bound of their keys.
+type band struct {
+	lo, hi int
+	colstore.Bounds
+	keyEnd float64
 }
 
-// crackTwo partitions s into up to two non-empty fragments at pivot.
-func (ix *Index) crackTwo(s *slice, dim int, pivot float64) []*slice {
-	m, lb, rb := ix.partition(s.lo, s.hi, dim, pivot)
-	return ix.makeFragments(s, dim, []int{s.lo, m, s.hi}, []colstore.Bounds{lb, rb})
+// applyCuts makes the planned partition passes over s's rows, whose keys
+// lie below keyEnd. Each cut partitions the band whose key range holds it,
+// so a second cut re-reads only one side of the first. It returns the
+// non-empty bands in lo order.
+func (ix *Index) applyCuts(s *slice, keyEnd float64, cuts []float64) (out [3]band, n int) {
+	all := [3]band{{lo: s.lo, hi: s.hi, keyEnd: keyEnd}}
+	k := 1
+	for _, c := range cuts {
+		i := 0
+		for i < k-1 && all[i].keyEnd <= c {
+			i++
+		}
+		b := all[i]
+		m, left, right := ix.partition(b.lo, b.hi, s.level, c)
+		copy(all[i+2:k+1], all[i+1:k])
+		all[i] = band{b.lo, m, left, c}
+		all[i+1] = band{m, b.hi, right, b.keyEnd}
+		k++
+	}
+	for _, b := range all[:k] {
+		if b.lo < b.hi {
+			out[n] = b
+			n++
+		}
+	}
+	return out, n
 }
 
 // partition delegates to the columnar cracking kernel: it reorders rows
@@ -719,29 +683,6 @@ func (ix *Index) partition(lo, hi int, dim int, pivot float64) (mid int, left, r
 	}
 	ix.epoch.Add(1)
 	return ix.data.Partition(lo, hi, dim, pivot, colstore.KeyLower)
-}
-
-// makeFragments materializes the non-empty fragments delimited by cuts
-// (cuts[0] == s.lo, cuts[len-1] == s.hi) with the matching per-band bounds.
-// Each fragment inherits s's box in the dimensions not yet sliced and gets
-// exact bounds in dim; fragments small enough are finalized with a full MBB.
-func (ix *Index) makeFragments(s *slice, dim int, cuts []int, bds []colstore.Bounds) []*slice {
-	frags := make([]*slice, 0, len(cuts)-1)
-	for k := 0; k+1 < len(cuts); k++ {
-		lo, hi := cuts[k], cuts[k+1]
-		if lo >= hi {
-			continue
-		}
-		f := ix.newSlice(dim, lo, hi, s.box)
-		f.box.Min[dim] = bds[k].Min
-		f.box.Max[dim] = bds[k].Max
-		if f.size() <= ix.tau[dim] {
-			ix.finalizeFragment(f, dim)
-		}
-		frags = append(frags, f)
-		ix.stats.SlicesCreated++
-	}
-	return frags
 }
 
 // finalize marks s as fully refined in its dimension and computes its exact

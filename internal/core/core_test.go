@@ -237,40 +237,94 @@ func TestCrackingWorkDecreases(t *testing.T) {
 	}
 }
 
+// workPin is the work Config{} does on one pinned stream: crack, slice and
+// scan counters and the final slice count.
+type workPin struct {
+	cracks                       int
+	crackedObjects               int64
+	slicesCreated, slicesRefined int
+	objectsTested, resultObjects int64
+	numSlices                    int
+}
+
 // TestDefaultConfigWorkPinned pins what Config{} does on a fixed clustered
 // stream, seeds 1–8: the exact crack, slice and scan counters and the final
-// slice count. Any change to how the default configuration cracks, splits
-// or scans moves one of these numbers.
+// slice count, for the stream under unbounded Query, under QueryBudgeted at
+// budgets 1 and 3, and after Complete. Any change to how the default
+// configuration cracks, splits or scans moves one of these numbers.
 func TestDefaultConfigWorkPinned(t *testing.T) {
-	want := []struct {
-		cracks                       int
-		crackedObjects               int64
-		slicesCreated, slicesRefined int
-		objectsTested, resultObjects int64
-		numSlices                    int
-	}{
-		{95, 72117, 203, 104, 17928, 2544, 134},
-		{125, 74798, 255, 135, 30081, 6662, 161},
-		{125, 84434, 262, 139, 25198, 6951, 168},
-		{130, 64008, 266, 142, 26398, 5291, 168},
-		{99, 56461, 214, 112, 44491, 13408, 129},
-		{160, 65693, 321, 178, 39340, 11068, 195},
-		{109, 60150, 228, 116, 41082, 12346, 144},
-		{107, 61618, 221, 114, 25481, 5630, 142},
-	}
-	for i, w := range want {
-		seed := int64(i + 1)
-		data := dataset.Neuro(8000, seed, dataset.NeuroConfig{})
-		ix := New(data, Config{})
-		for _, q := range workload.ClusteredOn(dataset.Universe(), data, 5, 30, 1e-4, 200, seed+100) {
+	query := func(ix *Index, qs []geom.Box) {
+		for _, q := range qs {
 			ix.Query(q, nil)
 		}
-		st := ix.Stats()
-		if st.Cracks != w.cracks || st.CrackedObjects != w.crackedObjects ||
-			st.SlicesCreated != w.slicesCreated || st.SlicesRefined != w.slicesRefined ||
-			st.ObjectsTested != w.objectsTested || st.ResultObjects != w.resultObjects ||
-			ix.NumSlices() != w.numSlices {
-			t.Errorf("seed %d: stats %+v, %d slices; want %+v", seed, st, ix.NumSlices(), w)
+	}
+	budgeted := func(budget int) func(*Index, []geom.Box) {
+		return func(ix *Index, qs []geom.Box) {
+			for _, q := range qs {
+				ix.QueryBudgeted(q, nil, budget)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Index, []geom.Box)
+		want []workPin
+	}{
+		{"Query", query, []workPin{
+			{95, 72117, 203, 104, 17928, 2544, 134},
+			{125, 74798, 255, 135, 30081, 6662, 161},
+			{125, 84434, 262, 139, 25198, 6951, 168},
+			{130, 64008, 266, 142, 26398, 5291, 168},
+			{99, 56461, 214, 112, 44491, 13408, 129},
+			{160, 65693, 321, 178, 39340, 11068, 195},
+			{109, 60150, 228, 116, 41082, 12346, 144},
+			{107, 61618, 221, 114, 25481, 5630, 142},
+		}},
+		{"QueryBudgeted(1)", budgeted(1), []workPin{
+			{89, 111439, 245, 94, 125083, 2544, 138},
+			{88, 96095, 238, 96, 144515, 6662, 129},
+			{81, 104205, 231, 88, 226312, 6951, 127},
+			{97, 88567, 260, 101, 86564, 5291, 143},
+			{99, 83465, 271, 108, 108164, 13408, 152},
+			{132, 112553, 349, 140, 156778, 11068, 188},
+			{106, 91027, 281, 116, 118846, 12346, 148},
+			{88, 79184, 247, 98, 123029, 5630, 135},
+		}},
+		{"QueryBudgeted(3)", budgeted(3), []workPin{
+			{93, 73110, 206, 103, 21524, 2544, 133},
+			{115, 68859, 249, 126, 44167, 6662, 152},
+			{112, 83157, 246, 124, 36318, 6951, 155},
+			{132, 63513, 284, 141, 39268, 5291, 170},
+			{111, 61432, 253, 125, 54676, 13408, 148},
+			{150, 67677, 313, 168, 54991, 11068, 186},
+			{121, 59515, 261, 125, 49892, 12346, 155},
+			{106, 64261, 228, 112, 28407, 5630, 141},
+		}},
+		{"Complete", func(ix *Index, qs []geom.Box) {
+			ix.Complete()
+			query(ix, qs)
+		}, []workPin{
+			{253, 80453, 549, 294, 18598, 2544, 301},
+			{242, 78295, 521, 281, 35751, 6662, 286},
+			{243, 75151, 526, 283, 27516, 6951, 286},
+			{244, 78087, 523, 281, 30907, 5291, 284},
+			{251, 79134, 552, 296, 56671, 13408, 302},
+			{240, 78545, 528, 283, 44864, 11068, 289},
+			{242, 77714, 526, 281, 42260, 12346, 288},
+			{235, 75954, 516, 279, 27037, 5630, 282},
+		}},
+	} {
+		for i, w := range tc.want {
+			seed := int64(i + 1)
+			data := dataset.Neuro(8000, seed, dataset.NeuroConfig{})
+			ix := New(data, Config{})
+			tc.run(ix, workload.ClusteredOn(dataset.Universe(), data, 5, 30, 1e-4, 200, seed+100))
+			st := ix.Stats()
+			got := workPin{st.Cracks, st.CrackedObjects, st.SlicesCreated, st.SlicesRefined,
+				st.ObjectsTested, st.ResultObjects, ix.NumSlices()}
+			if got != w {
+				t.Errorf("%s seed %d: got %v, want %v", tc.name, seed, got, w)
+			}
 		}
 	}
 }

@@ -3,10 +3,12 @@
 //   - stochastic refinement (Config.Stochastic): the paper builds on database
 //     cracking and cites stochastic cracking (Halim et al., VLDB 2012), which
 //     fixes cracking's pathological behaviour under sequential workloads by
-//     adding random cuts. The same idea applies per dimension here.
+//     adding random cuts. The same idea applies per dimension here: the cut
+//     planner (planCuts, core.go) cuts a large band at a random coordinate.
 //   - Complete: finish refinement eagerly (e.g. in idle time), turning the
-//     adaptive index into its fully converged form — artificial refinement
-//     (core.go) applied to every slice, not a second recursion.
+//     adaptive index into its fully converged form — the executor (split,
+//     core.go) run on every slice with a query covering every coordinate,
+//     not a second recursion.
 //   - Append/Delete/Flush: accept updates after construction; the paper
 //     assumes a static setting (Sec. 2), so arrivals are buffered, deletions
 //     tombstoned, and both merged into the hierarchy on demand. Only an
@@ -23,17 +25,6 @@ import (
 	"repro/internal/geom"
 )
 
-// stochasticCut returns a random cut coordinate within (lo, hi) drawn from
-// the index's deterministic RNG, used to pre-split big slices so worst-case
-// (sequential) workloads cannot keep every query on an unrefined tail.
-func (ix *Index) stochasticCut(lo, hi float64) float64 {
-	c := lo + ix.rng.Float64()*(hi-lo)
-	if c <= lo || c >= hi {
-		c = (lo + hi) / 2
-	}
-	return c
-}
-
 // Complete finishes all outstanding refinement: every slice on every level
 // is split down to its τ threshold and every refined slice receives its
 // exact bounding box, exactly as if enough queries had touched the whole
@@ -47,10 +38,10 @@ func (ix *Index) Complete() {
 }
 
 func (ix *Index) completeList(list *sliceList, dim int) {
-	// A query covering every coordinate: artificial splits every fragment.
+	// A query covering every coordinate: split bisects every fragment.
 	var out []*slice
 	for _, s := range list.slices {
-		out = ix.artificial(s, dim, math.Inf(-1), math.Inf(1), math.Nextafter(s.box.Max[dim], math.Inf(1)), out)
+		out = ix.split(s, math.Inf(-1), math.Inf(1), s.box.Min[dim], math.Nextafter(s.box.Max[dim], math.Inf(1)), out)
 	}
 	list.slices = out
 	list.maxExt = 0

@@ -11,9 +11,9 @@ import (
 
 // FuzzQueryEquivalence drives QUASII with fuzzer-chosen dataset shapes, τ,
 // stochastic refinement and query streams, requiring exact agreement with
-// Scan and intact structural invariants. Run `go test
-// -fuzz=FuzzQueryEquivalence ./internal/core` to explore beyond the seed
-// corpus.
+// Scan, intact structural invariants, and no query making more crack passes
+// than its budget. Run `go test -fuzz=FuzzQueryEquivalence ./internal/core`
+// to explore beyond the seed corpus.
 func FuzzQueryEquivalence(f *testing.F) {
 	for _, c := range fuzzSeeds[:4] {
 		f.Add(c.seed, c.n, c.tau, c.stochastic)
@@ -21,8 +21,15 @@ func FuzzQueryEquivalence(f *testing.F) {
 	f.Fuzz(runFuzzEquivalence)
 }
 
+// fuzzBudgets are the crack budgets runFuzzEquivalence's queries cycle
+// through: unlimited, none, and a few passes.
+var fuzzBudgets = []int{-1, 0, 1, 2, 64}
+
 // runFuzzEquivalence is the body of FuzzQueryEquivalence, shared with
-// TestEquivalenceFuzzSeeds. Between every few queries it runs an update
+// TestEquivalenceFuzzSeeds. Each query runs through QueryBudgeted, the
+// shard engine's entry point, with a budget derived from the seed and the
+// query's position rather than drawn from the stream's rng, so a seed keeps
+// its data and query stream. Between every few queries it runs an update
 // round — appends, deletes of indexed and still-pending objects, and
 // usually a Flush merging them into the hierarchy — and checks the
 // structural invariants after every Flush.
@@ -82,7 +89,12 @@ func runFuzzEquivalence(t *testing.T, seed int64, n, tau int, stochastic bool) {
 			b[d] = a[d] + rng.Float64()*300
 		}
 		q := geom.Box{Min: a, Max: b}
-		got = sortedIDs(ix.Query(q, got[:0]))
+		budget := fuzzBudgets[(uint64(seed)+uint64(qi))%uint64(len(fuzzBudgets))]
+		before := ix.Stats().Cracks
+		got = sortedIDs(ix.QueryBudgeted(q, got[:0], budget))
+		if passes := ix.Stats().Cracks - before; budget >= 0 && passes > budget {
+			t.Fatalf("seed=%d query %d: %d crack passes over budget %d", seed, qi, passes, budget)
+		}
 		want = sortedIDs(scan.New(live).Query(q, want[:0]))
 		if !equalIDs(got, want) {
 			t.Fatalf("seed=%d n=%d tau=%d stoch=%v query %d: got %d results, want %d",

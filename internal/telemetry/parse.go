@@ -106,16 +106,12 @@ func parseSample(line string) (Sample, error) {
 	}
 	rest = rest[end:]
 	if rest[0] == '{' {
-		close := strings.IndexByte(rest, '}')
-		if close < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[1:close])
+		labels, after, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, fmt.Errorf("%w in %q", err, line)
 		}
 		s.Labels = labels
-		rest = rest[close+1:]
+		rest = after
 	}
 	rest = strings.TrimLeft(rest, " \t")
 	if rest == "" || strings.ContainsAny(rest, " \t") {
@@ -132,22 +128,29 @@ func parseSample(line string) (Sample, error) {
 	return s, nil
 }
 
-// parseLabels parses the body between '{' and '}'.
-func parseLabels(body string) (map[string]string, error) {
+// parseLabels parses the label pairs after a sample's '{' up to the '}'
+// that closes the set — outside the quoted values, which may hold any byte —
+// and returns them with the text after that '}'.
+func parseLabels(rest string) (map[string]string, string, error) {
 	labels := make(map[string]string)
-	rest := body
-	for rest != "" {
+	for {
+		if rest == "" {
+			return nil, "", fmt.Errorf("unterminated label set")
+		}
+		if rest[0] == '}' {
+			return labels, rest[1:], nil
+		}
 		eq := strings.IndexByte(rest, '=')
 		if eq <= 0 {
-			return nil, fmt.Errorf("malformed label pair")
+			return nil, "", fmt.Errorf("malformed label pair")
 		}
 		key := rest[:eq]
 		if !validLabelName(key) {
-			return nil, fmt.Errorf("invalid label name %q", key)
+			return nil, "", fmt.Errorf("invalid label name %q", key)
 		}
 		rest = rest[eq+1:]
 		if rest == "" || rest[0] != '"' {
-			return nil, fmt.Errorf("unquoted label value")
+			return nil, "", fmt.Errorf("unquoted label value")
 		}
 		rest = rest[1:]
 		var val strings.Builder
@@ -156,7 +159,7 @@ func parseLabels(body string) (map[string]string, error) {
 			c := rest[i]
 			if c == '\\' {
 				if i+1 >= len(rest) {
-					return nil, fmt.Errorf("dangling escape")
+					return nil, "", fmt.Errorf("dangling escape")
 				}
 				i++
 				switch rest[i] {
@@ -167,7 +170,7 @@ func parseLabels(body string) (map[string]string, error) {
 				case 'n':
 					val.WriteByte('\n')
 				default:
-					return nil, fmt.Errorf("unknown escape \\%c", rest[i])
+					return nil, "", fmt.Errorf("unknown escape \\%c", rest[i])
 				}
 				continue
 			}
@@ -179,17 +182,16 @@ func parseLabels(body string) (map[string]string, error) {
 			val.WriteByte(c)
 		}
 		if !closed {
-			return nil, fmt.Errorf("unterminated label value")
+			return nil, "", fmt.Errorf("unterminated label value")
 		}
 		labels[key] = val.String()
-		if rest != "" {
-			if rest[0] != ',' {
-				return nil, fmt.Errorf("expected ',' between labels")
-			}
+		switch {
+		case rest != "" && rest[0] == ',':
 			rest = rest[1:]
+		case rest != "" && rest[0] != '}':
+			return nil, "", fmt.Errorf("expected ',' between labels")
 		}
 	}
-	return labels, nil
 }
 
 func validMetricName(name string) bool {

@@ -6,12 +6,12 @@ import (
 )
 
 // ownExposition renders a registry holding one of each family kind WriteText
-// emits: a counter, a labelled gauge and a histogram.
-func ownExposition(tb testing.TB) string {
+// emits: a counter, a gauge labelled shard=value and a histogram.
+func ownExposition(tb testing.TB, value string) string {
 	tb.Helper()
 	r := NewRegistry()
 	r.Counter("quasii_fuzz_requests_total", "requests").Add(42)
-	r.Gauge("quasii_fuzz_live_objects", "live", L("shard", "3")).Set(-7)
+	r.Gauge("quasii_fuzz_live_objects", "live", L("shard", value)).Set(-7)
 	h := r.Histogram("quasii_fuzz_wait_seconds", "wait", DurationBuckets)
 	h.Observe(30e-6)
 	h.Observe(0.25)
@@ -22,26 +22,27 @@ func ownExposition(tb testing.TB) string {
 	return b.String()
 }
 
-// FuzzParseText feeds arbitrary text to the /metrics parser. It must never
-// panic, and on our own exposition it must succeed and read back exactly the
-// values the registry held.
+// FuzzParseText feeds arbitrary text to the /metrics parser, which must
+// never panic, and renders our own exposition with an arbitrary label value,
+// which must parse and read back exactly the values and the label value the
+// registry held.
 func FuzzParseText(f *testing.F) {
-	own := ownExposition(f)
-	f.Add(own)
-	f.Add("")
-	f.Add(`quasii_x{l="a\"b\\c\nd",m=""} 1e-3`)
+	own := ownExposition(f, "3")
+	f.Add(own, "3")
+	f.Add("", "")
+	f.Add(`quasii_x{l="a\"b\\c\nd",m=""} 1e-3`, "a\"b\\c\nd")
+	f.Add("", "}\t\x00\x1b\r{\"=,} 1")
 	for _, line := range strings.Split(own, "\n") {
-		f.Add(line)
-		f.Add(line[:len(line)/2]) // cut mid-line: inside a name, label set or value
+		f.Add(line, line)
+		f.Add(line[:len(line)/2], "") // cut mid-line: inside a name, label set or value
 	}
 
-	f.Fuzz(func(t *testing.T, text string) {
-		sc, err := ParseText(text)
-		if text != own {
-			return
-		}
+	f.Fuzz(func(t *testing.T, text, value string) {
+		ParseText(text)
+		own := ownExposition(t, value)
+		sc, err := ParseText(own)
 		if err != nil {
-			t.Fatalf("our own exposition failed to parse: %v\n%s", err, text)
+			t.Fatalf("our own exposition failed to parse: %v\n%s", err, own)
 		}
 		for _, c := range []struct {
 			name   string
@@ -49,13 +50,13 @@ func FuzzParseText(f *testing.F) {
 			want   float64
 		}{
 			{"quasii_fuzz_requests_total", nil, 42},
-			{"quasii_fuzz_live_objects", map[string]string{"shard": "3"}, -7},
+			{"quasii_fuzz_live_objects", map[string]string{"shard": value}, -7},
 			{"quasii_fuzz_wait_seconds_bucket", map[string]string{"le": "+Inf"}, 2},
 			{"quasii_fuzz_wait_seconds_sum", nil, 30e-6 + 0.25},
 			{"quasii_fuzz_wait_seconds_count", nil, 2},
 		} {
 			if v, ok := sc.Value(c.name, c.labels); !ok || v != c.want {
-				t.Errorf("%s%v = %v,%v want %v", c.name, c.labels, v, ok, c.want)
+				t.Errorf("%s%q = %v,%v want %v", c.name, c.labels, v, ok, c.want)
 			}
 		}
 		for name, kind := range map[string]string{

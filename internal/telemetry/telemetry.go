@@ -276,19 +276,21 @@ func labelKey(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, escapeLabel(l.Value))
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(l.Value))
+		b.WriteByte('"')
 	}
 	return b.String()
 }
 
+// labelEscaper escapes a label value per the text exposition format:
+// backslash, double quote and line feed, and no other byte. ParseText
+// undoes exactly these three.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	// %q already escapes backslash, quote and newline the way the format
-	// wants them; it is applied by labelKey's %q verb, so only values that
-	// would double-escape need care — none of ours do. Kept as a separate
-	// function so a future richer escaping has one home.
-	return v
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // register returns the child for name+labels, creating family and child as
 // needed. kind and bounds must agree with any prior registration of name.
