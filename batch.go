@@ -11,11 +11,11 @@ import (
 // order.
 //
 // The index must be safe for concurrent reads: the static indexes (RTree,
-// Grid, TwoLevelGrid, Octree, SFC, Scan) are; the incremental indexes
-// (QUASII, SFCracker, Mosaic) mutate during Query and must be wrapped with
-// Synchronize first — which serializes them, so parallel batches only pay
-// off on static structures (or on a QUASII after Complete, wrapped anyway
-// for safety). workers <= 0 means GOMAXPROCS.
+// Grid, SFC, Scan) are; the incremental indexes (QUASII, SFCracker, Mosaic)
+// mutate during Query and must be wrapped with Synchronize first — which
+// serializes them, so parallel batches only pay off on static structures (or
+// on a QUASII after Complete, wrapped anyway for safety). workers <= 0 means
+// GOMAXPROCS.
 func BatchQuery(ix Index, queries []Box, workers int) [][]int32 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -313,29 +313,6 @@ func BenchmarkQueryQUASIIKNN(b *testing.B) {
 	}
 }
 
-// Two-level grid: the density-adaptive alternative to sweeping a uniform
-// grid's resolution per dataset.
-func BenchmarkBuildTwoLevelGrid(b *testing.B) {
-	data := benchData(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quasii.NewTwoLevelGrid(data, quasii.TwoLevelGridConfig{Universe: quasii.Universe()})
-	}
-}
-
-func BenchmarkQueryTwoLevelGrid(b *testing.B) {
-	data := benchData(b)
-	g := quasii.NewTwoLevelGrid(data, quasii.TwoLevelGridConfig{Universe: quasii.Universe()})
-	queries := quasii.UniformQueries(64, 1e-3, 3)
-	var buf []int32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.Query(queries[i%len(queries)], buf[:0])
-	}
-}
-
 // --- Concurrent throughput: the sharded engine vs the global mutex ---
 //
 // benchThroughput answers a fixed uniform workload with 8 client goroutines

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/gridfile"
 	"repro/internal/mosaic"
 	"repro/internal/rtree"
 	"repro/internal/scan"
@@ -184,21 +183,12 @@ func Fig6b(w io.Writer, sc Scale) (*Result, error) {
 	uniB := runGrid(fmt.Sprintf("Uniform/%d", sc.GridNeuro), uni, sc.GridNeuro, uniQ)
 	neuroA := runGrid(fmt.Sprintf("Neuro/%d", sc.GridUniform), neuro, sc.GridUniform, neuroQ)
 	neuroB := runGrid(fmt.Sprintf("Neuro/%d", sc.GridNeuro), neuro, sc.GridNeuro, neuroQ)
-	// Extension: the two-level grid needs no per-dataset resolution — its
-	// sub-grids adapt to density (Sec. 7.2's grid-file answer).
-	run2L := func(name string, data []geom.Object, queries []geom.Box) *bench.Series {
-		return bench.Run(name, func() bench.QueryIndex {
-			return gridfile.New(data, gridfile.Config{Universe: dataset.Universe()})
-		}, queries)
-	}
-	uni2L := run2L("Uniform/2level", uni, uniQ)
-	neuro2L := run2L("Neuro/2level", neuro, neuroQ)
-	r.Series = []*bench.Series{uniA, uniB, uni2L, neuroA, neuroB, neuro2L}
+	r.Series = []*bench.Series{uniA, uniB, neuroA, neuroB}
 	// Validation within each dataset only (different datasets differ).
-	if err := bench.ValidateCounts(uniA, uniB, uni2L); err != nil {
+	if err := bench.ValidateCounts(uniA, uniB); err != nil {
 		return r, fmt.Errorf("fig6b uniform: %w", err)
 	}
-	if err := bench.ValidateCounts(neuroA, neuroB, neuro2L); err != nil {
+	if err := bench.ValidateCounts(neuroA, neuroB); err != nil {
 		return r, fmt.Errorf("fig6b neuro: %w", err)
 	}
 	fmt.Fprintf(w, "Figure 6b — grid configuration sensitivity (query time, %d clustered queries)\n", len(uniQ))

@@ -4,9 +4,8 @@
 // center (query-extension assignment), so queries must be extended by half
 // the maximum object extent per dimension.
 //
-// The package offers a static index (fully built at construction, splitting
-// leaves that exceed capacity) used both as a standalone baseline and as the
-// structural basis for the incremental Mosaic index in package mosaic.
+// The package holds only the cell structure: package mosaic grows it
+// incrementally at query time, splitting the leaves a query touches.
 package octree
 
 import (
@@ -18,32 +17,6 @@ const DefaultCapacity = 60
 
 // DefaultMaxDepth bounds the tree depth; 2^depth cells per dimension.
 const DefaultMaxDepth = 8
-
-// Config controls octree construction.
-type Config struct {
-	// Capacity is the leaf split threshold. Values < 1 mean DefaultCapacity.
-	Capacity int
-	// MaxDepth bounds the depth. Values < 1 mean DefaultMaxDepth.
-	MaxDepth int
-	// Universe is the root cube. Empty means derived from data.
-	Universe geom.Box
-}
-
-func (c *Config) defaults(data []geom.Object) {
-	if c.Capacity < 1 {
-		c.Capacity = DefaultCapacity
-	}
-	if c.MaxDepth < 1 {
-		c.MaxDepth = DefaultMaxDepth
-	}
-	if c.Universe.IsEmpty() || c.Universe.Volume() == 0 {
-		u := geom.MBB(data)
-		if u.IsEmpty() {
-			u = geom.Box{Max: geom.Point{1, 1, 1}}
-		}
-		c.Universe = u
-	}
-}
 
 // Node is one octree cell. Exported so package mosaic can drive query-time
 // splits over the same structure.
@@ -108,123 +81,12 @@ func (n *Node) Split(data []geom.Object) {
 	n.Children = &children
 }
 
-// Tree is a static octree index.
-type Tree struct {
-	data   []geom.Object
-	root   Node
-	cfg    Config
-	maxExt geom.Point
-	leaves int
-}
-
-// New builds a static octree: all objects are inserted and leaves split
-// eagerly until capacity or max depth is reached.
-func New(data []geom.Object, cfg Config) *Tree {
-	cfg.defaults(data)
-	t := &Tree{data: data, cfg: cfg, maxExt: geom.MaxExtents(data)}
-	t.root = Node{Box: cfg.Universe}
-	t.root.Objs = make([]int32, len(data))
-	for i := range data {
-		t.root.Objs[i] = int32(i)
-	}
-	t.leaves = 1
-	t.refine(&t.root)
-	return t
-}
-
-func (t *Tree) refine(n *Node) {
-	if len(n.Objs) <= t.cfg.Capacity || n.Depth >= t.cfg.MaxDepth {
-		return
-	}
-	n.Split(t.data)
-	t.leaves += 7
-	for i := range n.Children {
-		t.refine(&n.Children[i])
-	}
-}
-
-// Len returns the number of indexed objects.
-func (t *Tree) Len() int { return len(t.data) }
-
-// Leaves returns the current number of leaf cells.
-func (t *Tree) Leaves() int { return t.leaves }
-
-// Query appends the IDs of all objects intersecting q to out.
-func (t *Tree) Query(q geom.Box, out []int32) []int32 {
-	if q.IsEmpty() || len(t.data) == 0 {
-		return out
-	}
-	search := extended(q, t.maxExt)
-	return t.query(&t.root, q, search, out)
-}
-
-func (t *Tree) query(n *Node, q, search geom.Box, out []int32) []int32 {
-	if !n.Box.Intersects(search) {
-		return out
-	}
-	if n.IsLeaf() {
-		for _, idx := range n.Objs {
-			if t.data[idx].Intersects(q) {
-				out = append(out, t.data[idx].ID)
-			}
-		}
-		return out
-	}
-	for i := range n.Children {
-		out = t.query(&n.Children[i], q, search, out)
-	}
-	return out
-}
-
-// extended grows q by half the max object extent per dimension — the query
+// Extended grows q by half the max object extent per dimension — the query
 // extension required by center-based assignment.
-func extended(q geom.Box, maxExt geom.Point) geom.Box {
+func Extended(q geom.Box, maxExt geom.Point) geom.Box {
 	var half geom.Point
 	for d := 0; d < geom.Dims; d++ {
 		half[d] = maxExt[d] / 2
 	}
 	return q.Expand(half)
 }
-
-// Extended is the exported form of the query-extension helper, shared with
-// package mosaic.
-func Extended(q geom.Box, maxExt geom.Point) geom.Box { return extended(q, maxExt) }
-
-// CheckInvariants verifies that every object is registered in exactly one
-// leaf and that the leaf's cube contains the object's center (clamped to the
-// universe). Used by tests.
-func (t *Tree) CheckInvariants() error {
-	seen := make(map[int32]bool, len(t.data))
-	if err := t.check(&t.root, seen); err != nil {
-		return err
-	}
-	if len(seen) != len(t.data) {
-		return errInvariant("object count mismatch")
-	}
-	return nil
-}
-
-func (t *Tree) check(n *Node, seen map[int32]bool) error {
-	if n.IsLeaf() {
-		for _, idx := range n.Objs {
-			if seen[idx] {
-				return errInvariant("object assigned to multiple leaves")
-			}
-			seen[idx] = true
-		}
-		return nil
-	}
-	if len(n.Objs) != 0 {
-		return errInvariant("internal node holds objects")
-	}
-	for i := range n.Children {
-		if err := t.check(&n.Children[i], seen); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type errInvariant string
-
-func (e errInvariant) Error() string { return "octree: " + string(e) }

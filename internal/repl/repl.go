@@ -53,9 +53,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/faultfs"
+	"repro/internal/shard"
 )
 
 // Endpoint paths and header names shared by leader and follower.
@@ -153,7 +153,7 @@ func ReadArchive(fsys faultfs.FS, r io.Reader, dir string) error {
 			return fmt.Errorf("%w: reading name: %v", ErrTornStream, err)
 		}
 		name := string(nameBuf)
-		if name != filepath.Base(name) || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
+		if !shard.IsBaseName(name) {
 			return fmt.Errorf("%w: unsafe file name %q", ErrTornStream, name)
 		}
 		if _, err := io.ReadFull(r, hdr[:12]); err != nil {
@@ -164,8 +164,13 @@ func ReadArchive(fsys faultfs.FS, r io.Reader, dir string) error {
 		if size > maxArchiveFile {
 			return fmt.Errorf("%w: file size %d", ErrTornStream, size)
 		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(r, data); err != nil {
+		// The size is only a claim until its bytes arrive: reading through a
+		// limit grows the buffer with what the stream carries, not what it says.
+		data, err := io.ReadAll(io.LimitReader(r, int64(size)))
+		if err == nil && uint64(len(data)) != size {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return fmt.Errorf("%w: reading %s: %v", ErrTornStream, name, err)
 		}
 		if crc32.Checksum(data, crcTable) != want {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -534,6 +535,35 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArchiveRoundTripLargeFile: a file several times the reader's
+// initial buffer reads back byte for byte, the way a real shard snapshot
+// must when a follower bootstraps from it.
+func TestArchiveRoundTripLargeFile(t *testing.T) {
+	src := t.TempDir()
+	want := make([]byte, 3*256<<10+1)
+	for i := range want {
+		want[i] = byte(i*7 + i>>9) // no zero runs: a short read cannot pass
+	}
+	if err := os.WriteFile(filepath.Join(src, "shard-000.snap"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	if err := ReadArchive(faultfs.OS{}, bytes.NewReader(buf.Bytes()), dst); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dst, "shard-000.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("round-trip mismatch: %d bytes back of %d", len(got), len(want))
+	}
+}
+
 func TestArchiveRejectsUnsafeNames(t *testing.T) {
 	for _, name := range []string{"../evil", "a/b", `a\b`, ".", ".."} {
 		var buf bytes.Buffer
@@ -549,6 +579,77 @@ func TestArchiveRejectsUnsafeNames(t *testing.T) {
 			t.Fatalf("name %q: err %v, want ErrTornStream", name, err)
 		}
 	}
+}
+
+// TestArchiveBoundsClaimedSize: a file header is only a claim until its
+// bytes arrive. A 2 GiB claim followed by a few bytes must be a torn stream
+// that allocates about what arrived, not what was claimed.
+func TestArchiveBoundsClaimedSize(t *testing.T) {
+	var buf bytes.Buffer
+	var hdr [16]byte
+	putU32(hdr[:], 1)
+	buf.Write(hdr[:4])
+	buf.WriteString("x")
+	putU32(hdr[0:], 1<<31) // size 2 GiB, the cap: a little-endian uint64
+	putU32(hdr[4:], 0)
+	putU32(hdr[8:], 0)
+	buf.Write(hdr[:12])
+	buf.WriteString("abc")
+	dir := t.TempDir()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := ReadArchive(faultfs.OS{}, bytes.NewReader(buf.Bytes()), dir)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTornStream) {
+		t.Fatalf("err %v, want ErrTornStream", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a 2 GiB claim over 3 bytes allocated %d bytes", d)
+	}
+}
+
+// FuzzReadArchive: no input panics the reader, and every archive
+// WriteArchive produces reads back file for file.
+func FuzzReadArchive(f *testing.F) {
+	f.Add([]byte("snap-0000001\n"), []byte{}, []byte{0})
+	f.Add(bytes.Repeat([]byte{0xAB}, 300), []byte("{}"), []byte{1, 0, 0, 0, 'x'})
+	f.Fuzz(func(t *testing.T, a, b, raw []byte) {
+		// Arbitrary bytes: any outcome but a panic.
+		_ = ReadArchive(faultfs.OS{}, bytes.NewReader(raw), t.TempDir())
+
+		src := t.TempDir()
+		files := map[string][]byte{"CURRENT": a, "shard-000.snap": b}
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(src, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var arc bytes.Buffer
+		if err := WriteArchive(&arc, src); err != nil {
+			t.Fatal(err)
+		}
+		dst := t.TempDir()
+		if err := ReadArchive(faultfs.OS{}, bytes.NewReader(arc.Bytes()), dst); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != len(files) {
+			t.Fatalf("read back %d files, want %d", len(ents), len(files))
+		}
+		for name, want := range files {
+			got, err := os.ReadFile(filepath.Join(dst, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: round-trip mismatch", name)
+			}
+		}
+	})
 }
 
 func putU32(b []byte, v uint32) {

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,6 +43,14 @@ import (
 const ManifestName = "MANIFEST.json"
 
 const manifestVersion = 1
+
+// IsBaseName reports whether name is a plain file name: not empty, not "."
+// or "..", and free of path separators. A snapshot directory is flat, so
+// every file its manifest or a replication archive names must pass, or a
+// crafted name could reach outside the directory.
+func IsBaseName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
+}
 
 // manifest is the JSON index of a snapshot directory.
 type manifest struct {
@@ -294,6 +303,11 @@ func Restore(dir string, cfg Config) (*Index, error) {
 	}
 	if ov := m.Overflow; ov != nil {
 		m.Shards = append(m.Shards, shardRecord{File: ov.File, Tile: ov.Bounds, Bounds: ov.Bounds})
+	}
+	for _, rec := range m.Shards {
+		if !IsBaseName(rec.File) {
+			return nil, fmt.Errorf("snapshot manifest names unsafe shard file %q", rec.File)
+		}
 	}
 
 	ix := newEngine(cfg, len(m.Shards))

@@ -222,6 +222,43 @@ func TestRestoreRejectsTruncatedShardFile(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsEscapingShardFile: a follower installs the manifest its
+// leader sends, so a shard file named outside the snapshot directory must be
+// refused even when the file it points at is a valid shard.
+func TestRestoreRejectsEscapingShardFile(t *testing.T) {
+	ix := New(dataset.Uniform(3000, 80), Config{Shards: 2})
+	root := t.TempDir()
+	dir := filepath.Join(root, "snap")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, ManifestName)
+	raw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, m.Shards[0].File), filepath.Join(root, "outside.snap")); err != nil {
+		t.Fatal(err)
+	}
+	m.Shards[0].File = "../outside.snap"
+	if raw, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(dir, Config{}); err == nil {
+		t.Fatal("restore loaded a shard file outside the snapshot directory")
+	}
+}
+
 // TestSnapshotDeterministicWithTombstones: one engine state snapshots to
 // byte-identical files every time, shard files holding tombstones included.
 func TestSnapshotDeterministicWithTombstones(t *testing.T) {

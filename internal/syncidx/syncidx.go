@@ -47,19 +47,11 @@ func (s *Index) Query(q geom.Box, out []int32) []int32 {
 	return s.inner.Query(q, out)
 }
 
-// Do runs fn with exclusive access to the underlying index, for operations
-// beyond Query (e.g. QUASII stats snapshots).
-func (s *Index) Do(fn func(inner Queryable)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.inner)
-}
-
 // RWIndex wraps a *static* index with a read-write mutex: queries take the
 // read lock and run concurrently. It is ONLY correct for indexes whose Query
-// does not mutate internal state — RTree, Grid, TwoLevelGrid, Octree, SFC and
-// Scan qualify; the incremental indexes (QUASII, SFCracker, Mosaic) crack
-// their data on every query and must use Wrap instead.
+// does not mutate internal state — RTree, Grid, SFC and Scan qualify; the
+// incremental indexes (QUASII, SFCracker, Mosaic) crack their data on every
+// query and must use Wrap instead.
 type RWIndex struct {
 	mu    sync.RWMutex
 	inner Queryable

@@ -73,22 +73,6 @@ func TestLenUnderConcurrency(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDoGrantsExclusiveAccess(t *testing.T) {
-	data := dataset.Uniform(500, 403)
-	inner := core.New(dataset.Clone(data), core.Config{})
-	ix := Wrap(inner)
-	for _, q := range workload.Uniform(dataset.Universe(), 5, 1e-2, 404) {
-		ix.Query(q, nil)
-	}
-	var queries int
-	ix.Do(func(in Queryable) {
-		queries = in.(*core.Index).Stats().Queries
-	})
-	if queries != 5 {
-		t.Fatalf("queries = %d, want 5", queries)
-	}
-}
-
 // TestRWrapConcurrentReaders hammers a read-write-wrapped static R-tree from
 // many goroutines; run with -race. Readers proceed in parallel and must all
 // agree with a private scan oracle.

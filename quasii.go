@@ -25,24 +25,21 @@
 // Index interface: a full Scan, a static Z-order curve index (NewSFC) and
 // its incremental cracking variant (NewSFCracker), a uniform Grid with both
 // replication and query-extension assignment, Mosaic (an incremental
-// octree), a static Octree, and an STR bulk-loaded R-tree (NewRTree, which
-// additionally offers k-nearest-neighbor search).
+// octree), and an STR bulk-loaded R-tree (NewRTree, which additionally
+// offers k-nearest-neighbor search).
 package quasii
 
 import (
 	"context"
 	"io"
 	"log/slog"
-	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/durable"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/gridfile"
 	"repro/internal/mosaic"
-	"repro/internal/octree"
 	"repro/internal/repl"
 	"repro/internal/rtree"
 	"repro/internal/scan"
@@ -123,20 +120,10 @@ type (
 	Grid = grid.Index
 	// GridConfig configures the grid (resolution, assignment strategy).
 	GridConfig = grid.Config
-	// TwoLevelGrid is a two-level grid in the spirit of the two-level grid
-	// file (Hinrichs): per-cell sub-grid resolution adapts to density,
-	// sidestepping the single-resolution configuration problem of Fig. 6b.
-	TwoLevelGrid = gridfile.Index
-	// TwoLevelGridConfig configures the two-level grid.
-	TwoLevelGridConfig = gridfile.Config
 	// Mosaic is the space-oriented incremental baseline (query-driven octree).
 	Mosaic = mosaic.Index
 	// MosaicConfig configures Mosaic.
 	MosaicConfig = mosaic.Config
-	// Octree is the static octree substrate.
-	Octree = octree.Tree
-	// OctreeConfig configures the static octree.
-	OctreeConfig = octree.Config
 	// SFC is the static Z-order curve index.
 	SFC = sfc.Index
 	// SFCracker is the incremental cracking variant of SFC.
@@ -163,16 +150,8 @@ func NewRTree(data []Object, cfg RTreeConfig) *RTree { return rtree.New(data, cf
 // NewGrid builds a uniform grid over data (referenced, not copied).
 func NewGrid(data []Object, cfg GridConfig) *Grid { return grid.New(data, cfg) }
 
-// NewTwoLevelGrid builds a two-level (density-adaptive) grid over data.
-func NewTwoLevelGrid(data []Object, cfg TwoLevelGridConfig) *TwoLevelGrid {
-	return gridfile.New(data, cfg)
-}
-
 // NewMosaic prepares a Mosaic incremental octree over data.
 func NewMosaic(data []Object, cfg MosaicConfig) *Mosaic { return mosaic.New(data, cfg) }
-
-// NewOctree builds a static octree over data.
-func NewOctree(data []Object, cfg OctreeConfig) *Octree { return octree.New(data, cfg) }
 
 // NewSFC builds the static Z-order index (transform + full sort).
 func NewSFC(data []Object, cfg SFCConfig) *SFC { return sfc.New(data, cfg) }
@@ -248,8 +227,8 @@ func Synchronize(ix Index) *Synchronized { return syncidx.Wrap(ix) }
 
 // SynchronizedStatic wraps a static index with a read-write mutex so
 // concurrent read-only queries proceed in parallel. Only correct for indexes
-// whose Query does not mutate state (RTree, Grid, TwoLevelGrid, Octree, SFC,
-// Scan); incremental indexes must use Synchronize.
+// whose Query does not mutate state (RTree, Grid, SFC, Scan); incremental
+// indexes must use Synchronize.
 type SynchronizedStatic = syncidx.RWIndex
 
 // SynchronizeStatic returns a read-concurrent view of the static index ix.
@@ -405,26 +384,6 @@ type (
 	ReplFollowerConfig = repl.FollowerOptions
 	// ReplMetrics is the quasii_repl_* metric family, shared by both ends.
 	ReplMetrics = repl.Metrics
-	// ReplFaultRule selects which replication requests a fault transport
-	// breaks, and how.
-	ReplFaultRule = repl.FaultRule
-	// ReplFaultTransport is an http.RoundTripper injecting deterministic
-	// link faults (errors, stalls, truncation, corruption) — the
-	// replication analogue of the durable layer's fault-injecting file
-	// system, for tests and chaos harnesses.
-	ReplFaultTransport = repl.FaultTransport
-)
-
-// Replication link fault kinds for ReplFaultRule.Kind.
-const (
-	// ReplFaultError fails the request outright.
-	ReplFaultError = repl.FaultError
-	// ReplFaultStall hangs the request until the client times out.
-	ReplFaultStall = repl.FaultStall
-	// ReplFaultTruncate cuts the response body mid-stream.
-	ReplFaultTruncate = repl.FaultTruncate
-	// ReplFaultCorrupt flips one bit of the response body.
-	ReplFaultCorrupt = repl.FaultCorrupt
 )
 
 // NewReplLeader wires a replication leader over store. Metrics and logger
@@ -447,12 +406,6 @@ func OpenReplFollower(ctx context.Context, cfg ReplFollowerConfig) (*ReplFollowe
 // register every series, so dashboards can be written once.
 func NewReplMetrics(reg *MetricsRegistry) *ReplMetrics { return repl.NewMetrics(reg) }
 
-// NewReplFaultTransport wraps under (nil selects http.DefaultTransport)
-// with deterministic, seeded fault injection driven by rules.
-func NewReplFaultTransport(under http.RoundTripper, seed int64, rules ...ReplFaultRule) *ReplFaultTransport {
-	return repl.NewFaultTransport(under, seed, rules...)
-}
-
 // Serve runs the HTTP query service over ix on addr until the listener
 // fails. Equivalent to NewServer(ix, cfg).ListenAndServe(addr).
 func Serve(addr string, ix *Sharded, cfg ServerConfig) error {
@@ -465,11 +418,9 @@ var (
 	_ Index = (*RTree)(nil)
 	_ Index = (*Grid)(nil)
 	_ Index = (*Mosaic)(nil)
-	_ Index = (*Octree)(nil)
 	_ Index = (*SFC)(nil)
 	_ Index = (*SFCracker)(nil)
 	_ Index = (*Scan)(nil)
-	_ Index = (*TwoLevelGrid)(nil)
 	_ Index = (*Synchronized)(nil)
 	_ Index = (*SynchronizedStatic)(nil)
 	_ Index = (*Sharded)(nil)

@@ -34,10 +34,8 @@ func allIndexes(data []quasii.Object) map[string]quasii.Index {
 		"Grid/QueryExt":  quasii.NewGrid(data, quasii.GridConfig{Partitions: 24, Universe: quasii.Universe()}),
 		"Grid/Replicate": quasii.NewGrid(data, quasii.GridConfig{Partitions: 24, Assign: quasii.GridReplication, Universe: quasii.Universe()}),
 		"Mosaic":         quasii.NewMosaic(data, quasii.MosaicConfig{Universe: quasii.Universe()}),
-		"Octree":         quasii.NewOctree(data, quasii.OctreeConfig{Universe: quasii.Universe()}),
 		"SFC":            quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe()}),
 		"SFCracker":      quasii.NewSFCracker(quasii.CloneObjects(data), quasii.SFCConfig{Universe: quasii.Universe()}),
-		"TwoLevelGrid":   quasii.NewTwoLevelGrid(data, quasii.TwoLevelGridConfig{Universe: quasii.Universe()}),
 		"QUASII/stoch":   quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{Stochastic: true}),
 		"Sharded/4":      quasii.NewSharded(data, quasii.ShardedConfig{Shards: 4}),
 		"Synchronized":   quasii.Synchronize(quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{})),
