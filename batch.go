@@ -10,11 +10,11 @@ import (
 // goroutines, returning one result slice (object IDs) per query, in query
 // order.
 //
-// The index must be safe for concurrent reads: the static indexes (RTree,
-// Grid, SFC, Scan) are; the incremental indexes (QUASII, SFCracker, Mosaic)
-// mutate during Query and must be wrapped with Synchronize first — which
-// serializes them, so parallel batches only pay off on static structures (or
-// on a QUASII after Complete, wrapped anyway for safety). workers <= 0 means
+// The index must be safe for concurrent reads. The static indexes (RTree,
+// Grid, SFC, Scan) are as they stand, and so is Sharded. The incremental
+// indexes (QUASII, SFCracker, Mosaic) mutate during Query and must be
+// wrapped with Synchronize first, which serializes them, so parallel batches
+// pay off only on static structures and Sharded. workers <= 0 means
 // GOMAXPROCS.
 func BatchQuery(ix Index, queries []Box, workers int) [][]int32 {
 	if workers <= 0 {

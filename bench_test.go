@@ -368,9 +368,10 @@ func BenchmarkThroughputShardedQUASII(b *testing.B) {
 	})
 }
 
-func BenchmarkThroughputRWLockRTree(b *testing.B) {
+// A static index needs no lock: its Query mutates nothing.
+func BenchmarkThroughputRTree(b *testing.B) {
 	benchThroughput(b, func(data []quasii.Object) quasii.Index {
-		return quasii.SynchronizeStatic(quasii.NewRTree(data, quasii.RTreeConfig{}))
+		return quasii.NewRTree(data, quasii.RTreeConfig{})
 	})
 }
 

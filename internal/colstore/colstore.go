@@ -595,33 +595,6 @@ func (t *Table) ScanIntersect(lo, hi int, q geom.Box, out []int32) []int32 {
 	return out
 }
 
-// CountIntersect returns the number of rows in [lo, hi) whose box
-// intersects q — ScanIntersect without the output vector, for count-only
-// callers (shared-path Count) that want to stay allocation-free. The flag
-// sum is fully branchless.
-func (t *Table) CountIntersect(lo, hi int, q geom.Box) int {
-	if lo >= hi {
-		return 0
-	}
-	min0 := t.Min[0][lo:hi]
-	n := len(min0)
-	max0 := t.Max[0][lo:hi][:n]
-	min1 := t.Min[1][lo:hi][:n]
-	max1 := t.Max[1][lo:hi][:n]
-	min2 := t.Min[2][lo:hi][:n]
-	max2 := t.Max[2][lo:hi][:n]
-	qlo0, qhi0 := q.Min[0], q.Max[0]
-	qlo1, qhi1 := q.Min[1], q.Max[1]
-	qlo2, qhi2 := q.Min[2], q.Max[2]
-	cnt := 0
-	for k := range min0 {
-		cnt += b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
-			b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
-			b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
-	}
-	return cnt
-}
-
 // MinDistSq returns the squared minimum distance between point p and row
 // i's box (0 when p lies inside). Used by kNN candidate ranking.
 func (t *Table) MinDistSq(i int, p geom.Point) float64 {

@@ -2,9 +2,9 @@ package colstore
 
 import "repro/internal/geom"
 
-// Delta-merge kernels: the MVCC read path layers an immutable tombstone view
-// over the lanes, so the bottom-level filters need variants that apply the
-// tombstone check inside the scan loop. Keeping the check fused (rather
+// The delta-merge kernel: the MVCC read path layers an immutable tombstone
+// view over the lanes, so the bottom-level scan needs a variant that applies
+// the tombstone check inside the scan loop. Keeping the check fused (rather
 // than post-filtering a materialized position vector) preserves the single
 // sequential pass over the seven lanes and keeps the converged read path at
 // zero allocations: the only state is the caller's output slice and the
@@ -98,40 +98,6 @@ func scanVisible[S deadSet](t *Table, lo, hi int, q geom.Box, dead S, out []int3
 		}
 	}
 	return out
-}
-
-// CountVisible counts the rows in [lo, hi) whose box intersects q and whose
-// ID is not tombstoned in dead — CountIntersect with the visibility check
-// fused in, for count-only callers that must stay allocation-free even
-// while deletes are pending.
-func (t *Table) CountVisible(lo, hi int, q geom.Box, dead Tombstones) int {
-	if lo >= hi {
-		return 0
-	}
-	if dead.Len() == 0 {
-		return t.CountIntersect(lo, hi, q)
-	}
-	min0 := t.Min[0][lo:hi]
-	n := len(min0)
-	max0 := t.Max[0][lo:hi][:n]
-	min1 := t.Min[1][lo:hi][:n]
-	max1 := t.Max[1][lo:hi][:n]
-	min2 := t.Min[2][lo:hi][:n]
-	max2 := t.Max[2][lo:hi][:n]
-	ids := t.ID[lo:hi][:n]
-	qlo0, qhi0 := q.Min[0], q.Max[0]
-	qlo1, qhi1 := q.Min[1], q.Max[1]
-	qlo2, qhi2 := q.Min[2], q.Max[2]
-	cnt := 0
-	for k := range min0 {
-		ok := b2i(min0[k] <= qhi0) & b2i(max0[k] >= qlo0) &
-			b2i(min1[k] <= qhi1) & b2i(max1[k] >= qlo1) &
-			b2i(min2[k] <= qhi2) & b2i(max2[k] >= qlo2)
-		if ok != 0 && !dead.Has(ids[k]) {
-			cnt++
-		}
-	}
-	return cnt
 }
 
 // Clone returns a deep copy of the table's rows. The partition scratch is

@@ -297,6 +297,12 @@ func (ix *Index) Len() int {
 	return v.table.Len() + len(v.pending) - v.deleted.Len()
 }
 
+// DataMBB returns a box containing every object at the current version,
+// rows and pending ones. It only grows: deletes and Flush never shrink it.
+// Load refuses a snapshot whose recorded box does not contain its objects.
+// Safe to call concurrently with writers.
+func (ix *Index) DataMBB() geom.Box { return ix.live.Load().dataMBB }
+
 // Stats returns a snapshot of the cumulative work counters. SharedQueries is
 // folded in from its atomic home, so Stats may be called under shared access
 // concurrently with shared-path queries.
@@ -367,18 +373,6 @@ func (ix *Index) queryPositions(q geom.Box, out []int32) []int32 {
 	}
 	ix.recordHeat = ix.sampleHeat()
 	return ix.queryList(q, ix.root, 0, out)
-}
-
-// Count returns the number of objects intersecting q. On a converged index
-// it counts via the read-only shared walk — no refinement, no allocation —
-// so callers like /stats probes never force the exclusive path; otherwise it
-// falls back to Query (refining the index as a side effect).
-func (ix *Index) Count(q geom.Box) int {
-	if n, ok := ix.CountShared(q); ok {
-		return n
-	}
-	res := ix.Query(q, nil)
-	return len(res)
 }
 
 // queryList implements Algorithm 1 of the paper on one sibling list.
@@ -523,8 +517,9 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 // [lo, hi] the same way, carrying the band's exclusive key bound — a band's
 // is the cut above it, the top band's its parent's — so a level costs its
 // partition passes and no key-range sweep. Only when that range is infinite,
-// or loose enough for a cut to leave one side empty, is the exact range
-// read, once. The slices replacing s are appended to out in lo order.
+// loose enough for a cut to leave one side empty, or about to be cut by the
+// last budgeted pass, is the exact range read, once. The slices replacing s
+// are appended to out in lo order.
 func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*slice {
 	dim := s.level
 	if s.refined || s.size() <= ix.tau[dim] {
@@ -540,13 +535,17 @@ func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*
 	}
 	var bands [3]band
 	n := 0
-	if !math.IsInf(kMin, -1) && !math.IsInf(keyEnd, 1) {
+	// With one budgeted pass left, a cut that left one side empty would
+	// spend the budget and return s unchanged, so every later call would
+	// plan the same cut: the last pass is planned inside the exact range.
+	if ix.remCracks != 1 && !math.IsInf(kMin, -1) && !math.IsInf(keyEnd, 1) {
 		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi)
 		bands, n = ix.applyCuts(s, keyEnd, cuts[:k])
 	}
 	if n < 2 {
-		// No finite key range, or one loose enough that the cuts left a
-		// single band: read the exact range and plan again inside it.
+		// No finite key range, one loose enough that the cuts left a single
+		// band, or the last budgeted pass: read the exact range and plan
+		// (again) inside it.
 		kMin, kMax := ix.lowerRange(s, dim)
 		if kMax <= kMin {
 			// All representative coordinates coincide: the slice cannot be
@@ -714,9 +713,6 @@ func (ix *Index) finalizeFragment(f *slice, dim int) {
 }
 
 // --- Introspection and invariant checking (used by tests and tools) ---
-
-// Depth returns the number of hierarchy levels (== geom.Dims).
-func (ix *Index) Depth() int { return geom.Dims }
 
 // NumSlices returns the total number of slices currently materialized.
 func (ix *Index) NumSlices() int {

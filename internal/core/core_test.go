@@ -281,24 +281,24 @@ func TestDefaultConfigWorkPinned(t *testing.T) {
 			{107, 61618, 221, 114, 25481, 5630, 142},
 		}},
 		{"QueryBudgeted(1)", budgeted(1), []workPin{
-			{89, 111439, 245, 94, 125083, 2544, 138},
+			{89, 111439, 245, 94, 125085, 2544, 138},
 			{88, 96095, 238, 96, 144515, 6662, 129},
 			{81, 104205, 231, 88, 226312, 6951, 127},
 			{97, 88567, 260, 101, 86564, 5291, 143},
 			{99, 83465, 271, 108, 108164, 13408, 152},
 			{132, 112553, 349, 140, 156778, 11068, 188},
-			{106, 91027, 281, 116, 118846, 12346, 148},
+			{106, 91027, 281, 116, 118843, 12346, 148},
 			{88, 79184, 247, 98, 123029, 5630, 135},
 		}},
 		{"QueryBudgeted(3)", budgeted(3), []workPin{
-			{93, 73110, 206, 103, 21524, 2544, 133},
+			{93, 73112, 206, 103, 21524, 2544, 133},
 			{115, 68859, 249, 126, 44167, 6662, 152},
-			{112, 83157, 246, 124, 36318, 6951, 155},
-			{132, 63513, 284, 141, 39268, 5291, 170},
-			{111, 61432, 253, 125, 54676, 13408, 148},
-			{150, 67677, 313, 168, 54991, 11068, 186},
-			{121, 59515, 261, 125, 49892, 12346, 155},
-			{106, 64261, 228, 112, 28407, 5630, 141},
+			{112, 83155, 246, 124, 36301, 6951, 155},
+			{132, 63499, 284, 141, 39146, 5291, 170},
+			{111, 61439, 253, 125, 54680, 13408, 148},
+			{150, 67680, 313, 168, 54911, 11068, 186},
+			{121, 59515, 261, 125, 49852, 12346, 155},
+			{106, 64261, 228, 112, 28409, 5630, 141},
 		}},
 		{"Complete", func(ix *Index, qs []geom.Box) {
 			ix.Complete()
@@ -375,17 +375,6 @@ func TestTauDefault(t *testing.T) {
 	ix := New(dataset.Uniform(100, 34), Config{})
 	if ix.Tau(geom.Dims-1) != DefaultTau {
 		t.Fatalf("default tau = %d, want %d", ix.Tau(geom.Dims-1), DefaultTau)
-	}
-}
-
-func TestCountMatchesQuery(t *testing.T) {
-	data := dataset.Uniform(2000, 35)
-	ix := New(dataset.Clone(data), Config{Tau: 32})
-	q := workload.Uniform(dataset.Universe(), 1, 1e-2, 36)[0]
-	want := len(ix.Query(q, nil))
-	ix2 := New(dataset.Clone(data), Config{Tau: 32})
-	if got := ix2.Count(q); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
 	}
 }
 

@@ -6,8 +6,8 @@
 // the MVCC head — see version.go) and walk that version's slice hierarchy
 // without mutating anything: no finalization, no child creation, no
 // cracking, no plain-counter stats. There is one such walk (walkRefined);
-// range queries, counts, the KNN and delete position probes and pinned-
-// version reads differ only in the leaf action they hand it, and the
+// range queries (on the live or a pinned version) and the KNN and delete
+// position probes differ only in the leaf action they hand it, and the
 // closure costs nothing measurable — the converged path stays at zero
 // allocations. A query whose touched region is fully refined is
 // answered in place against the pinned version's view — lanes plus visible
@@ -89,49 +89,22 @@ func (ix *Index) QueryShared(q geom.Box, out []int32) ([]int32, bool) {
 // that a pinned read sees exactly the writes published at or before its
 // pin. The walk runs over the generation v captured — the live lanes and
 // hierarchy until a Flush supersedes them, the frozen ones afterwards.
-// Same locking contract as QueryShared.
+// Same locking contract as QueryShared; the walk is bracketed by the
+// crack-epoch validation of the safety contract above.
 func (ix *Index) queryAtVersion(v *Version, q geom.Box, out []int32) ([]int32, bool) {
-	start := len(out)
-	ok := ix.walkVersion(v, q, func(lo, hi int) {
-		out = v.table.ScanVisible(lo, hi, q, v.deleted, out)
-	})
-	if !ok {
-		return out[:start], false
+	if v.table.Len() > 0 && !q.IsEmpty() {
+		start := len(out)
+		e := ix.epoch.Load()
+		ok := ix.walkRefined(q, v.root, 0, ix.sampleHeat(), func(lo, hi int) {
+			out = v.table.ScanVisible(lo, hi, q, v.deleted, out)
+		})
+		if !ok || ix.epoch.Load() != e {
+			return out[:start], false
+		}
 	}
 	v.eachPending(q, func(id int32) { out = append(out, id) })
 	ix.sharedQueries.Add(1)
 	return out, true
-}
-
-// CountShared counts the objects intersecting q on the shared read path,
-// reporting false when the walk would need exclusive work. The count walk
-// never materializes positions — tombstones are filtered by the fused
-// colstore count kernel — so it is allocation-free regardless of result
-// cardinality or how many deletes are in flight.
-func (ix *Index) CountShared(q geom.Box) (int, bool) {
-	v := ix.live.Load()
-	n := 0
-	ok := ix.walkVersion(v, q, func(lo, hi int) {
-		n += v.table.CountVisible(lo, hi, q, v.deleted)
-	})
-	if !ok {
-		return 0, false
-	}
-	v.eachPending(q, func(int32) { n++ })
-	ix.sharedQueries.Add(1)
-	return n, true
-}
-
-// walkVersion runs the read-only walk for q over v's base generation,
-// bracketed by the crack-epoch validation of the safety contract above. It
-// reports false when a touched slice still needs exclusive work or the
-// structure moved under the walk; what leaf accumulated is then meaningless.
-func (ix *Index) walkVersion(v *Version, q geom.Box, leaf func(lo, hi int)) bool {
-	if v.table.Len() == 0 || q.IsEmpty() {
-		return true
-	}
-	e := ix.epoch.Load()
-	return ix.walkRefined(q, v.root, 0, ix.sampleHeat(), leaf) && ix.epoch.Load() == e
 }
 
 // positionsShared collects the raw lane positions of v's rows intersecting
@@ -148,11 +121,12 @@ func (ix *Index) positionsShared(v *Version, q geom.Box, pos []int32) ([]int32, 
 // walkRefined is the read-only mirror of queryList — Algorithm 1 with every
 // mutation taken out. Any slice the exclusive path would have to touch —
 // finalize, give a child, or crack — aborts the walk instead; what happens
-// at a bottom-level slice is the caller's leaf action (scan, count, collect
-// positions), so every shared entry point shares this one descent. heat is
-// threaded as a parameter (not an Index field) because any number of
-// shared walks run concurrently; the only mutation a sampled walk performs
-// is the atomic touch counter, which is still "read-only" structurally.
+// at a bottom-level slice is the caller's leaf action (scan visible rows or
+// collect positions), so every shared entry point shares this one descent.
+// heat is threaded as a parameter (not an Index field) because any number
+// of shared walks run concurrently; the only mutation a sampled walk
+// performs is the atomic touch counter, which is still "read-only"
+// structurally.
 func (ix *Index) walkRefined(q geom.Box, list *sliceList, dim int, heat bool, leaf func(lo, hi int)) bool {
 	fastPath := !math.IsInf(list.maxExt, 1)
 	var i int

@@ -126,11 +126,11 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 }
 
 // TestOneWalkEquivalence answers the same seeded boxes through every entry
-// point that shares the read-only walk — QueryShared, CountShared, the
-// position probe behind KNNShared and DeleteShared, and queryAtVersion on a
-// pin that a Flush has since superseded — plus the exclusive Query, with
-// pending inserts and tombstones (indexed and pending) present, and holds
-// all of them to the scan oracle.
+// point that shares the read-only walk — QueryShared, the position probe
+// behind KNNShared and DeleteShared, and queryAtVersion on a pin that a
+// Flush has since superseded — plus the exclusive Query, with pending
+// inserts and tombstones (indexed and pending) present, and holds all of
+// them to the scan oracle.
 func TestOneWalkEquivalence(t *testing.T) {
 	data := dataset.Uniform(6000, 11)
 	ix := New(dataset.Clone(data), Config{})
@@ -167,9 +167,6 @@ func TestOneWalkEquivalence(t *testing.T) {
 			t.Fatalf("box %d: QueryShared bailed", i)
 		}
 		assertSameIDs(t, got, want)
-		if n, ok := ix.CountShared(q); !ok || n != len(want) {
-			t.Fatalf("box %d: CountShared = %d, %v, scan = %d", i, n, ok, len(want))
-		}
 		pos, ok := ix.positionsShared(v, q, nil)
 		if !ok {
 			t.Fatalf("box %d: position probe bailed", i)
@@ -189,9 +186,6 @@ func TestOneWalkEquivalence(t *testing.T) {
 	none := geom.EmptyBox()
 	if got, ok := ix.QueryShared(none, nil); !ok || len(got) != 0 {
 		t.Fatalf("QueryShared(empty) = %v, %v", got, ok)
-	}
-	if n, ok := ix.CountShared(none); !ok || n != 0 {
-		t.Fatalf("CountShared(empty) = %d, %v", n, ok)
 	}
 	if got := ix.Query(none, nil); len(got) != 0 {
 		t.Fatalf("Query(empty) = %v", got)
@@ -270,43 +264,6 @@ func TestOneWalkEquivalence(t *testing.T) {
 		for _, q := range boxes {
 			assertSameIDs(t, cold.Query(q, nil), oracle.Query(q, nil))
 		}
-	}
-}
-
-// TestCountSharedMatchesCount pins Count's shared-walk fast path: exact on
-// a converged index (with and without tombstones/pending) and refusing
-// cleanly on a cold one.
-func TestCountSharedMatchesCount(t *testing.T) {
-	data := dataset.Uniform(6000, 5)
-	ix := New(dataset.Clone(data), Config{})
-	queries := workload.Uniform(dataset.Universe(), 64, 1e-3, 6)
-
-	if _, ok := ix.CountShared(queries[0]); ok {
-		t.Fatal("CountShared succeeded on a cold index")
-	}
-	ix.Complete()
-	sc := scan.New(dataset.Clone(data))
-	for i, q := range queries {
-		n, ok := ix.CountShared(q)
-		if !ok {
-			t.Fatalf("query %d: CountShared bailed on a converged index", i)
-		}
-		if want := len(sc.Query(q, nil)); n != want {
-			t.Fatalf("query %d: CountShared = %d, scan = %d", i, n, want)
-		}
-		if got := ix.Count(q); got != n {
-			t.Fatalf("query %d: Count = %d disagrees with CountShared = %d", i, got, n)
-		}
-	}
-	// Tombstoned objects disappear from counts.
-	before, _ := ix.CountShared(data[0].Box)
-	ix.Delete(data[0].ID, data[0].Box)
-	after, ok := ix.CountShared(data[0].Box)
-	if !ok {
-		t.Fatal("CountShared bailed with tombstones")
-	}
-	if after != before-1 {
-		t.Fatalf("CountShared with tombstone = %d, want %d", after, before-1)
 	}
 }
 
@@ -410,16 +367,21 @@ func TestQueryBudgeted(t *testing.T) {
 		}
 	}
 	// A positive budget must still make progress: replaying one query often
-	// enough converges its region, flipping it onto the shared path.
-	ix := New(dataset.Clone(data), Config{})
-	q := queries[0]
-	for i := 0; i < 10_000; i++ {
-		ix.QueryBudgeted(q, nil, 4)
-		if _, ok := ix.QueryShared(q, nil); ok {
-			return
+	// enough converges its region, flipping it onto the shared path. A
+	// budget of 1 is the edge: its one pass must never be a cut that leaves
+	// one side empty.
+	for _, budget := range []int{1, 4} {
+		ix := New(dataset.Clone(data), Config{})
+		q := queries[0]
+		converged := false
+		for i := 0; i < 10_000 && !converged; i++ {
+			ix.QueryBudgeted(q, nil, budget)
+			_, converged = ix.QueryShared(q, nil)
+		}
+		if !converged {
+			t.Fatalf("budget %d: 10k replays of one query never converged its region", budget)
 		}
 	}
-	t.Fatal("10k budgeted replays of one query never converged its region")
 }
 
 // unconvergedWithDeltas builds the state the second rung of the probe

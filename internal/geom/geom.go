@@ -143,19 +143,6 @@ func (b Box) Extend(q Box) Box {
 	return b
 }
 
-// ExtendPoint grows b to also cover the point p and returns the result.
-func (b Box) ExtendPoint(p Point) Box {
-	for d := 0; d < Dims; d++ {
-		if p[d] < b.Min[d] {
-			b.Min[d] = p[d]
-		}
-		if p[d] > b.Max[d] {
-			b.Max[d] = p[d]
-		}
-	}
-	return b
-}
-
 // Intersection returns the overlap of b and q. The result may be empty
 // (IsEmpty reports true) when the boxes do not intersect.
 func (b Box) Intersection(q Box) Box {

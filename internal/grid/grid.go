@@ -189,9 +189,6 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 	return out
 }
 
-// Count returns the number of objects intersecting q.
-func (ix *Index) Count(q geom.Box) int { return len(ix.Query(q, nil)) }
-
 // CandidateCount returns how many cell entries a query for q would inspect —
 // the "objects considered for intersection" metric of Fig. 6a.
 func (ix *Index) CandidateCount(q geom.Box) int64 {

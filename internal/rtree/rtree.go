@@ -163,31 +163,39 @@ func (t *Tree) Height() int { return t.height }
 
 // Query appends the IDs of all objects intersecting q to out.
 func (t *Tree) Query(q geom.Box, out []int32) []int32 {
+	out, _ = t.QueryTested(q, out)
+	return out
+}
+
+// QueryTested is Query that also returns how many objects it tested
+// against q: the entries of every leaf the descent reached, the counterpart
+// of QUASII's Stats.ObjectsTested.
+func (t *Tree) QueryTested(q geom.Box, out []int32) ([]int32, int) {
 	if t.root == nil || q.IsEmpty() {
-		return out
+		return out, 0
 	}
 	return t.query(t.root, q, out)
 }
 
-func (t *Tree) query(n *node, q geom.Box, out []int32) []int32 {
+func (t *Tree) query(n *node, q geom.Box, out []int32) ([]int32, int) {
 	if n.children == nil {
 		for i := n.lo; i < n.hi; i++ {
 			if t.data[i].Intersects(q) {
 				out = append(out, t.data[i].ID)
 			}
 		}
-		return out
+		return out, n.hi - n.lo
 	}
+	tested := 0
 	for _, c := range n.children {
 		if c.box.Intersects(q) {
-			out = t.query(c, q, out)
+			var k int
+			out, k = t.query(c, q, out)
+			tested += k
 		}
 	}
-	return out
+	return out, tested
 }
-
-// Count returns the number of objects intersecting q.
-func (t *Tree) Count(q geom.Box) int { return len(t.Query(q, nil)) }
 
 // Neighbor is one kNN result: an object ID and its squared distance to the
 // query point.

@@ -122,6 +122,30 @@ func TestHeightGrowth(t *testing.T) {
 	}
 }
 
+// TestQueryTested: QueryTested answers like Query, and its count is the
+// entries of every leaf reached: at least the results, fewer than all
+// objects for a selective box, and every object for a box covering them
+// all.
+func TestQueryTested(t *testing.T) {
+	data := dataset.Uniform(3000, 70)
+	tr := New(data, Config{})
+	for i, q := range workload.Uniform(dataset.Universe(), 50, 1e-2, 71) {
+		got, tested := tr.QueryTested(q, nil)
+		if !equalIDs(sortedIDs(got), sortedIDs(tr.Query(q, nil))) {
+			t.Fatalf("query %d: QueryTested and Query disagree", i)
+		}
+		if tested < len(got) || tested >= len(data) {
+			t.Fatalf("query %d: tested %d objects for %d results", i, tested, len(got))
+		}
+	}
+	if _, tested := tr.QueryTested(geom.MBB(data), nil); tested != len(data) {
+		t.Fatalf("covering box tested %d objects, want %d", tested, len(data))
+	}
+	if _, tested := tr.QueryTested(geom.EmptyBox(), nil); tested != 0 {
+		t.Fatalf("empty box tested %d objects", tested)
+	}
+}
+
 func TestCapacityDefault(t *testing.T) {
 	data := dataset.Uniform(200, 69)
 	tr := New(data, Config{Capacity: -5})
@@ -131,15 +155,6 @@ func TestCapacityDefault(t *testing.T) {
 	// 200 objects with capacity 60 -> 4 leaves -> 1 root: height 2.
 	if tr.Height() != 2 {
 		t.Fatalf("height = %d, want 2", tr.Height())
-	}
-}
-
-func TestCount(t *testing.T) {
-	data := dataset.Uniform(3000, 70)
-	tr := New(data, Config{})
-	q := workload.Uniform(dataset.Universe(), 1, 1e-2, 71)[0]
-	if got, want := tr.Count(q), len(tr.Query(q, nil)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
 	}
 }
 

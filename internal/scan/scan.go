@@ -26,14 +26,3 @@ func (ix *Index) Query(q geom.Box, out []int32) []int32 {
 	}
 	return out
 }
-
-// Count returns the number of objects intersecting q.
-func (ix *Index) Count(q geom.Box) int {
-	n := 0
-	for i := range ix.data {
-		if ix.data[i].Intersects(q) {
-			n++
-		}
-	}
-	return n
-}

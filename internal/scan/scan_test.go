@@ -30,15 +30,6 @@ func TestQueryFindsIntersecting(t *testing.T) {
 	}
 }
 
-func TestCountMatchesQuery(t *testing.T) {
-	data := dataset.Uniform(3000, 1)
-	ix := New(data)
-	q := geom.NewBox(geom.Point{1000, 1000, 1000}, geom.Point{3000, 3000, 3000})
-	if got, want := ix.Count(q), len(ix.Query(q, nil)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-}
-
 func TestQueryAppendsToOut(t *testing.T) {
 	data := []geom.Object{{Box: geom.BoxAt(geom.Point{1, 1, 1}, 1), ID: 9}}
 	ix := New(data)

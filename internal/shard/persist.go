@@ -14,8 +14,11 @@
 // the duration of PinVersions only — microseconds — and write afterwards.
 //
 // The manifest records what the sub-index snapshots cannot: the build-time
-// STR tile of each shard (which routes inserts), the live bounding box
-// (which routes queries and only ever grows), and the union of tiles.
+// STR tile of each shard (which routes inserts) and the union of tiles. It
+// also records each shard's live bounding box (which routes queries and
+// only ever grows), but Restore recomputes that from the loaded data: the
+// manifest may come from another machine (a follower installs its
+// leader's), and a box too small would drop results silently.
 // File-level atomicity is the caller's concern: write into a fresh
 // directory and rename it into place (internal/durable does).
 
@@ -25,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,16 +59,20 @@ func IsBaseName(name string) bool {
 // manifest is the JSON index of a snapshot directory.
 type manifest struct {
 	Version int `json:"version"`
-	// TileMBB is the union of the tiles. Restore recomputes it; it is
-	// written because earlier versions route inserts by it.
+	// TileMBB is the union of the tiles, excluding a legacy overflow
+	// shard. Restore checks it against the tiles it lists, which refuses a
+	// manifest that drops a shard; earlier versions route inserts by it.
 	TileMBB  boxManifest    `json:"tile_mbb"`
 	Shards   []shardRecord  `json:"shards"`
 	Overflow *overflowEntry `json:"overflow,omitempty"`
 }
 
 type shardRecord struct {
-	File   string      `json:"file"`
-	Tile   boxManifest `json:"tile"`
+	File string      `json:"file"`
+	Tile boxManifest `json:"tile"`
+	// Bounds is the shard's live bounding box at snapshot time. Restore
+	// only validates it and recomputes the box from the loaded data; it is
+	// written because earlier versions restore it as is.
 	Bounds boxManifest `json:"bounds"`
 }
 
@@ -94,6 +102,9 @@ func boxToManifest(b geom.Box) boxManifest {
 	return m
 }
 
+// boxFromManifest parses a manifest box, refusing NaN coordinates: every
+// comparison with NaN is false, so a NaN bound would make a box that no
+// query meets and that nothing can extend.
 func boxFromManifest(m boxManifest) (geom.Box, error) {
 	var b geom.Box
 	for d := 0; d < geom.Dims; d++ {
@@ -104,6 +115,9 @@ func boxFromManifest(m boxManifest) (geom.Box, error) {
 		hi, err := strconv.ParseFloat(m.Max[d], 64)
 		if err != nil {
 			return b, fmt.Errorf("parsing box max[%d] %q: %w", d, m.Max[d], err)
+		}
+		if math.IsNaN(lo) || math.IsNaN(hi) {
+			return b, fmt.Errorf("box [%d] bounds %q, %q: NaN", d, m.Min[d], m.Max[d])
 		}
 		b.Min[d], b.Max[d] = lo, hi
 	}
@@ -281,11 +295,12 @@ func writePinnedShardFile(fsys faultfs.FS, path string, p *pinnedShard) error {
 
 // Restore reassembles a sharded index from a snapshot directory written by
 // Snapshot. Shard files are loaded concurrently. The restored engine keeps
-// the snapshot's spatial layout (tiles and live bounds) and every
-// sub-index's accumulated refinement; cfg supplies the runtime knobs
-// exactly as for New (Workers, CrackBudget). A manifest from an earlier
-// version that carries a separate overflow shard restores it as one more
-// shard whose tile is its recorded live bounds.
+// the snapshot's tiles and every sub-index's accumulated refinement; each
+// shard's live bounds are its tile extended by its loaded sub-index's data
+// MBB, so they contain every object whatever the manifest says. cfg
+// supplies the runtime knobs exactly as for New (Workers, CrackBudget). A
+// manifest from an earlier version that carries a separate overflow shard
+// restores it as one more shard whose tile is its recorded live bounds.
 func Restore(dir string, cfg Config) (*Index, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -301,13 +316,37 @@ func Restore(dir string, cfg Config) (*Index, error) {
 	if len(m.Shards) == 0 {
 		return nil, errors.New("snapshot manifest lists no shards")
 	}
+	tileMBB, err := boxFromManifest(m.TileMBB)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot manifest tile_mbb: %w", err)
+	}
+	tiled := len(m.Shards)
 	if ov := m.Overflow; ov != nil {
 		m.Shards = append(m.Shards, shardRecord{File: ov.File, Tile: ov.Bounds, Bounds: ov.Bounds})
 	}
-	for _, rec := range m.Shards {
+	tiles := make([]geom.Box, len(m.Shards))
+	union := geom.EmptyBox()
+	named := make(map[string]bool, len(m.Shards))
+	for i, rec := range m.Shards {
 		if !IsBaseName(rec.File) {
 			return nil, fmt.Errorf("snapshot manifest names unsafe shard file %q", rec.File)
 		}
+		if named[rec.File] {
+			return nil, fmt.Errorf("snapshot manifest names shard file %q twice", rec.File)
+		}
+		named[rec.File] = true
+		if tiles[i], err = boxFromManifest(rec.Tile); err != nil {
+			return nil, fmt.Errorf("snapshot manifest %s tile: %w", rec.File, err)
+		}
+		if _, err := boxFromManifest(rec.Bounds); err != nil {
+			return nil, fmt.Errorf("snapshot manifest %s bounds: %w", rec.File, err)
+		}
+		if i < tiled {
+			union = union.Extend(tiles[i])
+		}
+	}
+	if union != tileMBB {
+		return nil, fmt.Errorf("snapshot manifest tile_mbb %v is not the union %v of its shard tiles", tileMBB, union)
 	}
 
 	ix := newEngine(cfg, len(m.Shards))
@@ -315,27 +354,18 @@ func Restore(dir string, cfg Config) (*Index, error) {
 	var wg sync.WaitGroup
 	for i, rec := range m.Shards {
 		wg.Add(1)
-		go func(i int, rec shardRecord) {
+		go func(i int, file string) {
 			defer wg.Done()
-			tile, err := boxFromManifest(rec.Tile)
+			sub, err := loadShardFile(filepath.Join(dir, file))
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			bounds, err := boxFromManifest(rec.Bounds)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sub, err := loadShardFile(filepath.Join(dir, rec.File))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sh := ix.newEntry(sub, tile)
+			sh := ix.newEntry(sub, tiles[i])
+			bounds := tiles[i].Extend(sub.DataMBB())
 			sh.bounds.Store(&bounds)
 			ix.shards[i] = sh
-		}(i, rec)
+		}(i, rec.File)
 	}
 	wg.Wait()
 	for _, err := range errs {

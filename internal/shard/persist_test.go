@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,6 +118,17 @@ func TestSnapshotRestoreOverflowShard(t *testing.T) {
 	last := m.Shards[len(m.Shards)-1]
 	m.Shards = m.Shards[:len(m.Shards)-1]
 	m.Overflow = &overflowEntry{File: "overflow.snap", Bounds: last.Bounds}
+	// Earlier versions wrote the union of the tiles without the overflow
+	// shard's box.
+	union := geom.EmptyBox()
+	for _, rec := range m.Shards {
+		tile, err := boxFromManifest(rec.Tile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union = union.Extend(tile)
+	}
+	m.TileMBB = boxToManifest(union)
 	if err := os.Rename(filepath.Join(dir, last.File), filepath.Join(dir, m.Overflow.File)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,4 +311,130 @@ func TestSnapshotDeterministicWithTombstones(t *testing.T) {
 	if snaps != ix.NumShards() {
 		t.Fatalf("compared %d shard files, want %d", snaps, ix.NumShards())
 	}
+}
+
+// tamperSetup snapshots a 2-shard index of 5,000 uniform objects into dir
+// and returns its manifest, 200 uniform queries at selectivity 1e-2, and
+// the snapshotted index's sorted answer to each.
+func tamperSetup(tb testing.TB, dir string) (manifest, []geom.Box, [][]int32) {
+	tb.Helper()
+	ix := New(dataset.Uniform(5000, 3), Config{Shards: 2})
+	if err := ix.Snapshot(dir); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		tb.Fatal(err)
+	}
+	queries := workload.Uniform(dataset.Universe(), 200, 1e-2, 4)
+	want := make([][]int32, len(queries))
+	for i, q := range queries {
+		want[i] = sortedCopy(ix.Query(q, nil))
+	}
+	return m, queries, want
+}
+
+// tamperCase is a tampered manifest and whether Restore should accept it.
+type tamperCase struct {
+	m  manifest
+	ok bool
+}
+
+// tamperedManifests are the manifests a restoring follower must not trust:
+// shard 0's live bounds shrunk to [0,1]³ (accepted: the bounds are
+// recomputed from the data), shard 0's bounds set to NaN (refused), shard 0
+// listed twice (refused), and shard 1 dropped (refused: tile_mbb is no
+// longer the union of the listed tiles).
+func tamperedManifests(m manifest) map[string]tamperCase {
+	tiny := boxToManifest(geom.Box{Max: geom.Point{1, 1, 1}})
+	nan := boxToManifest(geom.Box{Min: geom.Point{math.NaN(), 0, 0}, Max: geom.Point{math.NaN(), 1, 1}})
+	edit := func(ok bool, f func(*manifest)) tamperCase {
+		c := m
+		c.Shards = append([]shardRecord(nil), m.Shards...)
+		f(&c)
+		return tamperCase{c, ok}
+	}
+	return map[string]tamperCase{
+		"tiny bounds":   edit(true, func(c *manifest) { c.Shards[0].Bounds = tiny }),
+		"NaN bounds":    edit(false, func(c *manifest) { c.Shards[0].Bounds = nan }),
+		"shard twice":   edit(false, func(c *manifest) { c.Shards = append(c.Shards, c.Shards[0]) }),
+		"shard dropped": edit(false, func(c *manifest) { c.Shards = c.Shards[:1] }),
+	}
+}
+
+// checkRestored restores dir and, when Restore succeeds, requires the
+// invariants to hold and every query to return the snapshotted index's
+// answer. It reports whether Restore succeeded.
+func checkRestored(t *testing.T, dir string, queries []geom.Box, want [][]int32) bool {
+	t.Helper()
+	ix, err := Restore(dir, Config{})
+	if err != nil {
+		return false
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("restored, but invariants fail: %v", err)
+	}
+	for i, q := range queries {
+		if got := sortedCopy(ix.Query(q, nil)); !sameIDs(got, want[i]) {
+			t.Fatalf("query %d: restored index returns %d IDs, snapshot %d", i, len(got), len(want[i]))
+		}
+	}
+	if got := ix.Len(); got != 5000 {
+		t.Fatalf("restored Len %d, want 5000", got)
+	}
+	return true
+}
+
+// TestRestoreDistrustsManifest: a follower restores the manifest its leader
+// ships, so a manifest whose bounds are too small or NaN, that names a shard
+// file twice or drops one, must either be refused or restore an index that
+// answers exactly like the snapshotted one.
+func TestRestoreDistrustsManifest(t *testing.T) {
+	dir := t.TempDir()
+	m, queries, want := tamperSetup(t, dir)
+	if !checkRestored(t, dir, queries, want) {
+		t.Fatal("the untampered snapshot did not restore")
+	}
+	for name, tc := range tamperedManifests(m) {
+		t.Run(name, func(t *testing.T) {
+			if err := writeManifest(faultfs.OS{}, filepath.Join(dir, ManifestName), &tc.m); err != nil {
+				t.Fatal(err)
+			}
+			if ok := checkRestored(t, dir, queries, want); ok != tc.ok {
+				t.Fatalf("Restore accepted = %v, want %v", ok, tc.ok)
+			}
+		})
+	}
+}
+
+// FuzzRestoreManifest mutates the manifest of a real 2-shard snapshot.
+// Restore must never panic; whenever it succeeds, the invariants hold and a
+// fixed query set returns the snapshotted index's answers.
+func FuzzRestoreManifest(f *testing.F) {
+	dir := f.TempDir()
+	m, queries, want := tamperSetup(f, dir)
+	queries, want = queries[:40], want[:40]
+	f.Add(encodeManifest(f, m))
+	for _, tc := range tamperedManifests(m) {
+		f.Add(encodeManifest(f, tc.m))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkRestored(t, dir, queries, want)
+	})
+}
+
+func encodeManifest(tb testing.TB, m manifest) []byte {
+	tb.Helper()
+	raw, err := json.MarshalIndent(&m, "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }

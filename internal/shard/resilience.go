@@ -45,10 +45,6 @@ func (sh *shardEntry) poison(cause any) {
 		"cause", cause, "first", first, "stack", string(debug.Stack()))
 }
 
-// Quarantined reports how many shards are currently quarantined. 0 on a
-// healthy engine.
-func (ix *Index) Quarantined() int { return ix.Stats().Quarantined }
-
 // guard runs f on the shard's sub-index under the write lock (exclusive) or
 // the read lock, with panic isolation. Shared probes — reads and the
 // version-publishing Append/DeleteShared, whose writers serialize on the

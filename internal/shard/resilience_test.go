@@ -155,7 +155,7 @@ func TestQueryPanicQuarantinesShard(t *testing.T) {
 			t.Fatalf("healthy shard's object %d missing: %v", id, got)
 		}
 	}
-	if q := ix.Quarantined(); q != 1 {
+	if q := ix.Stats().Quarantined; q != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", q)
 	}
 	if st := ix.Stats(); st.Quarantined != 1 {
@@ -210,7 +210,7 @@ func TestInsertRoutesAroundQuarantinedShard(t *testing.T) {
 	good := bombFor(t, bombs, 11)
 	good.armQuery = true
 	ix.Query(geom.BoxAt(geom.Point{100, 0, 0}, 10), nil)
-	if q := ix.Quarantined(); q != 2 {
+	if q := ix.Stats().Quarantined; q != 2 {
 		t.Fatalf("Quarantined() = %d, want 2", q)
 	}
 	err := ix.Insert(geom.Object{Box: geom.BoxAt(geom.Point{101, 0, 0}, 0.4), ID: 100})
@@ -226,7 +226,7 @@ func TestAppendPanicReturnsErrQuarantined(t *testing.T) {
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("Insert into panicking shard: %v, want ErrQuarantined", err)
 	}
-	if q := ix.Quarantined(); q != 1 {
+	if q := ix.Stats().Quarantined; q != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", q)
 	}
 }
@@ -240,7 +240,7 @@ func TestDeletePanicProbesRemainingShards(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("Delete across panicking shard: found=%v err=%v", found, err)
 	}
-	if q := ix.Quarantined(); q != 1 {
+	if q := ix.Stats().Quarantined; q != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", q)
 	}
 }
@@ -257,7 +257,7 @@ func TestKNNSkipsPanickingShard(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 11 || got[1].ID != 12 {
 		t.Fatalf("KNN after panic = %+v, want IDs 11, 12", got)
 	}
-	if q := ix.Quarantined(); q != 1 {
+	if q := ix.Stats().Quarantined; q != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", q)
 	}
 }
@@ -326,7 +326,7 @@ func TestReadLockedProbesQuarantine(t *testing.T) {
 			ix.Instrument(reg)
 			tc.arm(bombFor(t, bombs, 1))
 			tc.trip(t, ix)
-			if q := ix.Quarantined(); q != 1 {
+			if q := ix.Stats().Quarantined; q != 1 {
 				t.Fatalf("Quarantined() = %d, want 1", q)
 			}
 			if v := ix.mPanics.Value(); v != 1 {

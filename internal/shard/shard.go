@@ -80,6 +80,7 @@ type subIndex interface {
 	PinVersion() *core.Version
 	SaveVersion(w io.Writer, v *core.Version) error
 	// Observation.
+	DataMBB() geom.Box
 	Pending() int
 	Deleted() int
 	LiveVersions() int
@@ -312,12 +313,6 @@ func (ix *Index) tileUnion() geom.Box {
 	return u
 }
 
-// Workers returns the effective worker-pool bound.
-func (ix *Index) Workers() int { return ix.workers }
-
-// ShardBounds returns the live bounding box of shard i's objects.
-func (ix *Index) ShardBounds(i int) geom.Box { return ix.shards[i].boundsBox() }
-
 // forEach calls f on every healthy shard. Quarantined shards are skipped:
 // their sub-indexes can no longer be trusted not to panic, so walks (Len,
 // Flush, KNN candidate collection) treat them as absent.
@@ -433,9 +428,11 @@ func (ix *Index) Complete() {
 
 // CheckInvariants validates the structural invariants of every sub-index,
 // under each shard's write lock so a quiesced check sees a frozen
-// structure, and bounds every sub-index's MVCC version chain by
-// DefaultVersionHorizon (a longer chain means a leaked pin). It returns the
-// first violation found. Intended for tests and stress harnesses.
+// structure, bounds every sub-index's MVCC version chain by
+// DefaultVersionHorizon (a longer chain means a leaked pin), and requires
+// every healthy shard's live bounds to contain its sub-index's data MBB. It
+// returns the first violation found. Intended for tests and stress
+// harnesses.
 func (ix *Index) CheckInvariants() error {
 	var err error
 	ix.forEach(func(sh *shardEntry) {
@@ -445,9 +442,18 @@ func (ix *Index) CheckInvariants() error {
 		sh.mu.Lock()
 		err = sh.sub.CheckInvariants()
 		n := sh.sub.LiveVersions()
+		data := sh.sub.DataMBB()
 		sh.mu.Unlock()
 		if err == nil && n > DefaultVersionHorizon {
 			err = fmt.Errorf("shard: version chain holds %d versions, horizon is %d (leaked pin?)", n, DefaultVersionHorizon)
+		}
+		// Queries skip a shard whose live bounds miss q, so the bounds must
+		// contain the data; written so that a NaN bound fails too.
+		b := sh.boundsBox()
+		for d := 0; err == nil && d < geom.Dims; d++ {
+			if !(b.Min[d] <= data.Min[d] && data.Max[d] <= b.Max[d]) {
+				err = fmt.Errorf("shard: live bounds %v do not contain the data MBB %v", b, data)
+			}
 		}
 	})
 	return err

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/rtree"
 	"repro/internal/scan"
 	"repro/internal/workload"
 )
@@ -71,49 +70,4 @@ func TestLenUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestRWrapConcurrentReaders hammers a read-write-wrapped static R-tree from
-// many goroutines; run with -race. Readers proceed in parallel and must all
-// agree with a private scan oracle.
-func TestRWrapConcurrentReaders(t *testing.T) {
-	data := dataset.Uniform(5000, 405)
-	ix := RWrap(rtree.New(data, rtree.Config{}))
-	oracle := scan.New(data)
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			queries := workload.Uniform(dataset.Universe(), 40, 1e-3, seed)
-			var got, want []int32
-			for _, q := range queries {
-				got = ix.Query(q, got[:0])
-				want = oracle.Query(q, want[:0])
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				if len(got) != len(want) {
-					errs <- "length mismatch"
-					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						errs <- "content mismatch"
-						return
-					}
-				}
-			}
-			if ix.Len() != len(data) {
-				errs <- "bad len"
-			}
-		}(600 + int64(g))
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
 }

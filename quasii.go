@@ -218,22 +218,13 @@ func ZipfQueries(n int, selectivity, skew float64, seed int64) []Box {
 
 // Synchronized wraps any index so it is safe for concurrent use. Incremental
 // indexes mutate during Query, so even concurrent read-only workloads need
-// this (or external locking).
+// this (or external locking). Static indexes (RTree, Grid, SFC, Scan) do
+// not: their Query mutates nothing and may be called concurrently as is.
 type Synchronized = syncidx.Index
 
 // Synchronize returns a concurrency-safe view of ix. All access must go
 // through the returned wrapper from then on.
 func Synchronize(ix Index) *Synchronized { return syncidx.Wrap(ix) }
-
-// SynchronizedStatic wraps a static index with a read-write mutex so
-// concurrent read-only queries proceed in parallel. Only correct for indexes
-// whose Query does not mutate state (RTree, Grid, SFC, Scan); incremental
-// indexes must use Synchronize.
-type SynchronizedStatic = syncidx.RWIndex
-
-// SynchronizeStatic returns a read-concurrent view of the static index ix.
-// All access must go through the returned wrapper from then on.
-func SynchronizeStatic(ix Index) *SynchronizedStatic { return syncidx.RWrap(ix) }
 
 // The sharded parallel engine (internal/shard): spatial partitioning into P
 // independently locked sub-indexes, giving both inter-query parallelism
@@ -406,12 +397,6 @@ func OpenReplFollower(ctx context.Context, cfg ReplFollowerConfig) (*ReplFollowe
 // register every series, so dashboards can be written once.
 func NewReplMetrics(reg *MetricsRegistry) *ReplMetrics { return repl.NewMetrics(reg) }
 
-// Serve runs the HTTP query service over ix on addr until the listener
-// fails. Equivalent to NewServer(ix, cfg).ListenAndServe(addr).
-func Serve(addr string, ix *Sharded, cfg ServerConfig) error {
-	return server.New(ix, cfg).ListenAndServe(addr)
-}
-
 // Compile-time interface checks: every index satisfies Index.
 var (
 	_ Index = (*QUASII)(nil)
@@ -422,6 +407,5 @@ var (
 	_ Index = (*SFCracker)(nil)
 	_ Index = (*Scan)(nil)
 	_ Index = (*Synchronized)(nil)
-	_ Index = (*SynchronizedStatic)(nil)
 	_ Index = (*Sharded)(nil)
 )

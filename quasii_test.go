@@ -39,7 +39,6 @@ func allIndexes(data []quasii.Object) map[string]quasii.Index {
 		"QUASII/stoch":   quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{Stochastic: true}),
 		"Sharded/4":      quasii.NewSharded(data, quasii.ShardedConfig{Shards: 4}),
 		"Synchronized":   quasii.Synchronize(quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{})),
-		"SyncStatic":     quasii.SynchronizeStatic(quasii.NewRTree(data, quasii.RTreeConfig{})),
 	}
 }
 
