@@ -110,54 +110,101 @@ func (t *Table) Objects(out []geom.Object) []geom.Object {
 	return out
 }
 
-// Merge folds one batch of updates into the table in place, keeping every
-// segment's rows contiguous. The rows are cut into consecutive segments,
-// segment k ending (exclusively) at ends[k]; ends must cover the table. Every
-// row whose ID is tombstoned in dead is dropped, add[i] joins the end of
-// segment seg[i] (seg non-decreasing, each < len(ends)), and the survivors
-// keep their relative order. ends is rewritten to the segments' new ends.
+// Merge folds one batch of updates into the table in place and returns the
+// number of rows it wrote: the rows it moved plus the arrivals. The rows are
+// cut into consecutive segments, segment k ending (exclusively) at ends[k];
+// ends must cover the table. Every row whose ID is tombstoned in dead is
+// dropped, and add[i] joins segment seg[i] (seg non-decreasing, each
+// < len(ends)). ends is rewritten to the segments' new ends. The order of
+// the rows inside a segment is not kept, because nothing reads it: cracking
+// re-partitions a segment and the bottom-level scan reads all of it.
 //
-// Two sweeps move the rows, each starting at the first row it has to move:
-// left to right, the survivors close the gaps of the dropped rows; right to
-// left, the rows between two receiving segments shift right by the rows
-// added before them, opening room at each receiving segment's end for its
-// additions. Rows move a run at a time and no second table is built — the
-// lanes only grow when the batch adds more rows than it drops.
-func (t *Table) Merge(ends []int, dead Tombstones, add []geom.Object, seg []int) {
-	n := t.Len()
-	if dead.Len() > 0 {
-		n = t.dropDead(ends, dead)
+// The merge writes only the rows that must change place. Each segment first
+// closes its holes with rows from its own tail, one move per dropped row. A
+// segment whose start shifts by s then relocates only min(|s|, live) rows
+// from one end of it to the other: the left-moving segments in ascending
+// order, then the right-moving ones in descending order, an order in which
+// every destination is already free. Last, each segment's arrivals fill the
+// tail it freed. No second table is built and no row moves twice; the lanes
+// grow, one at a time, only when the batch adds more rows than it drops.
+// With D dropped rows and A arrivals the merge writes D + A + Σ min(|s|,
+// live) rows. A segment shifts by the arrivals minus the dropped rows before
+// it, so a batch balanced inside each segment writes D + A, a batch spread
+// over the table writes more, and one that grows the table by more than a
+// segment's size writes about one row per row.
+func (t *Table) Merge(ends []int, dead Tombstones, add []geom.Object, seg []int) int {
+	for i, k := range seg {
+		if k < 0 || k >= len(ends) || i > 0 && k < seg[i-1] {
+			panic("colstore: Merge segment indexes out of order or range")
+		}
 	}
-	m := n + len(add)
-	for d := 0; d < geom.Dims; d++ {
-		t.Min[d] = withLen(t.Min[d], n, m)
-		t.Max[d] = withLen(t.Max[d], n, m)
+	// live[k] is segment k's row count once its holes are closed. It lives
+	// in the partition scratch, so a steady flush cadence allocates nothing.
+	if cap(t.scratch) < len(ends) {
+		t.scratch = make([]int32, len(ends))
 	}
-	t.ID = withLen(t.ID, n, m)
+	live := t.scratch[:len(ends)]
+	wrote := t.closeHoles(ends, dead, live)
 
-	// i rows are still to be added, all to segments at or before k, so every
-	// row past segment k and before hi (the first row already placed) moves
-	// right by i.
-	i, hi := len(add), n
-	for k := len(ends) - 1; k >= 0 && i > 0; k-- {
+	n, m := t.Len(), len(add)
+	for _, c := range live {
+		m += int(c)
+	}
+	for d := 0; d < geom.Dims; d++ {
+		t.Min[d] = withLen(t.Min[d], n, max(n, m))
+		t.Max[d] = withLen(t.Max[d], n, max(n, m))
+	}
+	t.ID = withLen(t.ID, n, max(n, m)) // cut to m once the rows are in place
+
+	// Ascending: move the segments whose start shifts left. Every segment
+	// before k is in place or has yet to move right, and either way its
+	// rows end at or before k's new start; every segment after k has not
+	// moved, and its rows start after k's.
+	at, lo, i := 0, 0, 0 // at: k's new start; lo: its old start
+	for k, end := range ends {
+		j := i
+		for i < len(seg) && seg[i] == k {
+			i++
+		}
+		if at < lo {
+			wrote += t.shiftSegment(lo, int(live[k]), at-lo)
+		}
+		at += int(live[k]) + i - j
+		lo = end
+	}
+
+	// Descending: move the segments whose start shifts right, then write
+	// each segment's arrivals after its live rows. The old live rows of an
+	// unmoved segment before k end at or before its new end, which is at or
+	// before k's new start.
+	at, i = m, len(add) // at: k's new end
+	for k := len(ends) - 1; k >= 0; k-- {
 		j := i
 		for j > 0 && seg[j-1] == k {
 			j--
 		}
-		end := ends[k]
-		ends[k] = end + i
-		if j == i {
-			continue
+		c := int(live[k])
+		start := at - c - (i - j)
+		if lo = 0; k > 0 {
+			lo = ends[k-1]
 		}
-		t.moveRows(end+i, end, hi)
+		if start > lo {
+			wrote += t.shiftSegment(lo, c, start-lo)
+		}
 		for a := j; a < i; a++ {
-			t.setRow(end+a, &add[a])
+			t.setRow(start+c+a-j, &add[a])
 		}
-		hi, i = end, j
+		wrote += i - j
+		ends[k] = at
+		at, i = start, j
 	}
-	if i > 0 {
-		panic("colstore: Merge segment indexes out of order or range")
+
+	for d := 0; d < geom.Dims; d++ {
+		t.Min[d] = t.Min[d][:m]
+		t.Max[d] = t.Max[d][:m]
 	}
+	t.ID = t.ID[:m]
+	return wrote
 }
 
 // withLen returns lane resized to m rows, keeping its first n. A lane that
@@ -170,39 +217,64 @@ func withLen[T any](lane []T, n, m int) []T {
 	return slices.Grow(lane[:n], m-n)[:m]
 }
 
-// dropDead is Merge's left-to-right sweep: it closes the gaps of the rows
-// whose ID is tombstoned in dead, rewrites ends to the compacted segment
-// ends and returns the surviving row count. A 2^16-bit screen over the IDs'
-// low bits answers "live" for most rows with one load and a test; only a
-// row whose bit is set pays the table lookup.
-func (t *Table) dropDead(ends []int, dead Tombstones) int {
+// closeHoles is Merge's first step: within every segment it fills the slot
+// of each row whose ID is tombstoned in dead with the segment's last live
+// row, so segment k's survivors occupy the first live[k] rows of its range.
+// It returns the number of rows moved. A 2^16-bit screen over the IDs' low
+// bits answers "live" for most rows with one load and a test; only a row
+// whose bit is set pays the table lookup.
+func (t *Table) closeHoles(ends []int, dead Tombstones, live []int32) int {
+	if dead.Len() == 0 {
+		lo := 0
+		for k, end := range ends {
+			live[k] = int32(end - lo)
+			lo = end
+		}
+		return 0
+	}
 	var screen [1 << 10]uint64
 	for _, id := range dead.IDs() {
 		screen[uint16(id)>>6] |= 1 << (uint(id) & 63)
 	}
-	w, run, r := 0, 0, 0 // rows [run, r) survive and belong at w
+	isDead := func(r int) bool {
+		id := t.ID[r]
+		return screen[uint16(id)>>6]&(1<<(uint(id)&63)) != 0 && dead.Has(id)
+	}
+	moved, lo := 0, 0
 	for k, end := range ends {
-		for ; r < end; r++ {
-			id := t.ID[r]
-			if screen[uint16(id)>>6]&(1<<(uint(id)&63)) == 0 {
+		// Rows [lo, r) are live and rows [e, end) are spent.
+		r, e := lo, end
+		for r < e {
+			if !isDead(r) {
+				r++
 				continue
 			}
-			if !dead.Has(id) {
-				continue
+			for e--; e > r && isDead(e); e-- {
 			}
-			if w != run {
-				t.moveRows(w, run, r)
+			if e > r {
+				t.moveRows(r, e, e+1)
+				moved++
+				r++
 			}
-			w += r - run
-			run = r + 1
 		}
-		ends[k] = w + end - run
+		live[k] = int32(r - lo)
+		lo = end
 	}
-	n := t.Len()
-	if w != run {
-		t.moveRows(w, run, n)
+	return moved
+}
+
+// shiftSegment moves a segment's c live rows, starting at row lo, to start
+// at row lo+s, relocating only the min(|s|, c) rows that leave the old
+// range, and returns that count. The rows they land on must be free.
+func (t *Table) shiftSegment(lo, c, s int) int {
+	if s < 0 {
+		r := min(-s, c)
+		t.moveRows(lo+s, lo+c-r, lo+c)
+		return r
 	}
-	return w + n - run
+	r := min(s, c)
+	t.moveRows(lo+c+s-r, lo, lo+r)
+	return r
 }
 
 // moveRows copies rows [lo, hi) to start at row at in every lane; the

@@ -174,6 +174,61 @@ func TestKeyRange(t *testing.T) {
 	}
 }
 
+// mergeReference returns what Merge must leave: per segment, its rows not
+// tombstoned in dead followed by its additions, and the new segment ends.
+func mergeReference(rows []geom.Object, ends []int, dead Tombstones, add []geom.Object, seg []int) ([][]geom.Object, []int) {
+	want := make([][]geom.Object, len(ends))
+	wantEnds := make([]int, len(ends))
+	lo, n := 0, 0
+	for k, end := range ends {
+		for _, o := range rows[lo:end] {
+			if !dead.Has(o.ID) {
+				want[k] = append(want[k], o)
+			}
+		}
+		for i := range add {
+			if seg[i] == k {
+				want[k] = append(want[k], add[i])
+			}
+		}
+		n += len(want[k])
+		wantEnds[k] = n
+		lo = end
+	}
+	return want, wantEnds
+}
+
+// checkMerge runs Merge on tab and compares the result with the reference:
+// the new ends, every lane's length, and each segment's rows as a multiset
+// (the order inside a segment is not part of Merge's contract). It returns
+// Merge's count of rows written.
+func checkMerge(t *testing.T, tab *Table, ends []int, dead Tombstones, add []geom.Object, seg []int) int {
+	t.Helper()
+	want, wantEnds := mergeReference(tab.Objects(nil), ends, dead, add, seg)
+	n := wantEnds[len(wantEnds)-1]
+	wrote := tab.Merge(ends, dead, add, seg)
+	if tab.Len() != n || !slices.Equal(ends, wantEnds) {
+		t.Fatalf("Len %d ends %v, want %d %v", tab.Len(), ends, n, wantEnds)
+	}
+	for d := 0; d < geom.Dims; d++ {
+		if len(tab.Min[d]) != n || len(tab.Max[d]) != n {
+			t.Fatalf("dim %d lanes hold %d/%d rows, want %d", d, len(tab.Min[d]), len(tab.Max[d]), n)
+		}
+	}
+	byID := func(a, b geom.Object) int { return int(a.ID) - int(b.ID) }
+	rows, lo := tab.Objects(nil), 0
+	for k, end := range ends {
+		got := rows[lo:end]
+		slices.SortFunc(got, byID)
+		slices.SortFunc(want[k], byID)
+		if !slices.Equal(got, want[k]) {
+			t.Fatalf("segment %d holds %v, want %v", k, got, want[k])
+		}
+		lo = end
+	}
+	return wrote
+}
+
 // TestMerge checks the update kernel against a per-segment reference over
 // rounds of merges on one table: segments of random sizes (empty ones
 // included), random dead rows, and additions spread over random segments,
@@ -193,19 +248,16 @@ func TestMerge(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		tab := FromObjects(fresh(rng.Intn(300)))
 		for round := 0; round < 4; round++ {
-			rows := tab.Objects(nil)
-			n := len(rows)
+			n := tab.Len()
 			var ends []int
 			for end := 0; end < n || len(ends) == 0; {
 				end = min(n, end+rng.Intn(40))
 				ends = append(ends, end)
 			}
-			dead := map[int32]struct{}{}
-			var view Tombstones
-			for _, o := range rows {
+			var dead Tombstones
+			for _, id := range tab.ID {
 				if rng.Intn(4) == 0 {
-					dead[o.ID] = struct{}{}
-					view = view.With(o.ID)
+					dead = dead.With(id)
 				}
 			}
 			add := fresh(rng.Intn(200))
@@ -214,43 +266,130 @@ func TestMerge(t *testing.T) {
 				seg[i] = rng.Intn(len(ends))
 			}
 			slices.Sort(seg)
+			checkMerge(t, tab, ends, dead, add, seg)
+		}
+	}
+}
 
-			// Reference: each segment's survivors, then its additions.
-			var want []geom.Object
-			var wantEnds []int
-			lo := 0
-			for k, end := range ends {
-				for _, o := range rows[lo:end] {
-					if _, gone := dead[o.ID]; !gone {
-						want = append(want, o)
-					}
-				}
-				for i := range add {
-					if seg[i] == k {
-						want = append(want, add[i])
-					}
-				}
-				wantEnds = append(wantEnds, len(want))
-				lo = end
-			}
+// uniformSegments returns a table of segs segments of size rows each, IDs
+// numbered by row, and its segment ends.
+func uniformSegments(segs, size int) (*Table, []int) {
+	objs := randomObjects(segs*size, 29)
+	ends := make([]int, segs)
+	for k := range ends {
+		ends[k] = (k + 1) * size
+	}
+	return FromObjects(objs), ends
+}
 
-			tab.Merge(ends, view, add, seg)
-			if tab.Len() != len(want) || !slices.Equal(ends, wantEnds) {
-				t.Fatalf("trial %d round %d: Len %d ends %v, want %d %v", trial, round, tab.Len(), ends, len(want), wantEnds)
+// TestMergeWritesOnlyShiftedRows pins the rows Merge writes on constructed
+// batches. Closing a hole costs one move, a segment shifted by s moves
+// min(|s|, live) rows, and each arrival is one write; rows that stay in
+// their segment's range are never touched. The parent's two full sweeps
+// wrote about 100,000 rows on the first batch.
+func TestMergeWritesOnlyShiftedRows(t *testing.T) {
+	// One dead row in segment 0 and one arrival in the last segment: every
+	// segment after 0 shifts left by one and moves one row.
+	tab, ends := uniformSegments(1000, 100)
+	dead := TombstonesOf([]int32{50})
+	add := randomObjects(1, 31)
+	add[0].ID = 1 << 20
+	if got, want := checkMerge(t, tab, ends, dead, add, []int{999}), 1+999+1; got != want {
+		t.Fatalf("one dead, one arrival: wrote %d rows, want %d", got, want)
+	}
+
+	// The mirror image: one arrival in segment 0 shifts every later
+	// segment right by one, and each moves one row.
+	tab, ends = uniformSegments(1000, 100)
+	add = randomObjects(1, 31)
+	add[0].ID = 1 << 20
+	if got, want := checkMerge(t, tab, ends, Tombstones{}, add, []int{0}), 999+1; got != want {
+		t.Fatalf("one arrival up front: wrote %d rows, want %d", got, want)
+	}
+
+	// Balanced inside each segment: one dead row and one arrival in each
+	// of ten segments. No segment shifts, so only the holes and the
+	// arrivals are written.
+	tab, ends = uniformSegments(1000, 100)
+	var ids []int32
+	add = randomObjects(10, 37)
+	seg := make([]int, 10)
+	for i := range seg {
+		seg[i] = 100 * i
+		ids = append(ids, int32(100*seg[i]+10))
+		add[i].ID = int32(1<<20 + i)
+	}
+	if got, want := checkMerge(t, tab, ends, TombstonesOf(ids), add, seg), 10+10; got != want {
+		t.Fatalf("balanced: wrote %d rows, want %d", got, want)
+	}
+
+	// Net growth past the lanes' capacity: 500 arrivals into segment 0
+	// shift every later segment right by more than its size, so each of
+	// them moves whole, within the N + A bound.
+	const segs, size, arrivals = 100, 100, 500
+	tab, ends = uniformSegments(segs, size)
+	add = randomObjects(arrivals, 41)
+	for i := range add {
+		add[i].ID = int32(1<<20 + i)
+	}
+	got := checkMerge(t, tab, ends, Tombstones{}, add, make([]int, arrivals))
+	if want := (segs-1)*size + arrivals; got != want || got > segs*size+arrivals {
+		t.Fatalf("net growth: wrote %d rows, want %d (bound %d)", got, want, segs*size+arrivals)
+	}
+}
+
+// FuzzMerge decodes a merge from its input — segment sizes (empty ones
+// included), a dead mask over the rows, arrivals with their segments, and
+// spare lane capacity — and checks Merge against the reference. The inputs
+// cover shrinking, same-size, growth within capacity and growth past it.
+// Run `go test -run '^$' -fuzz '^FuzzMerge$' ./internal/colstore`.
+func FuzzMerge(f *testing.F) {
+	f.Add([]byte{3, 5, 0, 7, 0xff, 0x0f, 0, 4, 0, 1, 2, 2})
+	f.Add([]byte{1, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{4, 8, 8, 8, 8, 0x55, 0x55, 0x55, 0x55, 16, 0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{2, 20, 1, 0, 0, 0, 40, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() int {
+			if len(in) == 0 {
+				return 0
 			}
-			for d := 0; d < geom.Dims; d++ {
-				if len(tab.Min[d]) != len(want) || len(tab.Max[d]) != len(want) {
-					t.Fatalf("trial %d round %d: dim %d lanes hold %d/%d rows, want %d",
-						trial, round, d, len(tab.Min[d]), len(tab.Max[d]), len(want))
-				}
-			}
-			for i := range want {
-				if got := tab.ObjectAt(i); got != want[i] {
-					t.Fatalf("trial %d round %d: row %d = %v, want %v", trial, round, i, got, want[i])
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		segs := 1 + next()%16
+		ends := make([]int, segs)
+		n := 0
+		for k := range ends {
+			n += next() % 24
+			ends[k] = n
+		}
+		spare := next() % 32
+		tab := FromObjects(randomObjects(n+spare, int64(n)))
+		for d := 0; d < geom.Dims; d++ {
+			tab.Min[d], tab.Max[d] = tab.Min[d][:n], tab.Max[d][:n]
+		}
+		tab.ID = tab.ID[:n]
+		var dead Tombstones
+		for r := 0; r < n; r += 8 {
+			mask := next()
+			for b := 0; b < 8 && r+b < n; b++ {
+				if mask&(1<<b) != 0 {
+					dead = dead.With(int32(r + b))
 				}
 			}
 		}
-	}
+		add := randomObjects(next()%64, int64(n+1))
+		seg := make([]int, len(add))
+		for i := range add {
+			add[i].ID = int32(n + spare + i)
+			seg[i] = next() % segs
+		}
+		slices.Sort(seg)
+		if got := checkMerge(t, tab, ends, dead, add, seg); got > n+len(add) {
+			t.Fatalf("wrote %d rows, over the bound N + A = %d", got, n+len(add))
+		}
+	})
 }
 
 func TestReloadReusesLanes(t *testing.T) {

@@ -114,3 +114,34 @@ func BenchmarkQueryCrackHeavy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFlushBalanced measures one Flush of a balanced batch — 2,048
+// deletes and 2,048 inserts — into a converged 1M-object index, the
+// steady update cadence of a serving shard. Each iteration deletes the next
+// 2,048 live objects and appends as many fresh ones (untimed), then flushes.
+func BenchmarkFlushBalanced(b *testing.B) {
+	const n, batch = 1 << 20, 2048
+	live := dataset.Uniform(n, 49)
+	ix := New(dataset.Clone(live), Config{})
+	ix.Complete()
+	nextID := int32(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		at := i * batch % n
+		fresh := dataset.Uniform(batch, int64(50+i))
+		for j := range fresh {
+			o := &live[at+j]
+			if !ix.Delete(o.ID, o.Box) {
+				b.Fatalf("object %d not found", o.ID)
+			}
+			fresh[j].ID = nextID
+			nextID++
+			*o = fresh[j]
+		}
+		ix.Append(fresh...)
+		b.StartTimer()
+		ix.Flush()
+	}
+}

@@ -11,7 +11,8 @@
 //     not a second recursion.
 //   - Append/Delete/Flush: accept updates after construction; the paper
 //     assumes a static setting (Sec. 2), so arrivals are buffered, deletions
-//     tombstoned, and both merged into the hierarchy on demand. Only an
+//     tombstoned, and both merged into the hierarchy on demand, moving only
+//     the rows that must change place (colstore.Table.Merge). Only an
 //     explicit Flush folds them in: every query, KNN included, reads pending
 //     inserts and tombstones from the version it pinned.
 
@@ -102,12 +103,18 @@ func (ix *Index) Deleted() int { return ix.live.Load().deleted.Len() }
 // a cracked column of Idreos, Kersten & Manegold ("Updating a Cracked
 // Database", SIGMOD 2007) applied to QUASII's levels. Every pending object
 // joins the leaf its lower corner routes to (see routeLeaf), the lanes are
-// regrouped in place (colstore's Merge: one sweep drops the tombstoned rows,
-// one opens room at the end of each receiving leaf), and every slice's range
-// is rewritten from the leaves' new ends. Slices left empty are dropped, and
-// a childless slice that now exceeds its level's τ loses its refined flag,
-// so the next query touching it cracks it again. No refined subtree is
-// discarded: queries after a Flush walk the hierarchy earlier queries built.
+// regrouped in place by colstore's Merge, which writes only the rows that
+// must change place (each leaf fills its holes from its own tail, then
+// relocates only the rows its shift pushes out of its old range),
+// and every slice's range is rewritten from the leaves' new ends. The order
+// of the rows inside a leaf is not kept; nothing reads it. Slices left empty
+// are dropped, and a childless slice that now exceeds its level's τ loses
+// its refined flag, so the next query touching it cracks it again. No
+// refined subtree is discarded: queries after a Flush walk the hierarchy
+// earlier queries built. A leaf shifts by the arrivals minus the tombstones
+// routed before it: a batch balanced inside each leaf moves about its own
+// size, a spread-out one a share of the rows, and one that grows the index
+// by more than a leaf's size about all of them.
 //
 // Flush requires the exclusive lock. If any version in the chain is pinned
 // (a checkpoint mid-write), the lanes and the slice tree are copied first so

@@ -29,6 +29,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -115,20 +116,27 @@ func (ix *Index) Delete(id int32, hint geom.Box) (bool, error) {
 }
 
 // Flush merges pending inserts and tombstoned deletions into every shard's
-// indexed array and slice hierarchy (see core.Index.Flush), shard by shard
-// under each shard's lock (queries on other shards proceed meanwhile). The
-// refinement a shard's queries did survives the merge: only leaves the
-// arrivals push past τ are cracked again. A sub-index that panics mid-flush
-// quarantines its shard (see guard) and the remaining shards are still
-// flushed. Each call is one observation of
+// indexed array and slice hierarchy (see core.Index.Flush). The shards are
+// folded concurrently, one goroutine per healthy shard, each under its own
+// shard's lock, and Flush returns once all of them are done. The refinement
+// a shard's queries did survives the merge: only leaves the arrivals push
+// past τ are cracked again. A sub-index that panics mid-flush quarantines
+// its shard (see guard, which recovers inside that shard's goroutine) and
+// the other shards are still flushed. Each call is one observation of
 // quasii_shard_flush_duration_seconds. The error is always nil: it dates
 // from pluggable sub-indexes that could refuse updates, and the signature is
 // kept for the callers that check it.
 func (ix *Index) Flush() error {
 	t0 := time.Now()
+	var wg sync.WaitGroup
 	ix.forEach(func(sh *shardEntry) {
-		sh.guard(true, func(sub subIndex) { sub.Flush() })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.guard(true, func(sub subIndex) { sub.Flush() })
+		}()
 	})
+	wg.Wait()
 	ix.mFlush.ObserveDuration(time.Since(t0))
 	return nil
 }

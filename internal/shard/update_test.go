@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -193,6 +194,102 @@ func TestConcurrentUpdates(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// TestConcurrentFlushMatchesScan runs Query, Insert and Delete on four
+// shards while another goroutine flushes over and over, so the shards'
+// concurrent folds race every other operation (run with -race). Objects no
+// writer touches must stay visible throughout, and after a final Flush the
+// answers must equal a scan over the live set.
+func TestConcurrentFlushMatchesScan(t *testing.T) {
+	const n, writers, perWriter = 4000, 2, 150
+	data := dataset.Uniform(n, 81)
+	ix := New(dataset.Clone(data), Config{Shards: 4, SubConfig: core.Config{Tau: 32}})
+	if ix.NumShards() < 4 {
+		t.Fatalf("%d shards, want 4", ix.NumShards())
+	}
+	stable := data[writers*perWriter:] // objects no writer deletes
+
+	var writing, reading sync.WaitGroup
+	var done atomic.Bool
+	errs := make(chan string, writers+3)
+	inserted := make([][]geom.Object, writers)
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
+		go func(g int) {
+			defer writing.Done()
+			fresh := dataset.Uniform(perWriter, int64(90+g))
+			for i := range fresh {
+				o := fresh[i]
+				o.ID = int32(1_000_000 + g*10_000 + i)
+				if err := ix.Insert(o); err != nil {
+					errs <- fmt.Sprintf("writer %d insert: %v", g, err)
+					return
+				}
+				victim := data[g*perWriter+i]
+				if found, err := ix.Delete(victim.ID, victim.Box); err != nil || !found {
+					errs <- fmt.Sprintf("writer %d delete %d: found=%v err=%v", g, victim.ID, found, err)
+					return
+				}
+				if i%3 == 0 {
+					if found, err := ix.Delete(o.ID, o.Box); err != nil || !found {
+						errs <- fmt.Sprintf("writer %d delete own %d: found=%v err=%v", g, o.ID, found, err)
+						return
+					}
+					continue
+				}
+				inserted[g] = append(inserted[g], o)
+			}
+		}(g)
+	}
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			var buf []int32
+			for i := r; !done.Load(); i += 2 {
+				o := stable[i%len(stable)]
+				if buf = ix.Query(o.Box, buf[:0]); !containsID(buf, o.ID) {
+					errs <- fmt.Sprintf("reader %d: stable object %d missing", r, o.ID)
+					return
+				}
+			}
+		}(r)
+	}
+	reading.Add(1)
+	flushes := 0
+	go func() {
+		defer reading.Done()
+		for !done.Load() || flushes < 3 {
+			if err := ix.Flush(); err != nil {
+				errs <- fmt.Sprintf("flush: %v", err)
+				return
+			}
+			flushes++
+		}
+	}()
+	writing.Wait()
+	done.Store(true)
+	reading.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the final Flush", ix.Pending())
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated: %v", err)
+	}
+	live := slices.Clone(stable)
+	for _, objs := range inserted {
+		live = append(live, objs...)
+	}
+	checkAgainst(t, ix, live, 83)
 }
 
 func containsID(ids []int32, id int32) bool {
