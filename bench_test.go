@@ -3,8 +3,8 @@ package quasii_test
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one Benchmark per figure, delegating to the shared experiment drivers),
 // plus micro-benchmarks of the individual indexes and ablation benchmarks
-// for QUASII's design choices (τ, stochastic refinement) and SFCracker's
-// interval cap.
+// for QUASII's design choice τ, its sequential-sweep behaviour and
+// SFCracker's interval cap.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -208,7 +208,7 @@ func BenchmarkFirstQueryMosaic(b *testing.B) {
 	}
 }
 
-// --- Ablations: QUASII's τ and stochastic refinement, SFCracker's interval cap ---
+// --- Ablations: QUASII's τ and sequential sweep, SFCracker's interval cap ---
 
 func benchAblationWorkload(b *testing.B, cfg quasii.QUASIIConfig) {
 	b.Helper()
@@ -256,13 +256,9 @@ func benchSFCrackerIntervals(b *testing.B, maxIntervals int) {
 func BenchmarkAblationSFCrackerExactIntervals(b *testing.B)  { benchSFCrackerIntervals(b, -1) }
 func BenchmarkAblationSFCrackerCappedIntervals(b *testing.B) { benchSFCrackerIntervals(b, 64) }
 
-// Stochastic refinement: extra random cuts guard against sequential sweeps.
-func BenchmarkAblationStochasticUniform(b *testing.B) {
-	benchAblationWorkload(b, quasii.QUASIIConfig{Stochastic: true})
-}
-
-func benchSequentialWorkload(b *testing.B, cfg quasii.QUASIIConfig) {
-	b.Helper()
+// Sequential sweep: cracking's worst case, each query peeling a thin slab
+// off the remainder the previous one left.
+func BenchmarkAblationSequential(b *testing.B) {
 	data := benchData(b)
 	queries := quasii.SequentialQueries(45, 1e-5, 0)
 	b.ReportAllocs()
@@ -271,20 +267,12 @@ func benchSequentialWorkload(b *testing.B, cfg quasii.QUASIIConfig) {
 		b.StopTimer()
 		clone := quasii.CloneObjects(data)
 		b.StartTimer()
-		ix := quasii.NewQUASII(clone, cfg)
+		ix := quasii.NewQUASII(clone, quasii.QUASIIConfig{})
 		var buf []int32
 		for _, q := range queries {
 			buf = ix.Query(q, buf[:0])
 		}
 	}
-}
-
-func BenchmarkAblationSequentialPlain(b *testing.B) {
-	benchSequentialWorkload(b, quasii.QUASIIConfig{})
-}
-
-func BenchmarkAblationSequentialStochastic(b *testing.B) {
-	benchSequentialWorkload(b, quasii.QUASIIConfig{Stochastic: true})
 }
 
 // Complete() converts the adaptive index into its converged form eagerly.

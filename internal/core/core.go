@@ -29,7 +29,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -39,19 +38,12 @@ import (
 
 // Config controls QUASII's behaviour. The zero value is usable: it selects
 // the paper's defaults (τ = 60). Objects are always assigned to slices by
-// their lower corner and artificial refinement is always on — neither is a
-// knob.
+// their lower corner, artificial refinement is always on, and a re-cracked
+// band over 2·τ₀ is always halved first (see planCuts) — none is a knob.
 type Config struct {
 	// Tau is the maximum number of objects in a fully refined slice at the
 	// finest (z) level. The paper uses 60. Values < 1 mean 60.
 	Tau int
-	// Stochastic adds a random pre-cut when refining large slices, the
-	// stochastic-cracking defence (Halim et al., VLDB 2012) against
-	// sequential workloads that otherwise re-scan an ever-shrinking
-	// unrefined tail on every query.
-	Stochastic bool
-	// Seed drives the deterministic RNG behind Stochastic. 0 means 1.
-	Seed int64
 	// HeatSampleEvery records per-slice access heat for one query in every
 	// N: a sampled query atomically increments the touch counter of every
 	// slice it descends through or scans, on both the exclusive and the
@@ -154,7 +146,6 @@ type Index struct {
 	data  *colstore.Table
 	root  *sliceList
 	tau   [geom.Dims]int
-	rng   *rand.Rand // deterministic source for stochastic refinement
 	arena sliceArena // chunked allocator for slice nodes
 	stats Stats
 
@@ -193,6 +184,10 @@ type Index struct {
 	heatEvery  int64
 	heatTick   atomic.Int64
 	recordHeat bool
+
+	// flush is Flush's per-leaf scratch, reused across flushes. It sits
+	// last, clear of the fields the query and update paths touch.
+	flush flushScratch
 }
 
 // heatEveryFor resolves Config.HeatSampleEvery to the stored period.
@@ -233,13 +228,9 @@ func New(data []geom.Object, cfg Config) *Index {
 	if cfg.Tau < 1 {
 		cfg.Tau = DefaultTau
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	ix := &Index{
 		cfg:       cfg,
 		data:      colstore.FromObjects(data),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		remCracks: -1,
 		heatEvery: heatEveryFor(cfg),
 	}
@@ -507,8 +498,11 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 	// fragments, the data MBB for the root, infinite only for a universe-box
 	// root restored from an older snapshot (split then sweeps).
 	lo := q.Min[dim] - ix.live.Load().maxExt[dim]
+	// Every slice but the uncracked root, the one over every row, is a band
+	// an earlier query's cuts left behind.
+	recracked := s.size() < ix.data.Len()
 	return ix.split(s, lo, q.Max[dim], s.box.Min[dim], math.Nextafter(s.box.Max[dim], math.Inf(1)),
-		make([]*slice, 0, 4))
+		recracked, make([]*slice, 0, 4))
 }
 
 // split is Algorithm 2's one executor. Slice s holds keys in [kMin, keyEnd)
@@ -518,9 +512,10 @@ func (ix *Index) refine(s *slice, q geom.Box) []*slice {
 // is the cut above it, the top band's its parent's — so a level costs its
 // partition passes and no key-range sweep. Only when that range is infinite,
 // loose enough for a cut to leave one side empty, or about to be cut by the
-// last budgeted pass, is the exact range read, once. The slices replacing s
-// are appended to out in lo order.
-func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*slice {
+// last budgeted pass, is the exact range read, once. recracked says s was
+// left by an earlier query (see planCuts). The slices replacing s are
+// appended to out in lo order.
+func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, recracked bool, out []*slice) []*slice {
 	dim := s.level
 	if s.refined || s.size() <= ix.tau[dim] {
 		ix.finalize(s)
@@ -539,7 +534,7 @@ func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*
 	// spend the budget and return s unchanged, so every later call would
 	// plan the same cut: the last pass is planned inside the exact range.
 	if ix.remCracks != 1 && !math.IsInf(kMin, -1) && !math.IsInf(keyEnd, 1) {
-		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi)
+		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi, recracked)
 		bands, n = ix.applyCuts(s, keyEnd, cuts[:k])
 	}
 	if n < 2 {
@@ -560,7 +555,7 @@ func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*
 		// Inside the exact range every planned first cut leaves both sides
 		// non-empty.
 		keyEnd = math.Nextafter(kMax, math.Inf(1))
-		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi)
+		cuts, k := ix.planCuts(s.size(), dim, kMin, keyEnd, lo, hi, recracked)
 		bands, n = ix.applyCuts(s, keyEnd, cuts[:k])
 	}
 	for _, b := range bands[:n] {
@@ -572,7 +567,7 @@ func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*
 			ix.finalizeFragment(f, dim)
 			out = append(out, f)
 		case b.Max >= lo && b.Min <= hi:
-			out = ix.split(f, lo, hi, b.Min, b.keyEnd, out)
+			out = ix.split(f, lo, hi, b.Min, b.keyEnd, recracked, out)
 		default:
 			out = append(out, f)
 		}
@@ -584,16 +579,16 @@ func (ix *Index) split(s *slice, lo, hi, kMin, keyEnd float64, out []*slice) []*
 // keys lie in the finite range [kMin, keyEnd), refined toward the extended
 // query range [lo, hi], it returns up to two cuts in the order they are to
 // be made (the first n of cuts). Each cut c sends keys < c below it.
-func (ix *Index) planCuts(size, dim int, kMin, keyEnd, lo, hi float64) (cuts [2]float64, n int) {
-	// Stochastic cracking (Halim et al., VLDB 2012): a large band is cut at
-	// a random coordinate first, so a sequential sweep cannot keep every
-	// query cracking the same shrinking tail.
-	if ix.cfg.Stochastic && size > 2*ix.tau[dim] {
-		c := kMin + ix.rng.Float64()*(keyEnd-kMin)
-		if !(c > kMin && c < keyEnd) {
-			c = artificialCut(kMin, keyEnd)
-		}
-		return [2]float64{c}, 1
+func (ix *Index) planCuts(size, dim int, kMin, keyEnd, lo, hi float64, recracked bool) (cuts [2]float64, n int) {
+	// A band an earlier query left, over 2·τ₀ rows (τ₀ the top level's
+	// threshold), is first cut at its key-range centre — the data-driven
+	// centre cut of stochastic cracking (Halim, Idreos, Karras & Yap, PVLDB
+	// 2012) — and split re-plans the halves the query overlaps. A sequential
+	// sweep then peels its slabs off bands of at most 2·τ₀ rows instead of
+	// re-cracking one shrinking remainder, and query #1, which cracks the
+	// root, pays nothing.
+	if recracked && size > 2*ix.tau[0] {
+		return [2]float64{artificialCut(kMin, keyEnd)}, 1
 	}
 	// The query's bounds, where they fall strictly inside the range; hiExcl
 	// makes the middle band inclusive of hi, matching the paper's [xl, xu].

@@ -271,9 +271,9 @@ func TestDefaultConfigWorkPinned(t *testing.T) {
 		want []workPin
 	}{
 		{"Query", query, []workPin{
-			{95, 72117, 203, 104, 17928, 2544, 134},
-			{125, 74798, 255, 135, 30081, 6662, 161},
-			{125, 84434, 262, 139, 25198, 6951, 168},
+			{97, 69322, 208, 102, 17808, 2544, 138},
+			{130, 64334, 264, 141, 32278, 6662, 162},
+			{122, 64984, 256, 135, 25028, 6951, 164},
 			{130, 64008, 266, 142, 26398, 5291, 168},
 			{99, 56461, 214, 112, 44491, 13408, 129},
 			{160, 65693, 321, 178, 39340, 11068, 195},
@@ -281,21 +281,21 @@ func TestDefaultConfigWorkPinned(t *testing.T) {
 			{107, 61618, 221, 114, 25481, 5630, 142},
 		}},
 		{"QueryBudgeted(1)", budgeted(1), []workPin{
-			{89, 111439, 245, 94, 125085, 2544, 138},
-			{88, 96095, 238, 96, 144515, 6662, 129},
-			{81, 104205, 231, 88, 226312, 6951, 127},
-			{97, 88567, 260, 101, 86564, 5291, 143},
-			{99, 83465, 271, 108, 108164, 13408, 152},
-			{132, 112553, 349, 140, 156778, 11068, 188},
-			{106, 91027, 281, 116, 118843, 12346, 148},
-			{88, 79184, 247, 98, 123029, 5630, 135},
+			{90, 82346, 248, 95, 116994, 2544, 139},
+			{87, 63924, 223, 92, 110104, 6662, 115},
+			{79, 61875, 208, 87, 130928, 6951, 114},
+			{92, 59761, 244, 93, 77666, 5291, 129},
+			{85, 59236, 222, 97, 97140, 13408, 116},
+			{115, 73687, 304, 121, 136177, 11068, 159},
+			{100, 60788, 262, 104, 96200, 12346, 135},
+			{93, 84061, 262, 104, 129355, 5630, 143},
 		}},
 		{"QueryBudgeted(3)", budgeted(3), []workPin{
-			{93, 73112, 206, 103, 21524, 2544, 133},
-			{115, 68859, 249, 126, 44167, 6662, 152},
-			{112, 83155, 246, 124, 36301, 6951, 155},
+			{98, 71144, 219, 104, 26065, 2544, 142},
+			{116, 63222, 258, 127, 52112, 6662, 155},
+			{109, 63566, 241, 120, 35835, 6951, 150},
 			{132, 63499, 284, 141, 39146, 5291, 170},
-			{111, 61439, 253, 125, 54680, 13408, 148},
+			{111, 60455, 251, 125, 50336, 13408, 147},
 			{150, 67680, 313, 168, 54911, 11068, 186},
 			{121, 59515, 261, 125, 49852, 12346, 155},
 			{106, 64261, 228, 112, 28409, 5630, 141},

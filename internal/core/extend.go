@@ -1,10 +1,12 @@
 // Extensions beyond the paper's core algorithm, each motivated by its text:
 //
-//   - stochastic refinement (Config.Stochastic): the paper builds on database
-//     cracking and cites stochastic cracking (Halim et al., VLDB 2012), which
-//     fixes cracking's pathological behaviour under sequential workloads by
-//     adding random cuts. The same idea applies per dimension here: the cut
-//     planner (planCuts, core.go) cuts a large band at a random coordinate.
+//   - the centre cut: the paper builds on database cracking, whose
+//     sequential-workload pathology (every query re-cracking one shrinking
+//     remainder) stochastic cracking fixes (Halim et al., VLDB 2012). The cut
+//     planner (planCuts, core.go) takes its data-driven variant: a band an
+//     earlier query left, over 2·τ₀ rows, is halved at its key-range centre
+//     before the query's own cuts. It is always on; the uncracked root is
+//     exempt, so query #1 is the paper's.
 //   - Complete: finish refinement eagerly (e.g. in idle time), turning the
 //     adaptive index into its fully converged form — the executor (split,
 //     core.go) run on every slice with a query covering every coordinate,
@@ -42,7 +44,7 @@ func (ix *Index) completeList(list *sliceList, dim int) {
 	// A query covering every coordinate: split bisects every fragment.
 	var out []*slice
 	for _, s := range list.slices {
-		out = ix.split(s, math.Inf(-1), math.Inf(1), s.box.Min[dim], math.Nextafter(s.box.Max[dim], math.Inf(1)), out)
+		out = ix.split(s, math.Inf(-1), math.Inf(1), s.box.Min[dim], math.Nextafter(s.box.Max[dim], math.Inf(1)), false, out)
 	}
 	list.slices = out
 	list.maxExt = 0
@@ -147,25 +149,38 @@ func (ix *Index) Flush() {
 	ix.verMu.Unlock()
 }
 
+// flushScratch is merge's per-leaf working memory, kept across flushes so a
+// steady update cadence allocates only for its arrivals. leaves is cleared
+// after every merge, so it keeps no replaced slice alive.
+type flushScratch struct {
+	leaves []*slice
+	ends   []int // each leaf's end row; Merge rewrites it to the new ends
+	at     []int // each leaf's arrival count, then where its arrivals go
+}
+
 // merge folds cur's deltas into the live lanes and hierarchy (Flush's body).
 func (ix *Index) merge(cur *Version) {
-	leaves := collectLeaves(ix.root, nil)
-	ends := make([]int, max(len(leaves), 1)) // an empty hierarchy is one empty segment
+	sc := &ix.flush
+	sc.leaves = collectLeaves(ix.root, sc.leaves[:0])
+	leaves := sc.leaves
+	segs := max(len(leaves), 1) // an empty hierarchy is one empty segment
+	sc.ends, sc.at = resized(sc.ends, segs), resized(sc.at, segs)
+	ends, at := sc.ends, sc.at
+	ends[0] = 0
 	for k, s := range leaves {
 		ends[k] = s.hi
 	}
+	clear(at)
 
 	// Route the live pending objects, skipping those tombstoned while still
-	// pending, and order them by the ordinal of the leaf they join (found
-	// among the leaves ending where it ends: empty leaves share an end).
-	type arrival struct {
-		seg int
-		obj geom.Object
-	}
-	arrivals := make([]arrival, 0, len(cur.pending))
+	// pending, to the ordinal of the leaf each joins (found among the leaves
+	// ending where it ends: empty leaves share an end), then order them by
+	// it with one counting pass, keeping their order within a leaf.
+	seg := make([]int, len(cur.pending))
 	for i := range cur.pending {
 		o := &cur.pending[i]
 		if cur.deleted.Has(o.ID) {
+			seg[i] = -1
 			continue
 		}
 		k := 0
@@ -176,21 +191,42 @@ func (ix *Index) merge(cur *Version) {
 				k++
 			}
 		}
-		arrivals = append(arrivals, arrival{k, *o})
+		seg[i] = k
+		at[k]++
 	}
-	slices.SortStableFunc(arrivals, func(a, b arrival) int { return a.seg - b.seg })
-	add := make([]geom.Object, len(arrivals))
-	seg := make([]int, len(arrivals))
-	for i, a := range arrivals {
-		add[i], seg[i] = a.obj, a.seg
+	n := 0
+	for k, c := range at {
+		at[k], n = n, n+c
+	}
+	add := make([]geom.Object, n)
+	for i, k := range seg {
+		if k >= 0 {
+			add[at[k]] = cur.pending[i]
+			at[k]++
+		}
+	}
+	// at[k] is now the end of leaf k's arrivals in add.
+	seg, i := seg[:n], 0
+	for k, end := range at {
+		for ; i < end; i++ {
+			seg[i] = k
+		}
 	}
 
 	ix.data.Merge(ends, cur.deleted, add, seg)
 	ix.computeTaus()
 	ix.regroup(ix.root, 0, ends, 0)
+	clear(leaves)
 	if len(ix.root.slices) == 0 && ix.data.Len() > 0 {
 		ix.newRoot(cur.dataMBB) // Append grew it over every pending object
 	}
+}
+
+// resized returns s with length n, reusing its array when it is big enough
+// and growing it as append would otherwise, so a leaf count that creeps up
+// between flushes does not reallocate every time.
+func resized(s []int, n int) []int {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // collectLeaves appends l's childless slices to out in row order. A slice

@@ -24,7 +24,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"slices"
 
 	"repro/internal/colstore"
@@ -69,6 +68,10 @@ type snapshotV2 struct {
 // set only at ≤ τ) — a valid hierarchy the next query touching them refines
 // further. Older snapshots may likewise carry the switch that once turned
 // the work counters off; gob skips it too, and the loaded index counts.
+// Stochastic and Seed are the random pre-cut's switch and seed, which the
+// centre cut replaced: they are decoded and ignored, because they chose
+// cuts, not answers — the hierarchy they left is walked and refined like
+// any other, and no snapshot written now carries them.
 type persistedConfig struct {
 	Tau             int
 	Assign          int
@@ -78,8 +81,7 @@ type persistedConfig struct {
 }
 
 func persistConfig(c Config) persistedConfig {
-	return persistedConfig{Tau: c.Tau, Stochastic: c.Stochastic, Seed: c.Seed,
-		HeatSampleEvery: c.HeatSampleEvery}
+	return persistedConfig{Tau: c.Tau, HeatSampleEvery: c.HeatSampleEvery}
 }
 
 // config returns the Config a snapshot was written with. A hierarchy whose
@@ -98,8 +100,7 @@ func (p persistedConfig) config() (Config, error) {
 		return Config{}, fmt.Errorf("objects are assigned to slices by their %s (assignment mode %d); only the lower corner (mode 0) is supported",
 			name, p.Assign)
 	}
-	return Config{Tau: p.Tau, Stochastic: p.Stochastic, Seed: p.Seed,
-		HeatSampleEvery: p.HeatSampleEvery}, nil
+	return Config{Tau: p.Tau, HeatSampleEvery: p.HeatSampleEvery}, nil
 }
 
 type snapList struct {
@@ -248,15 +249,10 @@ func buildIndex(pc persistedConfig, data *colstore.Table, pending []geom.Object,
 	if err != nil {
 		return nil, fmt.Errorf("quasii snapshot: %w", err)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	ix := &Index{
 		cfg:       cfg,
 		data:      data,
 		tau:       tau,
-		rng:       rand.New(rand.NewSource(seed)),
 		stats:     st,
 		remCracks: -1,
 		heatEvery: heatEveryFor(cfg),

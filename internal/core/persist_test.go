@@ -400,6 +400,44 @@ func TestLoadRefusesNonLowerAssignment(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresStochasticSwitch: a snapshot written with the retired
+// random pre-cut switched on, under a seed, loads. The switch chose cuts,
+// not answers, so it is ignored: the index answers like a scan and does
+// exactly the work of the same snapshot without it.
+func TestLoadIgnoresStochasticSwitch(t *testing.T) {
+	data := dataset.Uniform(3000, 1040)
+	ix := New(dataset.Clone(data), Config{Tau: 16})
+	for _, q := range workload.Sequential(dataset.Universe(), 20, 1e-3, 0) {
+		ix.Query(q, nil)
+	}
+	raw := saveBytes(t, ix)
+	stoch := rewriteHeader(t, raw, func(h *legacyHeaderV2) { h.Cfg.Stochastic, h.Cfg.Seed = true, 7 })
+	if bytes.Equal(stoch, raw) {
+		t.Fatal("the rewritten header carries no switch")
+	}
+	plain, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(stoch))
+	if err != nil {
+		t.Fatalf("Load with the stochastic switch on: %v", err)
+	}
+	oracle := scan.New(data)
+	for qi, q := range workload.Uniform(dataset.Universe(), 40, 1e-3, 1041) {
+		if got, want := sortedIDs(loaded.Query(q, nil)), sortedIDs(oracle.Query(q, nil)); !equalIDs(got, want) {
+			t.Fatalf("query %d: got %d, want %d", qi, len(got), len(want))
+		}
+		plain.Query(q, nil)
+	}
+	if got, want := loaded.Stats(), plain.Stats(); got != want {
+		t.Fatalf("the switch changed the work: %+v, without it %+v", got, want)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLoadRejectsUnsoundBoxes: a query skips a slice on its box alone and
 // binary-searches siblings by Min, so Load must refuse a hierarchy whose
 // boxes do not hold their objects (a NaN bound included) or whose sibling

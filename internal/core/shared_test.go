@@ -350,19 +350,17 @@ func TestQueryBudgeted(t *testing.T) {
 	data := dataset.Uniform(10_000, 9)
 	queries := workload.Uniform(dataset.Universe(), 96, 1e-3, 10)
 	sc := scan.New(dataset.Clone(data))
-	for _, stoch := range []bool{false, true} {
-		for _, budget := range []int{0, 1, 4, 64, -1} {
-			ix := New(dataset.Clone(data), Config{Stochastic: stoch})
-			for i, q := range queries {
-				before := ix.Stats().Cracks
-				got := ix.QueryBudgeted(q, nil, budget)
-				assertSameIDs(t, got, sc.Query(q, nil))
-				if passes := ix.Stats().Cracks - before; budget >= 0 && passes > budget {
-					t.Fatalf("stoch %v budget %d query %d: %d passes", stoch, budget, i, passes)
-				}
-				if err := ix.CheckInvariants(); err != nil {
-					t.Fatalf("stoch %v budget %d query %d: invariants: %v", stoch, budget, i, err)
-				}
+	for _, budget := range []int{0, 1, 4, 64, -1} {
+		ix := New(dataset.Clone(data), Config{})
+		for i, q := range queries {
+			before := ix.Stats().Cracks
+			got := ix.QueryBudgeted(q, nil, budget)
+			assertSameIDs(t, got, sc.Query(q, nil))
+			if passes := ix.Stats().Cracks - before; budget >= 0 && passes > budget {
+				t.Fatalf("budget %d query %d: %d passes", budget, i, passes)
+			}
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatalf("budget %d query %d: invariants: %v", budget, i, err)
 			}
 		}
 	}

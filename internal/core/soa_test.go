@@ -16,11 +16,11 @@ import (
 )
 
 // fuzzSeedCase is one seed of FuzzQueryEquivalence; the first four are its
-// f.Add corpus.
+// f.Add corpus. ignored is the target's retired pre-cut switch.
 type fuzzSeedCase struct {
-	seed       int64
-	n, tau     int
-	stochastic bool
+	seed    int64
+	n, tau  int
+	ignored bool
 }
 
 var fuzzSeeds = []fuzzSeedCase{
@@ -28,7 +28,7 @@ var fuzzSeeds = []fuzzSeedCase{
 	{2, 500, 1, true},
 	{3, 50, 60, false},
 	{4, 900, 16, true},
-	// Extra corners beyond the fuzz corpus: τ=1 stochastic, big τ.
+	// Extra corners beyond the fuzz corpus: τ=1, big τ.
 	{5, 777, 1, true},
 	{6, 333, 200, false},
 }
@@ -38,7 +38,7 @@ var fuzzSeeds = []fuzzSeedCase{
 // plain `go test` runs.
 func TestEquivalenceFuzzSeeds(t *testing.T) {
 	for _, c := range fuzzSeeds {
-		runFuzzEquivalence(t, c.seed, c.n, c.tau, c.stochastic)
+		runFuzzEquivalence(t, c.seed, c.n, c.tau, c.ignored)
 	}
 }
 

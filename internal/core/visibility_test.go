@@ -152,7 +152,7 @@ func runVisibilityScript(t *testing.T, seed int64, steps, tau int) {
 	for _, o := range data {
 		oracle[o.ID] = o
 	}
-	ix := New(dataset.Clone(data), Config{Tau: tau, Seed: seed})
+	ix := New(dataset.Clone(data), Config{Tau: tau})
 	nextID := int32(n)
 	lastSeq := ix.DataVersion()
 

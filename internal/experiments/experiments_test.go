@@ -33,8 +33,18 @@ func TestPatternsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 9 {
-		t.Fatalf("patterns produced %d series, want 9", len(r.Series))
+	if len(r.Series) != 6 {
+		t.Fatalf("patterns produced %d series, want 6", len(r.Series))
+	}
+}
+
+// TestGapWordsTheSign: fig 10's tail note names the direction of the gap
+// and never prints a negative "slower".
+func TestGapWordsTheSign(t *testing.T) {
+	for ratio, want := range map[float64]string{0.566: "43.4% faster", 1.12: "12.0% slower", 1: "0.0% slower"} {
+		if got := gap(ratio); got != want {
+			t.Errorf("gap(%v) = %q, want %q", ratio, got, want)
+		}
 	}
 }
 

@@ -88,7 +88,8 @@ type (
 	QUASII = core.Index
 	// QUASIIConfig configures QUASII; the zero value selects the paper's
 	// defaults (τ = 60). Objects are always assigned to slices by their
-	// lower corner and artificial refinement is always on.
+	// lower corner, artificial refinement is always on, and a band an
+	// earlier query left over 2·τ₀ rows is halved before the query's cuts.
 	QUASIIConfig = core.Config
 	// QUASIIStats reports the cumulative indexing work QUASII performed.
 	QUASIIStats = core.Stats

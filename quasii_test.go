@@ -36,7 +36,6 @@ func allIndexes(data []quasii.Object) map[string]quasii.Index {
 		"Mosaic":         quasii.NewMosaic(data, quasii.MosaicConfig{Universe: quasii.Universe()}),
 		"SFC":            quasii.NewSFC(data, quasii.SFCConfig{Universe: quasii.Universe()}),
 		"SFCracker":      quasii.NewSFCracker(quasii.CloneObjects(data), quasii.SFCConfig{Universe: quasii.Universe()}),
-		"QUASII/stoch":   quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{Stochastic: true}),
 		"Sharded/4":      quasii.NewSharded(data, quasii.ShardedConfig{Shards: 4}),
 		"Synchronized":   quasii.Synchronize(quasii.NewQUASII(quasii.CloneObjects(data), quasii.QUASIIConfig{})),
 	}
