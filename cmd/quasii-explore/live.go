@@ -4,8 +4,9 @@
 // /debug/heat, and the hottest tiles from /debug/index. The text report goes
 // to stdout (a heat histogram per sample); -csv appends machine-readable
 // rows for EXPERIMENTS.md-style analysis. Every fetch strictly decodes the
-// response into the server's own wire types, so a malformed or drifted
-// payload fails the run — scripts/persistence-smoke.sh uses that as its
+// response into the types the server encodes (the engine's own
+// shard.IndexReport for /debug/index), so a malformed or drifted payload
+// fails the run — scripts/persistence-smoke.sh uses that as its
 // JSON validator across the restart cycle.
 
 package main
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/shard"
 )
 
 type liveOptions struct {
@@ -130,7 +132,7 @@ func runLive(opt liveOptions) error {
 		if err := fetchJSON(client, base+"/debug/heat", &heat); err != nil {
 			return err
 		}
-		var index server.DebugIndexResponse
+		var index shard.IndexReport
 		if err := fetchJSON(client, fmt.Sprintf("%s/debug/index?maxdepth=%d", base, opt.maxDepth), &index); err != nil {
 			return err
 		}
@@ -143,7 +145,7 @@ func runLive(opt liveOptions) error {
 }
 
 // renderSample prints one convergence/heat report.
-func renderSample(sample int, opt liveOptions, stats *server.StatsResponse, heat *server.DebugHeatResponse, index *server.DebugIndexResponse) {
+func renderSample(sample int, opt liveOptions, stats *server.StatsResponse, heat *server.DebugHeatResponse, index *shard.IndexReport) {
 	ix := stats.Index
 	fmt.Printf("\n=== sample %d/%d  uptime %.1fs ===\n", sample, opt.samples, stats.UptimeSeconds)
 	fmt.Printf("convergence: %d slices refined (of %d created), %d exclusive + %d shared queries, converged=%v\n",
@@ -171,7 +173,7 @@ func renderSample(sample int, opt liveOptions, stats *server.StatsResponse, heat
 
 	// The hottest tiles with their hottest slices — the "which tiles did the
 	// work behind the plateau" view.
-	tiles := append([]server.DebugTileJSON(nil), index.Tiles...)
+	tiles := append([]shard.TileReport(nil), index.Tiles...)
 	sort.Slice(tiles, func(a, b int) bool { return tiles[a].TotalHeat > tiles[b].TotalHeat })
 	k := opt.topK
 	if k > len(tiles) {

@@ -39,8 +39,9 @@
 // Replication. A durable server is a replication leader by default: it
 // serves GET /repl/snapshot (the latest checkpoint generation as a
 // CRC-framed archive) and GET /repl/wal?from=N (raw WAL frames from global
-// sequence N, long-polling at the tail). Start a read replica by pointing
-// it at the leader:
+// sequence N, long-polling at the tail); -role standalone keeps a durable
+// server's state to itself. Start a read replica by pointing it at the
+// leader:
 //
 //	quasii-serve -addr :8081 -data-dir /var/lib/quasii-replica \
 //	             -replicate-from http://leader-host:8080
@@ -112,6 +113,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -168,6 +170,47 @@ func newLogger(level, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
+}
+
+// resolveRole resolves the replication role from -role, -replicate-from,
+// -data-dir and -dump-metrics. An explicit -role wins; otherwise
+// -replicate-from selects follower, -data-dir selects leader (a durable
+// server can always ship its WAL) and a memory-only server stands alone.
+// A combination that cannot run is an error.
+func resolveRole(role, replicateFrom, dataDir string, dumpMetrics bool) (string, error) {
+	if role == "" {
+		switch {
+		case replicateFrom != "":
+			role = "follower"
+		case dataDir != "":
+			role = "leader"
+		default:
+			role = "standalone"
+		}
+	}
+	switch role {
+	case "follower":
+		if replicateFrom == "" {
+			return "", errors.New("-role follower requires -replicate-from")
+		}
+		if dataDir == "" {
+			return "", errors.New("-role follower requires -data-dir (the follower keeps its own durable store)")
+		}
+		if dumpMetrics {
+			return "", errors.New("-dump-metrics cannot run in follower role (it would need a live leader); use leader or standalone")
+		}
+	case "leader":
+		if dataDir == "" {
+			return "", errors.New("-role leader requires -data-dir (replication ships the snapshot and WAL)")
+		}
+	case "standalone":
+		if replicateFrom != "" {
+			return "", errors.New("-replicate-from conflicts with -role standalone")
+		}
+	default:
+		return "", fmt.Errorf("unknown -role %q (want leader, follower or standalone)", role)
+	}
+	return role, nil
 }
 
 // bootHandler answers while the index is still building, restoring or
@@ -245,46 +288,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Resolve the replication role: an explicit -role wins; otherwise
-	// -replicate-from selects follower, -data-dir selects leader (a durable
-	// server can always ship its WAL) and a memory-only server stands alone.
-	resolvedRole := *role
-	if resolvedRole == "" {
-		switch {
-		case *replicateFrom != "":
-			resolvedRole = "follower"
-		case *dataDir != "":
-			resolvedRole = "leader"
-		default:
-			resolvedRole = "standalone"
-		}
-	}
-	switch resolvedRole {
-	case "follower":
-		if *replicateFrom == "" {
-			logger.Error("-role follower requires -replicate-from")
-			os.Exit(2)
-		}
-		if *dataDir == "" {
-			logger.Error("-role follower requires -data-dir (the follower keeps its own durable store)")
-			os.Exit(2)
-		}
-		if *dumpMetrics {
-			logger.Error("-dump-metrics cannot run in follower role (it would need a live leader); use leader or standalone")
-			os.Exit(2)
-		}
-	case "leader":
-		if *dataDir == "" {
-			logger.Error("-role leader requires -data-dir (replication ships the snapshot and WAL)")
-			os.Exit(2)
-		}
-	case "standalone":
-		if *replicateFrom != "" {
-			logger.Error("-replicate-from conflicts with -role standalone")
-			os.Exit(2)
-		}
-	default:
-		logger.Error("unknown -role", "role", *role, "want", "leader, follower or standalone")
+	resolvedRole, err := resolveRole(*role, *replicateFrom, *dataDir, *dumpMetrics)
+	if err != nil {
+		logger.Error(err.Error())
 		os.Exit(2)
 	}
 
@@ -377,15 +383,18 @@ func main() {
 	// buildServer wires the service for the current state. In follower mode
 	// it runs again after a re-bootstrap replaces the store (re-registration
 	// on the shared registry returns the existing series, so /metrics stays
-	// continuous); every durable server also carries the leader endpoints so
-	// replicas can bootstrap from it — and chain through a follower.
+	// continuous). Leaders and followers also carry the leader endpoints so
+	// replicas can bootstrap from them — and chain through a follower; a
+	// standalone server keeps its store to itself.
 	var curServer atomic.Pointer[quasii.Server]
 	var curFollower atomic.Pointer[quasii.ReplFollower]
 	buildServer := func(ix *quasii.Sharded, store *quasii.Store) *quasii.Server {
 		cfg := serverCfg
 		if store != nil {
 			cfg.Durability = store
-			cfg.ReplSource = quasii.NewReplLeader(store, replMetrics, logger)
+			if resolvedRole != "standalone" {
+				cfg.ReplSource = quasii.NewReplLeader(store, replMetrics, logger)
+			}
 		}
 		if f := curFollower.Load(); f != nil {
 			cfg.ReplFollower = f

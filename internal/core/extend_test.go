@@ -121,7 +121,7 @@ func TestCompleteSliceCountsHeld(t *testing.T) {
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if !ix.Converged() {
+			if !ix.Inspect(0).Converged {
 				t.Fatalf("seed %d: Complete left the index unconverged", seed)
 			}
 			if n := ix.NumSlices(); n != tc.want {

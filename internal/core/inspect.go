@@ -22,7 +22,7 @@ type SliceReport struct {
 	Count int `json:"count"`
 	// Box is the slice's bounding box: the exact MBB once refined,
 	// open-ended (±Inf in unsliced dimensions) before.
-	Box geom.Box `json:"box"`
+	Box geom.StringBox `json:"box"`
 	// Refined reports whether the slice is final: at or below τ for its
 	// level, carrying an exact MBB.
 	Refined bool `json:"refined"`
@@ -57,8 +57,9 @@ type InspectReport struct {
 	// Epoch is the crack epoch at snapshot time; two snapshots with equal
 	// epochs describe the identical structure.
 	Epoch uint64 `json:"epoch"`
-	// Converged mirrors Index.Converged: no pending inserts and every
-	// materialized slice refined.
+	// Converged reports whether a query touching the whole universe would
+	// stay on the shared path: no pending inserts and every materialized
+	// slice refined down to the bottom level.
 	Converged bool `json:"converged"`
 	// Slices and SlicesRefined count materialized and refined nodes across
 	// all levels — the structural census, not the cumulative Stats
@@ -118,7 +119,7 @@ func (ix *Index) inspectList(l *sliceList, maxDepth int, rep *InspectReport) []S
 			Lo:      s.lo,
 			Hi:      s.hi,
 			Count:   s.size(),
-			Box:     s.box,
+			Box:     geom.StringBox(s.box),
 			Refined: s.refined,
 			Heat:    s.heat.Load(),
 		}

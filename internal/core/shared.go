@@ -46,31 +46,6 @@ import (
 // publish versions; see DataVersion. Safe to call concurrently.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
-// Converged reports whether a query touching the whole universe would stay
-// on the shared path: no pending inserts and every materialized slice
-// refined down to the bottom level. It is a read-only full walk — O(slices)
-// — intended for scheduling decisions, not hot loops.
-func (ix *Index) Converged() bool {
-	if len(ix.live.Load().pending) > 0 {
-		return false
-	}
-	var walk func(l *sliceList, dim int) bool
-	walk = func(l *sliceList, dim int) bool {
-		for _, s := range l.slices {
-			if !s.refined {
-				return false
-			}
-			if dim < geom.Dims-1 {
-				if s.children == nil || !walk(s.children, dim+1) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return ix.root == nil || walk(ix.root, 0)
-}
-
 // QueryShared answers q on the shared read path: it pins the live version
 // and performs a read-only walk over the already-refined slice hierarchy,
 // merging the version's deltas (pending inserts, tombstones) in stream. On

@@ -88,7 +88,7 @@ func TestQuerySharedMatchesExclusive(t *testing.T) {
 	}
 
 	ix.Complete()
-	if !ix.Converged() {
+	if !ix.Inspect(0).Converged {
 		t.Fatal("Complete left the index unconverged")
 	}
 	sc := scan.New(dataset.Clone(data))
@@ -406,9 +406,9 @@ func unconvergedWithDeltas(t *testing.T, seed int64) (*Index, []geom.Object) {
 		}
 		dead[o.ID] = true
 	}
-	if ix.Converged() || ix.Pending() == 0 || ix.Deleted() == 0 {
+	if converged := ix.Inspect(0).Converged; converged || ix.Pending() == 0 || ix.Deleted() == 0 {
 		t.Fatalf("want an unconverged index with deltas: converged=%v pending=%d deleted=%d",
-			ix.Converged(), ix.Pending(), ix.Deleted())
+			converged, ix.Pending(), ix.Deleted())
 	}
 	var visible []geom.Object
 	for _, o := range live {

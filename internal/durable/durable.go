@@ -461,8 +461,8 @@ func (s *Store) Dir() string { return s.dir }
 // RecoveryInfo reports what Open built the live index from: the snapshot
 // sequence restored (0 when none existed), the WAL records replayed on top,
 // whether the store bootstrapped fresh state, and the restore wall time in
-// seconds. The values are fixed at Open, so reads are lock-free; the tuple
-// return satisfies server.DurabilityRecoverer without a type dependency.
+// seconds, as the serving layer reports it on /readyz. The values are fixed
+// at Open, so reads are lock-free.
 func (s *Store) RecoveryInfo() (snapshotSeq uint64, walRecordsReplayed int64, bootstrapped bool, restoreSeconds float64) {
 	return s.restoreSeq, s.restoreReplayed, s.restoreBootstrapped, s.restoreSeconds
 }
@@ -590,8 +590,7 @@ func (s *Store) degradeOn(cause error) error {
 }
 
 // Degraded reports whether the store is in degraded read-only mode, and
-// the failure that put it there. The tuple form satisfies the serving
-// layer's probe interface without a type dependency.
+// the failure that put it there.
 func (s *Store) Degraded() (bool, string) {
 	if !s.degraded.Load() {
 		return false, ""
@@ -670,14 +669,20 @@ func (s *Store) noteUpdate() {
 // checkpoint pins every shard's MVCC version during a microsecond cut (the
 // only instants updates wait) and serializes the pinned views while new
 // writes keep landing in the successor WAL. Queries are never blocked;
-// concurrent checkpoints are serialized.
+// concurrent checkpoints are serialized. A checkpoint that fails while the
+// store is degraded returns ioerr.ErrDegraded wrapping the cause, as writes
+// do: the disk is known sick and the recovery probe will retry.
 func (s *Store) Checkpoint() (uint64, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	return s.checkpointPinned()
+	seq, err := s.checkpointPinned()
+	if err != nil && s.degraded.Load() {
+		return 0, fmt.Errorf("%w (cause: %w)", ioerr.ErrDegraded, err)
+	}
+	return seq, err
 }
 
 // checkpointPinned is the zero-pause rotation (phases per the package doc:

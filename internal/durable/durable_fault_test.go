@@ -237,6 +237,9 @@ func TestDegradedModeOnPersistentFsyncFailure(t *testing.T) {
 	if _, err := store.Delete(good.ID, good.Box); !errors.Is(err, ioerr.ErrDegraded) {
 		t.Fatalf("delete while degraded: %v, want ErrDegraded", err)
 	}
+	if _, err := store.Checkpoint(); !errors.Is(err, ioerr.ErrDegraded) {
+		t.Fatalf("checkpoint while degraded: %v, want ErrDegraded", err)
+	}
 	// ...but reads keep flowing, converged data included.
 	if ids := store.Index().Query(good.Box, nil); len(ids) == 0 {
 		t.Fatal("converged read returned nothing while degraded")

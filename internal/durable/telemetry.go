@@ -81,8 +81,7 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 // DurabilityStats reports the durability state the serving layer folds into
 // /stats: the live snapshot sequence, the WAL length in bytes, checkpoints
 // completed since Open, and the duration of the most recent one (0 before
-// the first). The tuple form keeps the serving layer decoupled — it
-// type-asserts a small interface instead of importing this package.
+// the first).
 func (s *Store) DurabilityStats() (snapshotSeq uint64, walBytes int64, checkpoints int64, lastCheckpointSeconds float64) {
 	s.updMu.RLock()
 	snapshotSeq = s.seq

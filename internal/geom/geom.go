@@ -7,8 +7,8 @@
 // (Max) corner, matching the paper's MBB definition lower(b)/upper(b). Two
 // sentinel boxes bracket the valid range: EmptyBox (the identity of Extend,
 // containing nothing) and UniverseBox (all of space); both use infinities,
-// which persistence formats must encode explicitly (JSON numbers cannot —
-// see the shard snapshot manifest).
+// which JSON numbers cannot carry: StringBox is the JSON form of a Box that
+// the snapshot manifest and the introspection reports share.
 //
 // Everything here is value-typed and allocation-free; the hot query kernels
 // operate on the columnar lanes of internal/colstore instead and only
@@ -16,8 +16,10 @@
 package geom
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Dims is the dimensionality of the spatial domain. The paper (and this
@@ -212,6 +214,59 @@ func (b Box) Expand(delta Point) Box {
 func (b Box) String() string {
 	return fmt.Sprintf("[%g,%g,%g → %g,%g,%g]",
 		b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2])
+}
+
+// StringBox is a Box whose JSON form spells every coordinate as a string,
+// {"min":["0","-Inf",…],"max":[…]}: boxes can legitimately be ±Inf (the
+// empty tile of an index built over no objects, the open sides of an
+// unrefined slice), which JSON numbers cannot represent, and strconv
+// round-trips both the infinities and every finite float64 exactly. It is a
+// distinct type rather than methods on Box because Object embeds Box: a
+// promoted MarshalJSON would encode an Object without its ID. Convert with
+// StringBox(b) and Box(s).
+type StringBox Box
+
+// stringBoxJSON is StringBox's wire layout.
+type stringBoxJSON struct {
+	Min [Dims]string `json:"min"`
+	Max [Dims]string `json:"max"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (b StringBox) MarshalJSON() ([]byte, error) {
+	var s stringBoxJSON
+	for d := 0; d < Dims; d++ {
+		s.Min[d] = strconv.FormatFloat(b.Min[d], 'g', -1, 64)
+		s.Max[d] = strconv.FormatFloat(b.Max[d], 'g', -1, 64)
+	}
+	return json.Marshal(s)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It refuses NaN coordinates:
+// every comparison with NaN is false, so a NaN bound would make a box that
+// no query meets and that nothing can extend.
+func (b *StringBox) UnmarshalJSON(raw []byte) error {
+	var s stringBoxJSON
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return err
+	}
+	var out StringBox
+	for d := 0; d < Dims; d++ {
+		lo, err := strconv.ParseFloat(s.Min[d], 64)
+		if err != nil {
+			return fmt.Errorf("parsing box min[%d] %q: %w", d, s.Min[d], err)
+		}
+		hi, err := strconv.ParseFloat(s.Max[d], 64)
+		if err != nil {
+			return fmt.Errorf("parsing box max[%d] %q: %w", d, s.Max[d], err)
+		}
+		if math.IsNaN(lo) || math.IsNaN(hi) {
+			return fmt.Errorf("box [%d] bounds %q, %q: NaN", d, s.Min[d], s.Max[d])
+		}
+		out.Min[d], out.Max[d] = lo, hi
+	}
+	*b = out
+	return nil
 }
 
 // MBB returns the minimum bounding box of the given objects, or EmptyBox for

@@ -192,8 +192,8 @@ func (f *Follower) Writable() bool { return f.writable.Load() }
 // global sequence, the highest next sequence the leader is known to have
 // reached (never below applied+1 while following), the lag in records and
 // in seconds (time since last caught up), and whether the follower has
-// completed a bootstrap. The tuple form satisfies the serving
-// layer's probe interface without a type dependency.
+// completed a bootstrap. The serving layer reports it on /readyz and
+// /stats.
 func (f *Follower) ReplProbe() (appliedSeq, leaderSeq uint64, lagRecords int64, lagSeconds float64, bootstrapped bool) {
 	st := f.store.Load()
 	if st == nil {

@@ -11,10 +11,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Leader serves a durable store's state to followers. It implements the
-// serving layer's ReplSource hooks; both handlers are safe for concurrent
-// use and pin the generation they stream so a checkpoint landing mid-
-// transfer can never garbage-collect it underneath them.
+// Leader serves a durable store's state to followers. The serving layer
+// mounts its two handlers when Config.ReplSource is set. Both are safe for
+// concurrent use and pin the generation they stream, so a checkpoint
+// landing mid-transfer can never garbage-collect it underneath them.
 type Leader struct {
 	store  *durable.Store
 	m      *Metrics

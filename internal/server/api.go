@@ -254,7 +254,7 @@ type IndexStats struct {
 }
 
 // DurabilityStats reports the persistence state on /stats. All-zero with
-// Enabled false when the server runs without a durability hook.
+// Enabled false unless Config.Durability is an internal/durable.Store.
 type DurabilityStats struct {
 	Enabled               bool    `json:"enabled"`
 	SnapshotSeq           uint64  `json:"snapshot_seq"`

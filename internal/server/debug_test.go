@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -44,7 +46,7 @@ func TestDebugIndexEndpoint(t *testing.T) {
 	}
 	ix.Complete()
 
-	var full DebugIndexResponse
+	var full shard.IndexReport
 	if code := call(t, client, http.MethodGet, ts.URL+"/debug/index", nil, &full); code != http.StatusOK {
 		t.Fatalf("GET /debug/index: %d", code)
 	}
@@ -74,9 +76,6 @@ func TestDebugIndexEndpoint(t *testing.T) {
 			t.Fatalf("duplicate tile name %q", tile.Shard)
 		}
 		seen[tile.Shard] = true
-		if !tile.Supported {
-			t.Fatalf("tile %q does not support introspection", tile.Shard)
-		}
 		wantObjects += tile.Objects
 		wantSlices += tile.Slices
 		wantHeat += tile.TotalHeat
@@ -92,7 +91,7 @@ func TestDebugIndexEndpoint(t *testing.T) {
 	}
 
 	// Depth truncation drops children but keeps the full-depth census.
-	var top DebugIndexResponse
+	var top shard.IndexReport
 	if code := call(t, client, http.MethodGet, ts.URL+"/debug/index?maxdepth=1", nil, &top); code != http.StatusOK {
 		t.Fatalf("GET /debug/index?maxdepth=1: %d", code)
 	}
@@ -115,12 +114,82 @@ func TestDebugIndexEndpoint(t *testing.T) {
 	if code := call(t, client, http.MethodGet, ts.URL+"/debug/index?maxdepth=bogus", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("maxdepth=bogus: %d, want 400", code)
 	}
-	var deep DebugIndexResponse
+	var deep shard.IndexReport
 	if code := call(t, client, http.MethodGet, ts.URL+"/debug/index?maxdepth=99", nil, &deep); code != http.StatusOK {
 		t.Fatalf("maxdepth=99: %d", code)
 	}
 	if deep.MaxDepth != geom.Dims {
 		t.Fatalf("maxdepth=99 clamps to %d, want %d", deep.MaxDepth, geom.Dims)
+	}
+}
+
+// debugIndexFields is the field set of a full-depth /debug/index body, as
+// key paths ("[]" marks an array element). Strict decoders of the endpoint
+// (quasii-explore -live disallows unknown fields) depend on it, so a
+// renamed or re-nested field of shard.IndexReport or core.InspectReport
+// must show up here.
+var debugIndexFields = func() []string {
+	fields := []string{
+		".shards", ".workers", ".objects",
+		".tile_mbb", ".tile_mbb.min", ".tile_mbb.max",
+		".max_depth", ".converged", ".slices", ".slices_refined", ".total_heat",
+		".tiles",
+	}
+	for _, f := range []string{
+		"shard", "tile", "tile.min", "tile.max", "bounds", "bounds.min", "bounds.max",
+		"objects", "pending", "deleted", "tau", "epoch", "converged", "slices",
+		"slices_refined", "heat_sample_every", "total_heat", "max_heat", "root",
+	} {
+		fields = append(fields, ".tiles[]."+f)
+	}
+	slice := []string{
+		"level", "lo", "hi", "count", "box", "box.min", "box.max", "refined",
+		"converged", "heat", "subtree_heat", "child_slices",
+	}
+	for _, node := range []string{".tiles[].root[]", ".tiles[].root[].children[]", ".tiles[].root[].children[].children[]"} {
+		for _, f := range slice {
+			fields = append(fields, node+"."+f)
+		}
+	}
+	fields = append(fields, ".tiles[].root[].children", ".tiles[].root[].children[].children")
+	sort.Strings(fields)
+	return fields
+}()
+
+// keyPaths collects the key paths of a decoded JSON value into out.
+func keyPaths(v interface{}, prefix string, out map[string]bool) {
+	switch x := v.(type) {
+	case map[string]interface{}:
+		for k, c := range x {
+			out[prefix+"."+k] = true
+			keyPaths(c, prefix+"."+k, out)
+		}
+	case []interface{}:
+		for _, c := range x {
+			keyPaths(c, prefix+"[]", out)
+		}
+	}
+}
+
+// TestDebugIndexFieldSet pins the /debug/index wire: the field names and
+// their nesting on a converged index, where every level is materialized.
+func TestDebugIndexFieldSet(t *testing.T) {
+	data := dataset.Uniform(3000, 179)
+	ts, ix, _ := newDebugServer(t, data, Config{BatchWindow: -1})
+	ix.Complete()
+	var body interface{}
+	if code := call(t, ts.Client(), http.MethodGet, ts.URL+"/debug/index", nil, &body); code != http.StatusOK {
+		t.Fatalf("GET /debug/index: %d", code)
+	}
+	seen := map[string]bool{}
+	keyPaths(body, "", seen)
+	got := make([]string, 0, len(seen))
+	for k := range seen {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(debugIndexFields, "\n") {
+		t.Fatalf("/debug/index field set:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(debugIndexFields, "\n"))
 	}
 }
 
@@ -170,7 +239,7 @@ func TestDebugHeatEndpoint(t *testing.T) {
 		t.Fatalf("grid sums to %d, total says %d", sum, heat.TotalHeat)
 	}
 
-	var index DebugIndexResponse
+	var index shard.IndexReport
 	if code := call(t, client, http.MethodGet, ts.URL+"/debug/index", nil, &index); code != http.StatusOK {
 		t.Fatalf("GET /debug/index: %d", code)
 	}

@@ -9,82 +9,66 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
+	"repro/internal/faultfs"
 	"repro/internal/geom"
-	"repro/internal/ioerr"
 	"repro/internal/shard"
 )
 
-// flakyStore is a Durability stub whose writes fail with ErrDegraded while
-// the degraded flag is up, mirroring internal/durable.Store's contract.
-type flakyStore struct {
-	ix       *shard.Index
-	degraded atomic.Bool
-	reason   string
-}
-
-func (f *flakyStore) Insert(objs ...geom.Object) error {
-	if f.degraded.Load() {
-		return ioerr.ErrDegraded
-	}
-	return f.ix.Insert(objs...)
-}
-
-func (f *flakyStore) Delete(id int32, hint geom.Box) (bool, error) {
-	if f.degraded.Load() {
-		return false, ioerr.ErrDegraded
-	}
-	return f.ix.Delete(id, hint)
-}
-
-func (f *flakyStore) Checkpoint() (uint64, error) {
-	if f.degraded.Load() {
-		return 0, ioerr.ErrDegraded
-	}
-	return 1, nil
-}
-
-func (f *flakyStore) Degraded() (bool, string) {
-	if f.degraded.Load() {
-		return true, f.reason
-	}
-	return false, ""
-}
-
+// TestDegradedStoreWritesShedReadsServe runs the server over a durable
+// store whose disk fails every fsync: the store degrades to read-only, so
+// writes answer 503 with Retry-After while queries and /readyz keep
+// answering 200. Clearing the fault lets the store's recovery probe heal it,
+// and writes succeed again.
 func TestDegradedStoreWritesShedReadsServe(t *testing.T) {
 	data := dataset.Uniform(2000, 71)
-	ix := shard.New(data, shard.Config{Shards: 4})
-	store := &flakyStore{ix: ix, reason: "wal append: fsync failed"}
-	s := New(ix, Config{Durability: store, BatchWindow: -1})
+	ff := faultfs.New(nil, faultfs.Config{})
+	store, err := durable.Open(t.TempDir(), durable.Options{
+		Shard:        shard.Config{Shards: 4},
+		Bootstrap:    func() []geom.Object { return data },
+		Fsync:        durable.FsyncAlways,
+		FS:           ff,
+		RecoverEvery: 20 * time.Millisecond,
+		RetryBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s := New(store.Index(), Config{Durability: store, BatchWindow: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()
 
-	store.degraded.Store(true)
+	// The disk starts failing every fsync.
+	ff.SetRules([]*faultfs.Rule{{Kind: faultfs.KindErr, Op: faultfs.OpSync}})
 
-	// Writes shed with 503 + Retry-After.
+	// Writes shed with 503 + Retry-After: the first one degrades the store,
+	// the next fail fast.
 	obj := ObjectJSON{ID: 900_001}
 	obj.Min = [geom.Dims]float64{1, 1, 1}
 	obj.Max = [geom.Dims]float64{2, 2, 2}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/insert",
-		strings.NewReader(`{"objects":[{"id":900001,"min":[1,1,1],"max":[2,2,2]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/insert while degraded: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("/insert 503 missing Retry-After")
+	for i := 0; i < 2; i++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/insert",
+			strings.NewReader(`{"objects":[{"id":900001,"min":[1,1,1],"max":[2,2,2]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("/insert %d while degraded: %d, want 503", i, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("/insert %d: 503 missing Retry-After", i)
+		}
 	}
 
 	var del DeleteResponse
@@ -92,15 +76,26 @@ func TestDegradedStoreWritesShedReadsServe(t *testing.T) {
 		DeleteRequest{ID: data[0].ID, Hint: BoxToJSON(data[0].Box)}, &del); st != http.StatusServiceUnavailable {
 		t.Fatalf("/delete while degraded: %d, want 503", st)
 	}
-	if st := call(t, client, http.MethodPost, ts.URL+"/snapshot", struct{}{}, nil); st != http.StatusServiceUnavailable {
-		t.Fatalf("/snapshot while degraded: %d, want 503", st)
+	snap, err := client.Post(ts.URL+"/snapshot", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Body.Close()
+	if snap.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/snapshot while degraded: %d, want 503", snap.StatusCode)
+	}
+	if snap.Header.Get("Retry-After") == "" {
+		t.Fatal("/snapshot: 503 missing Retry-After")
 	}
 
-	// Reads keep serving.
+	// Reads keep serving, and the failed insert is not among them.
 	var qr QueryResponse
 	q := QueryRequest{BoxJSON: BoxToJSON(geom.BoxAt(data[0].Center(), 1))}
-	if st := call(t, client, http.MethodPost, ts.URL+"/query", q, &qr); st != http.StatusOK {
-		t.Fatalf("/query while degraded: %d, want 200", st)
+	if st := call(t, client, http.MethodPost, ts.URL+"/query", q, &qr); st != http.StatusOK || qr.Count == 0 {
+		t.Fatalf("/query while degraded: %d with %d IDs, want 200 with data[0]", st, qr.Count)
+	}
+	if st := call(t, client, http.MethodPost, ts.URL+"/query", QueryRequest{BoxJSON: obj.BoxJSON}, &qr); st != http.StatusOK || qr.Count != 0 {
+		t.Fatalf("/query for the refused insert: %d with IDs %v, want 200 with none", st, qr.IDs)
 	}
 
 	// /readyz stays 200 (traffic should still route here) but says degraded.
@@ -112,16 +107,32 @@ func TestDegradedStoreWritesShedReadsServe(t *testing.T) {
 		t.Fatalf("/readyz degraded report: %+v", ready)
 	}
 
-	// Healing clears everything.
-	store.degraded.Store(false)
+	// The disk heals; the store's recovery probe clears degraded mode.
+	ff.SetRules(nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ready = ReadyResponse{} // omitempty fields would otherwise keep stale values
+		if st := call(t, client, http.MethodGet, ts.URL+"/readyz", nil, &ready); st != http.StatusOK {
+			t.Fatalf("/readyz while healing: %d, want 200", st)
+		}
+		if !ready.Degraded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("store did not leave degraded mode after the fault cleared")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ready.Status != "ready" {
+		t.Fatalf("/readyz after heal: %+v", ready)
+	}
 	var ins InsertResponse
 	if st := call(t, client, http.MethodPost, ts.URL+"/insert",
 		InsertRequest{Objects: []ObjectJSON{obj}}, &ins); st != http.StatusOK {
 		t.Fatalf("/insert after heal: %d, want 200", st)
 	}
-	ready = ReadyResponse{} // omitempty fields would otherwise keep stale values
-	if st := call(t, client, http.MethodGet, ts.URL+"/readyz", nil, &ready); st != http.StatusOK || ready.Degraded || ready.Status != "ready" {
-		t.Fatalf("/readyz after heal: status %d, %+v", st, ready)
+	if st := call(t, client, http.MethodPost, ts.URL+"/query", QueryRequest{BoxJSON: obj.BoxJSON}, &qr); st != http.StatusOK || qr.Count != 1 {
+		t.Fatalf("/query after heal: %d with IDs %v, want the healed insert", st, qr.IDs)
 	}
 }
 

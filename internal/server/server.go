@@ -51,8 +51,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/geom"
 	"repro/internal/ioerr"
+	"repro/internal/repl"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -81,22 +83,18 @@ type Config struct {
 	// cost each query pays. 0 disables automatic flushing (pending objects
 	// are still visible — just served from the append buffers).
 	FlushEvery int
-	// MaxBodyBytes caps a request body. 0 selects 8 MiB.
-	MaxBodyBytes int64
 	// RequestTimeout bounds the index work of one request: the handler's
 	// context (already cancelled when the client disconnects) additionally
 	// expires after this long, and the shard fan-out observes it between
 	// probes. Expired requests answer 503 with Retry-After. 0 disables the
 	// deadline; client-disconnect cancellation is always on.
 	RequestTimeout time.Duration
-	// MaxBatch caps queries per /batch request and objects per /insert
-	// request; MaxK caps /knn's k. 0 selects 4096.
-	MaxBatch int
-	MaxK     int
 	// Durability, when non-nil, routes /insert and /delete through a
 	// write-ahead log before they reach the index and enables the admin
-	// POST /snapshot endpoint (internal/durable.Store satisfies it). Nil
-	// keeps the in-memory-only behaviour; /snapshot then answers 501.
+	// POST /snapshot endpoint. Nil keeps the in-memory-only behaviour;
+	// /snapshot then answers 501. When it is an internal/durable.Store,
+	// /stats reports its state and /readyz its recovery provenance and
+	// degraded mode.
 	Durability Durability
 	// Telemetry is the metrics registry GET /metrics renders. The server
 	// instruments itself and the engine on it; callers that also own the
@@ -122,14 +120,12 @@ type Config struct {
 	// ReplSource, when non-nil, mounts the replication-leader endpoints
 	// (GET /repl/snapshot, GET /repl/wal) outside admission control —
 	// replica catch-up must work while the server sheds query load.
-	// internal/repl.Leader satisfies it.
-	ReplSource ReplSource
+	ReplSource *repl.Leader
 	// ReplFollower, when non-nil, puts the server in follower mode: writes
 	// answer 503 with a leader hint until the follower is promoted
 	// (POST /repl/promote), /readyz gates on replication lag, and /stats,
-	// /healthz report the replication role. internal/repl.Follower
-	// satisfies it.
-	ReplFollower ReplFollower
+	// /healthz report the replication role.
+	ReplFollower *repl.Follower
 	// MaxLagRecords is the /readyz catch-up bound in follower mode: the
 	// probe answers 503 while the follower is more than this many records
 	// behind the leader. 0 selects 1024; negative disables lag gating
@@ -137,69 +133,26 @@ type Config struct {
 	MaxLagRecords int64
 }
 
-// Durability is the optional persistence hook behind the serving layer:
-// updates that must survive a restart are routed through it (logged before
-// they are acknowledged), and Checkpoint writes a fresh snapshot, returning
-// its sequence number. internal/durable.Store is the canonical
-// implementation.
+// Durability is the write hook behind the serving layer: updates that must
+// survive a restart are routed through it (logged before they are
+// acknowledged), and Checkpoint writes a fresh snapshot, returning its
+// sequence number. internal/durable.Store is the implementation; a wrapper
+// that forwards these three methods (a tracing shim, say) serves writes the
+// same way but leaves the store's state off /stats and /readyz.
 type Durability interface {
 	Insert(objs ...geom.Object) error
 	Delete(id int32, hint geom.Box) (bool, error)
 	Checkpoint() (uint64, error)
 }
 
-// DurabilityStatser is the optional durability-state probe: a Durability
-// implementation that also satisfies it (internal/durable.Store does) gets
-// its state folded into /stats. The tuple return keeps this package
-// decoupled from the store's types.
-type DurabilityStatser interface {
-	DurabilityStats() (snapshotSeq uint64, walBytes int64, checkpoints int64, lastCheckpointSeconds float64)
-}
-
-// DurabilityRecoverer is the optional recovery-state probe: a Durability
-// implementation that also satisfies it (internal/durable.Store does) gets
-// its warm-restart provenance folded into /readyz, so the probe can report
-// what the running index was restored from. Same tuple-return decoupling as
-// DurabilityStatser.
-type DurabilityRecoverer interface {
-	RecoveryInfo() (snapshotSeq uint64, walRecordsReplayed int64, bootstrapped bool, restoreSeconds float64)
-}
-
-// DurabilityDegrader is the optional degraded-state probe: a Durability
-// implementation that also satisfies it (internal/durable.Store does) gets
-// its read-only fallback surfaced on /readyz. While degraded, the server
-// keeps answering reads (the probe stays 200 so traffic still routes here)
-// and turns writes into 503 + Retry-After.
-type DurabilityDegrader interface {
-	Degraded() (degraded bool, reason string)
-}
-
-// ReplSource serves the replication-leader side: streaming the live
-// checkpoint generation and WAL records to followers. The handlers own the
-// full request (query parsing, long-poll semantics, status codes); the
-// server contributes routing, method filtering, and metrics.
-type ReplSource interface {
-	ServeSnapshot(http.ResponseWriter, *http.Request)
-	ServeWAL(http.ResponseWriter, *http.Request)
-}
-
-// ReplFollower is the follower-mode probe and control surface. The tuple
-// returns keep this package decoupled from internal/repl, matching the
-// Durability* probes.
-type ReplFollower interface {
-	// ReplProbe reports the replication position: last applied global
-	// sequence, the leader's last observed next sequence, lag in records
-	// and seconds, and whether bootstrap has completed.
-	ReplProbe() (appliedSeq, leaderSeq uint64, lagRecords int64, lagSeconds float64, bootstrapped bool)
-	// Writable reports whether the follower has been promoted; until then
-	// the server answers writes with 503 + the leader hint.
-	Writable() bool
-	// LeaderURL is the leader this follower replicates from (the hint).
-	LeaderURL() string
-	// Promote flips the follower writable (POST /repl/promote), returning
-	// the promotion checkpoint's sequence.
-	Promote() (uint64, error)
-}
+// Request limits. A body over maxBodyBytes, a /batch of more than maxBatch
+// queries, an /insert of more than maxBatch objects and a /knn k above maxK
+// answer 400.
+const (
+	maxBodyBytes = 8 << 20
+	maxBatch     = 4096
+	maxK         = 4096
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.BatchWindow == 0 {
@@ -217,15 +170,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ExecSlots <= 0 {
 		cfg.ExecSlots = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4096
-	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = 4096
-	}
 	return cfg
 }
 
@@ -239,6 +183,10 @@ type Server struct {
 		Insert(objs ...geom.Object) error
 		Delete(id int32, hint geom.Box) (bool, error)
 	}
+	// store is Config.Durability when that is the durable store itself: the
+	// source of the /stats durability section and the /readyz recovery and
+	// degraded reports. Nil otherwise.
+	store   *durable.Store
 	cfg     Config
 	adm     *admission
 	bat     *batcher
@@ -269,6 +217,7 @@ func New(ix *shard.Index, cfg Config) *Server {
 	s := &Server{ix: ix, upd: ix, cfg: cfg, start: time.Now()}
 	if cfg.Durability != nil {
 		s.upd = cfg.Durability
+		s.store, _ = cfg.Durability.(*durable.Store)
 	}
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -326,11 +275,11 @@ func New(ix *shard.Index, cfg Config) *Server {
 	// query traffic, and /repl/promote is the failover control plane,
 	// needed most exactly when the cluster is in trouble.
 	if cfg.ReplSource != nil {
-		s.route("/repl/snapshot", false, []string{http.MethodGet}, cfg.ReplSource.ServeSnapshot)
-		s.route("/repl/wal", false, []string{http.MethodGet}, cfg.ReplSource.ServeWAL)
+		s.route(repl.PathSnapshot, false, []string{http.MethodGet}, cfg.ReplSource.ServeSnapshot)
+		s.route(repl.PathWAL, false, []string{http.MethodGet}, cfg.ReplSource.ServeWAL)
 	}
 	if cfg.ReplFollower != nil {
-		s.route("/repl/promote", false, []string{http.MethodPost}, s.handlePromote)
+		s.route(repl.PathPromote, false, []string{http.MethodPost}, s.handlePromote)
 	}
 	return s
 }
@@ -355,8 +304,7 @@ func (s *Server) role() string {
 // tailing stops, the applied state is checkpointed to a fresh generation,
 // and writes start answering. Idempotent.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	f := s.cfg.ReplFollower
-	seq, err := f.Promote()
+	seq, err := s.cfg.ReplFollower.Promote()
 	if err != nil {
 		s.log.Error("promotion failed", "err", err)
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
@@ -587,7 +535,7 @@ func badRequest(w http.ResponseWriter, err error) {
 
 // decodeJSON reads the (size-capped) body into v.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	return json.NewDecoder(r.Body).Decode(v)
 }
 
@@ -680,8 +628,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, fmt.Errorf("decoding batch: %w", err))
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		badRequest(w, fmt.Errorf("batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
+	if len(req.Queries) > maxBatch {
+		badRequest(w, fmt.Errorf("batch of %d queries exceeds limit %d", len(req.Queries), maxBatch))
 		return
 	}
 	boxes := make([]geom.Box, len(req.Queries))
@@ -748,8 +696,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.K <= 0 || req.K > s.cfg.MaxK {
-		badRequest(w, fmt.Errorf("k must be in [1, %d], got %d", s.cfg.MaxK, req.K))
+	if req.K <= 0 || req.K > maxK {
+		badRequest(w, fmt.Errorf("k must be in [1, %d], got %d", maxK, req.K))
 		return
 	}
 	ctx, cancel := s.reqCtx(r)
@@ -793,8 +741,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("no objects to insert"))
 		return
 	}
-	if len(req.Objects) > s.cfg.MaxBatch {
-		badRequest(w, fmt.Errorf("insert of %d objects exceeds limit %d", len(req.Objects), s.cfg.MaxBatch))
+	if len(req.Objects) > maxBatch {
+		badRequest(w, fmt.Errorf("insert of %d objects exceeds limit %d", len(req.Objects), maxBatch))
 		return
 	}
 	objs := make([]geom.Object, len(req.Objects))
@@ -971,8 +919,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batcher:   s.bat.stats(),
 		Endpoints: make(map[string]EndpointStats, len(s.met)),
 	}
-	if ds, ok := s.cfg.Durability.(DurabilityStatser); ok {
-		seq, walBytes, ckpts, last := ds.DurabilityStats()
+	if s.store != nil {
+		seq, walBytes, ckpts, last := s.store.DurabilityStats()
 		resp.Durability = DurabilityStats{
 			Enabled:               true,
 			SnapshotSeq:           seq,
@@ -1093,8 +1041,8 @@ func (s *Server) maxLag() int64 {
 // while every shard lock is held.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyResponse{Ready: s.ready.Load(), Status: "ready"}
-	if dr, ok := s.cfg.Durability.(DurabilityRecoverer); ok {
-		seq, replayed, bootstrapped, secs := dr.RecoveryInfo()
+	if s.store != nil {
+		seq, replayed, bootstrapped, secs := s.store.RecoveryInfo()
 		resp.Recovery = &RecoveryInfo{
 			SnapshotSeq:        seq,
 			WALRecordsReplayed: replayed,
@@ -1105,8 +1053,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Degraded is visible but not unready: converged reads keep serving, so
 	// the probe stays 200 and load balancers keep routing — only writes shed
 	// (503 from the update handlers) until the store heals itself.
-	if dd, ok := s.cfg.Durability.(DurabilityDegrader); ok {
-		if deg, reason := dd.Degraded(); deg {
+	if s.store != nil {
+		if deg, reason := s.store.Degraded(); deg {
 			resp.Degraded = true
 			resp.DegradedReason = reason
 			if resp.Ready {

@@ -353,6 +353,32 @@ func TestValidationAndMethods(t *testing.T) {
 	if s := call(t, cl, http.MethodPost, ts.URL+"/knn", KNNRequest{K: 0}, nil); s != http.StatusBadRequest {
 		t.Errorf("k=0: status %d, want 400", s)
 	}
+	// Request limits: k, queries per /batch, objects per /insert, body size.
+	if s := call(t, cl, http.MethodPost, ts.URL+"/knn", KNNRequest{K: maxK + 1}, nil); s != http.StatusBadRequest {
+		t.Errorf("k=%d: status %d, want 400", maxK+1, s)
+	}
+	box := BoxToJSON(data[0].Box)
+	if s := call(t, cl, http.MethodPost, ts.URL+"/batch",
+		BatchRequest{Queries: make([]BoxJSON, maxBatch+1)}, nil); s != http.StatusBadRequest {
+		t.Errorf("batch of %d: status %d, want 400", maxBatch+1, s)
+	}
+	objs := make([]ObjectJSON, maxBatch+1)
+	for i := range objs {
+		objs[i] = ObjectJSON{ID: int32(800_000 + i), BoxJSON: box}
+	}
+	if s := call(t, cl, http.MethodPost, ts.URL+"/insert", InsertRequest{Objects: objs}, nil); s != http.StatusBadRequest {
+		t.Errorf("insert of %d: status %d, want 400", maxBatch+1, s)
+	}
+	pad := bytes.Repeat([]byte("x"), maxBodyBytes)
+	resp, err = http.Post(ts.URL+"/query", "application/json",
+		bytes.NewReader([]byte(`{"min":[0,0,0],"max":[1,1,1],"pad":"`+string(pad)+`"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("body over %d bytes: status %d, want 400", maxBodyBytes, resp.StatusCode)
+	}
 	// Wrong method.
 	if s := call(t, cl, http.MethodDelete, ts.URL+"/query", nil, nil); s != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /query: status %d, want 405", s)

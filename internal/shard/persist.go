@@ -28,11 +28,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,66 +60,42 @@ type manifest struct {
 	// TileMBB is the union of the tiles, excluding a legacy overflow
 	// shard. Restore checks it against the tiles it lists, which refuses a
 	// manifest that drops a shard; earlier versions route inserts by it.
-	TileMBB  boxManifest    `json:"tile_mbb"`
-	Shards   []shardRecord  `json:"shards"`
-	Overflow *overflowEntry `json:"overflow,omitempty"`
+	TileMBB  *geom.StringBox `json:"tile_mbb"`
+	Shards   []shardRecord   `json:"shards"`
+	Overflow *overflowEntry  `json:"overflow,omitempty"`
 }
 
 type shardRecord struct {
-	File string      `json:"file"`
-	Tile boxManifest `json:"tile"`
+	File string          `json:"file"`
+	Tile *geom.StringBox `json:"tile"`
 	// Bounds is the shard's live bounding box at snapshot time. Restore
 	// only validates it and recomputes the box from the loaded data; it is
 	// written because earlier versions restore it as is.
-	Bounds boxManifest `json:"bounds"`
+	Bounds *geom.StringBox `json:"bounds"`
 }
 
 // overflowEntry decodes the separate out-of-tile shard that manifests
 // written by earlier versions may carry; Restore loads it as one more
 // ordinary shard.
 type overflowEntry struct {
-	File   string      `json:"file"`
-	Bounds boxManifest `json:"bounds"`
+	File   string          `json:"file"`
+	Bounds *geom.StringBox `json:"bounds"`
 }
 
-// boxManifest is a geom.Box in JSON-safe form. Coordinates are formatted as
-// strings because boxes can legitimately be ±Inf (the empty tile of an
-// index built over no objects), which JSON numbers cannot represent;
-// strconv round-trips both the infinities and every finite float64 exactly.
-type boxManifest struct {
-	Min [geom.Dims]string `json:"min"`
-	Max [geom.Dims]string `json:"max"`
+// The manifest's boxes are pointers so that Restore can tell an absent box
+// field from a present one: decoding leaves an absent field nil, where a
+// value would silently read as the zero box.
+func manifestBox(b geom.Box) *geom.StringBox {
+	s := geom.StringBox(b)
+	return &s
 }
 
-func boxToManifest(b geom.Box) boxManifest {
-	var m boxManifest
-	for d := 0; d < geom.Dims; d++ {
-		m.Min[d] = strconv.FormatFloat(b.Min[d], 'g', -1, 64)
-		m.Max[d] = strconv.FormatFloat(b.Max[d], 'g', -1, 64)
+// restoredBox dereferences a decoded manifest box, refusing an absent one.
+func restoredBox(b *geom.StringBox, what string) (geom.Box, error) {
+	if b == nil {
+		return geom.Box{}, fmt.Errorf("snapshot manifest %s: box missing", what)
 	}
-	return m
-}
-
-// boxFromManifest parses a manifest box, refusing NaN coordinates: every
-// comparison with NaN is false, so a NaN bound would make a box that no
-// query meets and that nothing can extend.
-func boxFromManifest(m boxManifest) (geom.Box, error) {
-	var b geom.Box
-	for d := 0; d < geom.Dims; d++ {
-		lo, err := strconv.ParseFloat(m.Min[d], 64)
-		if err != nil {
-			return b, fmt.Errorf("parsing box min[%d] %q: %w", d, m.Min[d], err)
-		}
-		hi, err := strconv.ParseFloat(m.Max[d], 64)
-		if err != nil {
-			return b, fmt.Errorf("parsing box max[%d] %q: %w", d, m.Max[d], err)
-		}
-		if math.IsNaN(lo) || math.IsNaN(hi) {
-			return b, fmt.Errorf("box [%d] bounds %q, %q: NaN", d, m.Min[d], m.Max[d])
-		}
-		b.Min[d], b.Max[d] = lo, hi
-	}
-	return b, nil
+	return geom.Box(*b), nil
 }
 
 func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.snap", i) }
@@ -258,13 +232,13 @@ func (ix *Index) SnapshotPinnedFS(dir string, fsys faultfs.FS, ps *PinSet) error
 	}
 	wg.Wait()
 
-	m := manifest{Version: manifestVersion, TileMBB: boxToManifest(ps.tileMBB)}
+	m := manifest{Version: manifestVersion, TileMBB: manifestBox(ps.tileMBB)}
 	for _, j := range jobs {
 		if j.err != nil {
 			return j.err
 		}
 		m.Shards = append(m.Shards, shardRecord{
-			File: j.p.file, Tile: boxToManifest(j.p.tile), Bounds: boxToManifest(j.p.bounds),
+			File: j.p.file, Tile: manifestBox(j.p.tile), Bounds: manifestBox(j.p.bounds),
 		})
 	}
 	return writeManifest(fsys, filepath.Join(dir, ManifestName), &m)
@@ -316,9 +290,9 @@ func Restore(dir string, cfg Config) (*Index, error) {
 	if len(m.Shards) == 0 {
 		return nil, errors.New("snapshot manifest lists no shards")
 	}
-	tileMBB, err := boxFromManifest(m.TileMBB)
+	tileMBB, err := restoredBox(m.TileMBB, "tile_mbb")
 	if err != nil {
-		return nil, fmt.Errorf("snapshot manifest tile_mbb: %w", err)
+		return nil, err
 	}
 	tiled := len(m.Shards)
 	if ov := m.Overflow; ov != nil {
@@ -335,11 +309,11 @@ func Restore(dir string, cfg Config) (*Index, error) {
 			return nil, fmt.Errorf("snapshot manifest names shard file %q twice", rec.File)
 		}
 		named[rec.File] = true
-		if tiles[i], err = boxFromManifest(rec.Tile); err != nil {
-			return nil, fmt.Errorf("snapshot manifest %s tile: %w", rec.File, err)
+		if tiles[i], err = restoredBox(rec.Tile, rec.File+" tile"); err != nil {
+			return nil, err
 		}
-		if _, err := boxFromManifest(rec.Bounds); err != nil {
-			return nil, fmt.Errorf("snapshot manifest %s bounds: %w", rec.File, err)
+		if _, err := restoredBox(rec.Bounds, rec.File+" bounds"); err != nil {
+			return nil, err
 		}
 		if i < tiled {
 			union = union.Extend(tiles[i])

@@ -122,13 +122,9 @@ func TestSnapshotRestoreOverflowShard(t *testing.T) {
 	// shard's box.
 	union := geom.EmptyBox()
 	for _, rec := range m.Shards {
-		tile, err := boxFromManifest(rec.Tile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		union = union.Extend(tile)
+		union = union.Extend(geom.Box(*rec.Tile))
 	}
-	m.TileMBB = boxToManifest(union)
+	m.TileMBB = manifestBox(union)
 	if err := os.Rename(filepath.Join(dir, last.File), filepath.Join(dir, m.Overflow.File)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +342,13 @@ type tamperCase struct {
 
 // tamperedManifests are the manifests a restoring follower must not trust:
 // shard 0's live bounds shrunk to [0,1]³ (accepted: the bounds are
-// recomputed from the data), shard 0's bounds set to NaN (refused), shard 0
+// recomputed from the data), shard 0's bounds set to NaN (refused), shard 0's
+// bounds or tile field absent (refused, not read as the zero box), shard 0
 // listed twice (refused), and shard 1 dropped (refused: tile_mbb is no
 // longer the union of the listed tiles).
 func tamperedManifests(m manifest) map[string]tamperCase {
-	tiny := boxToManifest(geom.Box{Max: geom.Point{1, 1, 1}})
-	nan := boxToManifest(geom.Box{Min: geom.Point{math.NaN(), 0, 0}, Max: geom.Point{math.NaN(), 1, 1}})
+	tiny := &geom.StringBox{Max: geom.Point{1, 1, 1}}
+	nan := &geom.StringBox{Min: geom.Point{math.NaN(), 0, 0}, Max: geom.Point{math.NaN(), 1, 1}}
 	edit := func(ok bool, f func(*manifest)) tamperCase {
 		c := m
 		c.Shards = append([]shardRecord(nil), m.Shards...)
@@ -359,10 +356,12 @@ func tamperedManifests(m manifest) map[string]tamperCase {
 		return tamperCase{c, ok}
 	}
 	return map[string]tamperCase{
-		"tiny bounds":   edit(true, func(c *manifest) { c.Shards[0].Bounds = tiny }),
-		"NaN bounds":    edit(false, func(c *manifest) { c.Shards[0].Bounds = nan }),
-		"shard twice":   edit(false, func(c *manifest) { c.Shards = append(c.Shards, c.Shards[0]) }),
-		"shard dropped": edit(false, func(c *manifest) { c.Shards = c.Shards[:1] }),
+		"tiny bounds":    edit(true, func(c *manifest) { c.Shards[0].Bounds = tiny }),
+		"NaN bounds":     edit(false, func(c *manifest) { c.Shards[0].Bounds = nan }),
+		"bounds missing": edit(false, func(c *manifest) { c.Shards[0].Bounds = nil }),
+		"tile missing":   edit(false, func(c *manifest) { c.Shards[0].Tile = nil }),
+		"shard twice":    edit(false, func(c *manifest) { c.Shards = append(c.Shards, c.Shards[0]) }),
+		"shard dropped":  edit(false, func(c *manifest) { c.Shards = c.Shards[:1] }),
 	}
 }
 
@@ -437,4 +436,79 @@ func encodeManifest(tb testing.TB, m manifest) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// TestManifestGolden pins the MANIFEST bytes: an index built over no
+// objects has one empty tile whose ±Inf bounds are spelled "+Inf" and
+// "-Inf", and its manifest is byte for byte the one in testdata, written
+// by an earlier version: data directories must read the same across
+// versions.
+func TestManifestGolden(t *testing.T) {
+	dir := t.TempDir()
+	if err := New(nil, Config{Shards: 1}).Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "empty-tile.MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("MANIFEST of an empty index:\n%s\nwant:\n%s", got, want)
+	}
+	ix, err := Restore(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Len(); n != 0 {
+		t.Fatalf("restored empty index holds %d objects", n)
+	}
+}
+
+// TestRestoreEarlierSnapshot restores testdata/snapshot-v1, a 2-shard
+// snapshot of dataset.Uniform(300, 47) refined by 20 queries and written by
+// an earlier version, checks it answers like a scan, and that snapshotting
+// it again writes the same MANIFEST bytes.
+func TestRestoreEarlierSnapshot(t *testing.T) {
+	src := filepath.Join("testdata", "snapshot-v1")
+	ix, err := Restore(src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := ix.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(src, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-snapshotted MANIFEST:\n%s\nwant:\n%s", got, want)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	data := dataset.Uniform(300, 47)
+	if ix.Len() != len(data) || ix.NumShards() != 2 {
+		t.Fatalf("restored %d objects in %d shards, want %d in 2", ix.Len(), ix.NumShards(), len(data))
+	}
+	for i, q := range workload.Uniform(dataset.Universe(), 50, 1e-2, 49) {
+		var want []int32
+		for _, o := range data {
+			if o.Box.Intersects(q) {
+				want = append(want, o.ID)
+			}
+		}
+		if got := sortedCopy(ix.Query(q, nil)); !sameIDs(got, sortedCopy(want)) {
+			t.Fatalf("query %d: restored index returns %d IDs, scan %d", i, len(got), len(want))
+		}
+	}
 }

@@ -315,7 +315,7 @@ func TestReadLockedProbesQuarantine(t *testing.T) {
 			ix.Complete()
 			far := geom.BoxAt(geom.Point{100, 0, 0}, 10)
 			var hit [1]*shardEntry
-			if sh := ix.overlapping(far, hit[:0]); len(sh) != 1 || !sh[0].sub.(*bomb).Converged() {
+			if sh := ix.overlapping(far, hit[:0]); len(sh) != 1 || !sh[0].sub.Inspect(0).Converged {
 				t.Fatal("healthy shard not completed past the panicking one")
 			}
 		}},

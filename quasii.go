@@ -359,7 +359,7 @@ func OpenStore(dir string, cfg StoreConfig) (*Store, error) { return durable.Ope
 
 // Replication (internal/repl): WAL shipping from a leader's durable store
 // to read replicas. A leader serves its latest checkpoint generation and
-// streams WAL frames from any retained global sequence (mount it through
+// streams WAL frames from any retained global sequence (mount it as
 // ServerConfig.ReplSource); a follower bootstraps from the snapshot,
 // replays, then tails the leader with bounded backoff, staying a durable
 // store of its own so a restart resumes from local state. Promote flips a
@@ -367,10 +367,11 @@ func OpenStore(dir string, cfg StoreConfig) (*Store, error) { return durable.Ope
 // the protocol and the guarantees.
 type (
 	// ReplLeader serves a store's state to followers over HTTP
-	// (GET /repl/snapshot, GET /repl/wal). Satisfies ServerConfig.ReplSource.
+	// (GET /repl/snapshot, GET /repl/wal); ServerConfig.ReplSource mounts
+	// it.
 	ReplLeader = repl.Leader
-	// ReplFollower keeps a local durable store in sync with a leader.
-	// Satisfies ServerConfig.ReplFollower.
+	// ReplFollower keeps a local durable store in sync with a leader;
+	// ServerConfig.ReplFollower puts the server in follower mode over it.
 	ReplFollower = repl.Follower
 	// ReplFollowerConfig configures OpenReplFollower.
 	ReplFollowerConfig = repl.FollowerOptions
