@@ -63,6 +63,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -75,109 +76,162 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	addr := flag.String("addr", "http://localhost:8080", "base URL of the quasii-serve target")
-	clients := flag.Int("clients", 8, "concurrent client goroutines")
-	queries := flag.Int("queries", 10000, "number of range queries to issue")
-	workloadName := flag.String("workload", "uniform",
+// invocation is one resolved command line: the load to drive and the mode
+// that drives it.
+type invocation struct {
+	cfg bench.LoadgenConfig
+	// chaos and failover select those modes; both nil is a plain run.
+	chaos    *bench.ChaosConfig
+	failover *bench.FailoverConfig
+	// scrape asks for the /metrics cross-check (-oracle or -check-metrics).
+	scrape bool
+	banner string
+}
+
+// resolve parses args on fs, validates the flags and resolves the mode. An
+// error means the command line cannot run (the caller exits 2).
+func resolve(fs *flag.FlagSet, args []string) (*invocation, error) {
+	addr := fs.String("addr", "http://localhost:8080", "base URL of the quasii-serve target")
+	clients := fs.Int("clients", 8, "concurrent client goroutines")
+	queries := fs.Int("queries", 10000, "number of range queries to issue")
+	workloadName := fs.String("workload", "uniform",
 		"query workload: uniform, clustered, zipf or sequential")
-	selectivity := flag.Float64("selectivity", 1e-3, "query volume as a fraction of the universe")
-	skew := flag.Float64("skew", 1.2, "zipf workload skew")
-	querySeed := flag.Int64("query-seed", 2, "workload RNG seed")
-	writeEvery := flag.Int("write-every", 0,
+	selectivity := fs.Float64("selectivity", 1e-3, "query volume as a fraction of the universe")
+	skew := fs.Float64("skew", 1.2, "zipf workload skew")
+	querySeed := fs.Int64("query-seed", 2, "workload RNG seed")
+	writeEvery := fs.Int("write-every", 0,
 		"mix an insert+delete cycle into every Nth query (0 = read-only)")
-	readers := flag.Int("readers", 0,
+	readers := fs.Int("readers", 0,
 		"mixed-workload mode: reader goroutines draining the query workload (0 = use -clients)")
-	writers := flag.Int("writers", 0,
+	writers := fs.Int("writers", 0,
 		"mixed-workload mode: dedicated writer goroutines running continuous insert+delete cycles")
-	oracle := flag.Bool("oracle", false,
+	oracle := fs.Bool("oracle", false,
 		"validate responses against a local scan oracle (requires matching -n/-dataset/-seed)")
-	auditVisibility := flag.Bool("audit-visibility", false,
+	auditVisibility := fs.Bool("audit-visibility", false,
 		"acked-write visibility audit: every acked insert must be seen by a same-client "+
 			"re-read and every acked delete must stay gone; any violation fails the run "+
 			"(enables write cycles every 25 queries unless -write-every/-writers say otherwise)")
-	n := flag.Int("n", 200000, "server dataset size (for -oracle and -workload clustered)")
-	datasetName := flag.String("dataset", "uniform", "server dataset generator: uniform or neuro")
-	seed := flag.Int64("seed", 1, "server dataset RNG seed")
-	checkMetrics := flag.Bool("check-metrics", false,
+	n := fs.Int("n", 200000, "server dataset size (for -oracle and -workload clustered)")
+	datasetName := fs.String("dataset", "uniform", "server dataset generator: uniform or neuro")
+	seed := fs.Int64("seed", 1, "server dataset RNG seed")
+	checkMetrics := fs.Bool("check-metrics", false,
 		"scrape and cross-check the server's /metrics after the run even without -oracle")
-	retries := flag.Int("retries", 100, "max 429 retries per request")
-	wait := flag.Duration("wait", 0,
+	retries := fs.Int("retries", 100, "max 429 retries per request")
+	wait := fs.Duration("wait", 0,
 		"poll the server's /healthz for up to this long before starting "+
 			"(lets a script restart quasii-serve and the load generator back to back)")
-	chaosCmd := flag.String("chaos", "",
+	chaosCmd := fs.String("chaos", "",
 		"chaos mode: launch the server from this command line (whitespace-split), "+
 			"then SIGKILL and restart it mid-load; implies transport-error retries")
-	chaosKills := flag.Int("chaos-kills", 3, "kill/restart cycles in -chaos mode")
-	chaosInterval := flag.Duration("chaos-interval", 2*time.Second,
+	chaosKills := fs.Int("chaos-kills", 3, "kill/restart cycles in -chaos mode")
+	chaosInterval := fs.Duration("chaos-interval", 2*time.Second,
 		"dwell between a recovered restart and the next kill in -chaos mode")
-	failoverLeader := flag.String("failover-leader", "",
+	failoverLeader := fs.String("failover-leader", "",
 		"failover mode: launch the leader from this command line (whitespace-split)")
-	failoverFollower := flag.String("failover-follower", "",
+	failoverFollower := fs.String("failover-follower", "",
 		"failover mode: launch the follower from this command line (whitespace-split)")
-	followerAddr := flag.String("follower-addr", "http://localhost:8081",
+	followerAddr := fs.String("follower-addr", "http://localhost:8081",
 		"failover mode: the follower's base URL")
-	failoverWrites := flag.Int("failover-writes", 200,
+	failoverWrites := fs.Int("failover-writes", 200,
 		"failover mode: acknowledged writes pushed at the leader before the kill")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if *datasetName != "uniform" && *datasetName != "neuro" {
+		return nil, fmt.Errorf("unknown dataset %q (want uniform or neuro)", *datasetName)
+	}
+	if (*failoverLeader == "") != (*failoverFollower == "") {
+		return nil, errors.New("failover mode needs both -failover-leader and -failover-follower")
+	}
 
 	// The dataset is only materialized when something needs it: the oracle,
 	// or the clustered workload (whose cluster centers sit on the data).
 	var data []quasii.Object
 	loadData := func() []quasii.Object {
-		if data != nil {
-			return data
-		}
-		switch *datasetName {
-		case "uniform":
-			data = quasii.UniformDataset(*n, *seed)
-		case "neuro":
+		switch {
+		case data != nil:
+		case *datasetName == "neuro":
 			data = quasii.NeuroDataset(*n, *seed, quasii.NeuroConfig{})
 		default:
-			fmt.Fprintf(os.Stderr, "unknown dataset %q (want uniform or neuro)\n", *datasetName)
-			os.Exit(2)
+			data = quasii.UniformDataset(*n, *seed)
 		}
 		return data
 	}
-
-	// Clustered queries center on the dataset the server indexes, so only
-	// that pattern needs the data.
 	var wdata []quasii.Object
 	if *workloadName == "clustered" {
 		wdata = loadData()
 	}
 	boxes, err := workload.Named(*workloadName, quasii.Universe(), wdata, *queries, *selectivity, *skew, *querySeed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, err
 	}
 
 	nClients := *clients
 	if *readers > 0 {
 		nClients = *readers
 	}
-	cfg := bench.LoadgenConfig{
-		BaseURL:         *addr,
-		Clients:         nClients,
-		Queries:         boxes,
-		WriteEvery:      *writeEvery,
-		Writers:         *writers,
-		AuditVisibility: *auditVisibility,
-		MaxRetries:      *retries,
-		WaitReady:       *wait,
+	inv := &invocation{
+		cfg: bench.LoadgenConfig{
+			BaseURL:         *addr,
+			Clients:         nClients,
+			Queries:         boxes,
+			WriteEvery:      *writeEvery,
+			Writers:         *writers,
+			AuditVisibility: *auditVisibility,
+			MaxRetries:      *retries,
+			WaitReady:       *wait,
+		},
+		scrape: *oracle || *checkMetrics,
+		banner: fmt.Sprintf("quasii-loadgen: %d %s queries (sel %g) against %s, %d readers, %d writers, write-every %d, oracle %v",
+			len(boxes), *workloadName, *selectivity, *addr, nClients, *writers, *writeEvery, *oracle),
 	}
-	if cfg.AuditVisibility && cfg.WriteEvery == 0 && cfg.Writers == 0 {
+	if *auditVisibility && *writeEvery == 0 && *writers == 0 {
 		// The audit needs acked writes to re-read; give it a write cycle
 		// every 25th query when the caller asked for none.
-		cfg.WriteEvery = 25
+		inv.cfg.WriteEvery = 25
 	}
 	if *oracle {
 		sc := quasii.NewScan(loadData())
-		cfg.Oracle = func(q geom.Box) []int32 { return sc.Query(q, nil) }
+		inv.cfg.Oracle = func(q geom.Box) []int32 { return sc.Query(q, nil) }
 	}
+	switch {
+	case *failoverLeader != "":
+		inv.failover = &bench.FailoverConfig{
+			LeaderCommand:   strings.Fields(*failoverLeader),
+			FollowerCommand: strings.Fields(*failoverFollower),
+			LeaderURL:       *addr,
+			FollowerURL:     *followerAddr,
+			Queries:         boxes,
+			Oracle:          inv.cfg.Oracle,
+			Clients:         nClients,
+			AckWrites:       *failoverWrites,
+			ServerOut:       os.Stderr,
+		}
+	case *chaosCmd != "":
+		// Chaos mode owns the server process and crashes it mid-load, so
+		// the clients must absorb every restart window.
+		inv.cfg.RetryTransport = true
+		if inv.cfg.WaitReady <= 0 {
+			inv.cfg.WaitReady = 30 * time.Second
+		}
+		inv.chaos = &bench.ChaosConfig{
+			Command:   strings.Fields(*chaosCmd),
+			BaseURL:   *addr,
+			Kills:     *chaosKills,
+			Interval:  *chaosInterval,
+			ServerOut: os.Stderr,
+		}
+	}
+	return inv, nil
+}
 
-	fmt.Printf("quasii-loadgen: %d %s queries (sel %g) against %s, %d readers, %d writers, write-every %d, oracle %v\n",
-		len(boxes), *workloadName, *selectivity, *addr, nClients, *writers, *writeEvery, *oracle)
+func main() {
+	inv, err := resolve(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "quasii-loadgen: %v\n", err)
+		os.Exit(2)
+	}
+	fmt.Println(inv.banner)
 	// The oracle run also validates the server's observability: scrape
 	// /metrics, require it to parse strictly, and cross-check the
 	// server-side request accounting against the client-side counters.
@@ -189,28 +243,13 @@ func main() {
 	var rep *bench.MetricsReport
 	var scrapeErr error
 	scrape := func(check *bench.LoadgenResult) {
-		if *oracle || *checkMetrics {
-			rep, scrapeErr = bench.ScrapeMetrics(nil, *addr, check)
+		if inv.scrape {
+			rep, scrapeErr = bench.ScrapeMetrics(nil, inv.cfg.BaseURL, check)
 		}
 	}
 	failed := false
-	if *failoverLeader != "" || *failoverFollower != "" {
-		if *failoverLeader == "" || *failoverFollower == "" {
-			fmt.Fprintln(os.Stderr,
-				"quasii-loadgen: failover mode needs both -failover-leader and -failover-follower")
-			os.Exit(2)
-		}
-		fres, err := bench.RunFailover(bench.FailoverConfig{
-			LeaderCommand:   strings.Fields(*failoverLeader),
-			FollowerCommand: strings.Fields(*failoverFollower),
-			LeaderURL:       *addr,
-			FollowerURL:     *followerAddr,
-			Queries:         boxes,
-			Oracle:          cfg.Oracle,
-			Clients:         nClients,
-			AckWrites:       *failoverWrites,
-			ServerOut:       os.Stderr,
-		})
+	if inv.failover != nil {
+		fres, err := bench.RunFailover(*inv.failover)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quasii-loadgen: %v\n", err)
 			failed = true
@@ -233,21 +272,9 @@ func main() {
 		}
 		return
 	}
-	if *chaosCmd != "" {
-		// Chaos mode: own the server process, crash it mid-load, and make
-		// the clients absorb every restart window.
-		cfg.RetryTransport = true
-		if cfg.WaitReady <= 0 {
-			cfg.WaitReady = 30 * time.Second
-		}
-		cres, err := bench.RunChaos(bench.ChaosConfig{
-			Command:   strings.Fields(*chaosCmd),
-			BaseURL:   *addr,
-			Kills:     *chaosKills,
-			Interval:  *chaosInterval,
-			ServerOut: os.Stderr,
-		}, func() {
-			res = bench.RunLoadgen(cfg)
+	if inv.chaos != nil {
+		cres, err := bench.RunChaos(*inv.chaos, func() {
+			res = bench.RunLoadgen(inv.cfg)
 			scrape(nil)
 		})
 		if err != nil {
@@ -261,7 +288,7 @@ func main() {
 			}
 		}
 	} else {
-		res = bench.RunLoadgen(cfg)
+		res = bench.RunLoadgen(inv.cfg)
 		scrape(res)
 	}
 	if res == nil {
@@ -269,7 +296,7 @@ func main() {
 	}
 	bench.PrintLoadgen(os.Stdout, res)
 	failed = failed || res.Mismatches > 0 || res.Errors > 0 || res.VisibilityViolations > 0
-	if *auditVisibility && res.AuditedWrites == 0 {
+	if inv.cfg.AuditVisibility && res.AuditedWrites == 0 {
 		fmt.Fprintln(os.Stderr, "quasii-loadgen: -audit-visibility ran but no acked write was audited")
 		failed = true
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/stats"
 )
 
 // QueryIndex is the minimal interface every measured index satisfies.
@@ -51,15 +50,20 @@ func Run(name string, build func() QueryIndex, queries []geom.Box) *Series {
 // Cumulative returns the running total of execution time: Build plus all
 // queries up to and including index i.
 func (s *Series) Cumulative() []time.Duration {
-	out := stats.Cumulative(s.PerQuery)
-	for i := range out {
-		out[i] += s.Build
+	out := make([]time.Duration, len(s.PerQuery))
+	sum := s.Build
+	for i, d := range s.PerQuery {
+		sum += d
+		out[i] = sum
 	}
 	return out
 }
 
+// QueryTime returns the summed latency of all queries, build excluded.
+func (s *Series) QueryTime() time.Duration { return sum(s.PerQuery) }
+
 // Total returns build time plus all query time.
-func (s *Series) Total() time.Duration { return s.Build + stats.Sum(s.PerQuery) }
+func (s *Series) Total() time.Duration { return s.Build + s.QueryTime() }
 
 // FirstQuery returns the data-to-insight time: build time plus the first
 // query's latency (the paper's headline metric).
@@ -71,12 +75,23 @@ func (s *Series) FirstQuery() time.Duration {
 }
 
 // TailMean returns the mean latency of the last n queries — a proxy for
-// converged query performance.
+// converged query performance. It is 0 when there are no queries.
 func (s *Series) TailMean(n int) time.Duration {
 	if n > len(s.PerQuery) {
 		n = len(s.PerQuery)
 	}
-	return stats.Mean(s.PerQuery[len(s.PerQuery)-n:])
+	if n <= 0 {
+		return 0
+	}
+	return sum(s.PerQuery[len(s.PerQuery)-n:]) / time.Duration(n)
+}
+
+func sum(ds []time.Duration) time.Duration {
+	var t time.Duration
+	for _, d := range ds {
+		t += d
+	}
+	return t
 }
 
 // BreakEven returns the index of the first query after which the cumulative

@@ -46,8 +46,16 @@ func TestCumulativeIncludesBuild(t *testing.T) {
 			t.Fatalf("Cumulative = %v, want %v", cum, want)
 		}
 	}
+	if s.QueryTime() != 6 {
+		t.Errorf("QueryTime = %d, want 6", s.QueryTime())
+	}
 	if s.Total() != 106 {
 		t.Errorf("Total = %d", s.Total())
+	}
+	empty := mkSeries("empty", 100)
+	if len(empty.Cumulative()) != 0 || empty.QueryTime() != 0 || empty.Total() != 100 {
+		t.Errorf("empty series: Cumulative %v, QueryTime %d, Total %d",
+			empty.Cumulative(), empty.QueryTime(), empty.Total())
 	}
 	if s.FirstQuery() != 101 {
 		t.Errorf("FirstQuery = %d", s.FirstQuery())
@@ -61,6 +69,9 @@ func TestTailMean(t *testing.T) {
 	}
 	if got := s.TailMean(100); got != 25 {
 		t.Errorf("TailMean(100) = %d, want 25", got)
+	}
+	if got := mkSeries("empty", 5).TailMean(10); got != 0 {
+		t.Errorf("TailMean of no queries = %d, want 0", got)
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
-	"syscall"
 	"time"
 )
 
@@ -49,17 +47,6 @@ type ChaosResult struct {
 	Downtime time.Duration // summed kill→healthy windows
 }
 
-// chaosHarness owns the victim process between restarts. Only the kill
-// loop goroutine touches cmd after start, so no locking is needed until
-// stop — which runs strictly after the loop has exited.
-type chaosHarness struct {
-	cfg    ChaosConfig
-	client *http.Client
-	cmd    *exec.Cmd
-	res    ChaosResult
-	err    error
-}
-
 // RunChaos starts the server, waits for it to become healthy, runs the
 // kill→restart loop concurrently with during (typically a RunLoadgen
 // call), and tears the server down afterwards. The loop stops early when
@@ -68,9 +55,6 @@ type chaosHarness struct {
 // covers process-management failures (spawn failed, restart never turned
 // healthy); load-side failures stay in during's own result.
 func RunChaos(cfg ChaosConfig, during func()) (*ChaosResult, error) {
-	if len(cfg.Command) == 0 {
-		return nil, fmt.Errorf("chaos: empty server command")
-	}
 	if cfg.Kills < 1 {
 		cfg.Kills = 1
 	}
@@ -80,93 +64,56 @@ func RunChaos(cfg ChaosConfig, during func()) (*ChaosResult, error) {
 	if cfg.WaitReady <= 0 {
 		cfg.WaitReady = 30 * time.Second
 	}
-	c := &chaosHarness{cfg: cfg, client: cfg.Client}
-	if c.client == nil {
-		c.client = &http.Client{Timeout: 5 * time.Second}
+	client := cfg.Client
+	if client == nil {
+		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	if err := c.start(); err != nil {
+	healthy := answers(client, cfg.BaseURL+"/healthz", http.StatusOK)
+	srv, err := startProc(cfg.Command, cfg.ServerOut)
+	if err != nil {
 		return nil, fmt.Errorf("chaos: starting server: %w", err)
 	}
-	defer c.stop()
-	if !waitHealthy(c.client, cfg.BaseURL, cfg.WaitReady) {
+	defer srv.term()
+	if !poll(cfg.WaitReady, 50*time.Millisecond, healthy) {
 		return nil, fmt.Errorf("chaos: server never became healthy at %s", cfg.BaseURL)
 	}
 
+	// Only the kill loop touches srv until it has exited; the deferred term
+	// runs strictly after.
+	res := &ChaosResult{}
 	halt := make(chan struct{})
-	done := make(chan struct{})
+	done := make(chan error)
 	go func() {
-		defer close(done)
-		c.loop(halt)
+		timer := time.NewTimer(cfg.Interval)
+		defer timer.Stop()
+		for i := 0; i < cfg.Kills; i++ {
+			// Each cycle: dwell, SIGKILL, reap, restart, poll healthy.
+			timer.Reset(cfg.Interval)
+			select {
+			case <-halt:
+				done <- nil
+				return
+			case <-timer.C:
+			}
+			t0 := time.Now()
+			srv.kill()
+			res.Kills++
+			if err := srv.start(); err != nil {
+				done <- fmt.Errorf("chaos: restart %d: %w", i+1, err)
+				return
+			}
+			if !poll(cfg.WaitReady, 50*time.Millisecond, healthy) {
+				done <- fmt.Errorf("chaos: restart %d never became healthy (WAL recovery stuck?)", i+1)
+				return
+			}
+			res.Restarts++
+			res.Downtime += time.Since(t0)
+		}
+		done <- nil
 	}()
 	during()
 	close(halt)
-	<-done
-	return &c.res, c.err
-}
-
-// start spawns a fresh server process over the configured command.
-func (c *chaosHarness) start() error {
-	cmd := exec.Command(c.cfg.Command[0], c.cfg.Command[1:]...)
-	out := c.cfg.ServerOut
-	if out == nil {
-		out = io.Discard
-	}
-	cmd.Stdout, cmd.Stderr = out, out
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	c.cmd = cmd
-	return nil
-}
-
-// loop delivers the kill→restart cycles until the budget is spent or halt
-// closes. Each cycle: dwell, SIGKILL, reap, restart, poll healthy.
-func (c *chaosHarness) loop(halt <-chan struct{}) {
-	timer := time.NewTimer(c.cfg.Interval)
-	defer timer.Stop()
-	for i := 0; i < c.cfg.Kills; i++ {
-		timer.Reset(c.cfg.Interval)
-		select {
-		case <-halt:
-			return
-		case <-timer.C:
-		}
-		t0 := time.Now()
-		c.cmd.Process.Kill()
-		c.cmd.Wait() // SIGKILL makes this error by design
-		c.res.Kills++
-		if err := c.start(); err != nil {
-			c.err = fmt.Errorf("chaos: restart %d: %w", i+1, err)
-			return
-		}
-		if !waitHealthy(c.client, c.cfg.BaseURL, c.cfg.WaitReady) {
-			c.err = fmt.Errorf("chaos: restart %d never became healthy (WAL recovery stuck?)", i+1)
-			return
-		}
-		c.res.Restarts++
-		c.res.Downtime += time.Since(t0)
-	}
-}
-
-// stop terminates the surviving server: SIGTERM for a graceful exit (a
-// durable server writes its final snapshot), escalating to SIGKILL after
-// 10s.
-func (c *chaosHarness) stop() {
-	if c.cmd == nil || c.cmd.Process == nil {
-		return
-	}
-	c.cmd.Process.Signal(syscall.SIGTERM)
-	waited := make(chan struct{})
-	go func() {
-		c.cmd.Wait()
-		close(waited)
-	}()
-	select {
-	case <-waited:
-	case <-time.After(10 * time.Second):
-		c.cmd.Process.Kill()
-		<-waited
-	}
+	return res, <-done
 }
 
 // PrintChaos writes the chaos-side run summary.

@@ -12,15 +12,10 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
 	"strconv"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/geom"
@@ -80,73 +75,6 @@ type FailoverResult struct {
 	Load *LoadgenResult
 }
 
-// failoverProc owns one server process.
-type failoverProc struct {
-	name string
-	cmd  *exec.Cmd
-}
-
-func startProc(name string, argv []string, out io.Writer) (*failoverProc, error) {
-	if len(argv) == 0 {
-		return nil, fmt.Errorf("failover: empty %s command", name)
-	}
-	cmd := exec.Command(argv[0], argv[1:]...)
-	if out == nil {
-		out = io.Discard
-	}
-	cmd.Stdout, cmd.Stderr = out, out
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("failover: starting %s: %w", name, err)
-	}
-	return &failoverProc{name: name, cmd: cmd}, nil
-}
-
-// kill SIGKILLs the process: the machine-crash simulation.
-func (p *failoverProc) kill() {
-	if p == nil || p.cmd == nil || p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Kill()
-	p.cmd.Wait()
-}
-
-// term asks for a graceful exit, escalating to SIGKILL after 10s.
-func (p *failoverProc) term() {
-	if p == nil || p.cmd == nil || p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	waited := make(chan struct{})
-	go func() {
-		p.cmd.Wait()
-		close(waited)
-	}()
-	select {
-	case <-waited:
-	case <-time.After(10 * time.Second):
-		p.cmd.Process.Kill()
-		<-waited
-	}
-}
-
-// getJSON fetches url and decodes the body into out, returning the status
-// code. Transport errors return 0.
-func getJSON(client *http.Client, url string, out interface{}) int {
-	resp, err := client.Get(url)
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if json.NewDecoder(resp.Body).Decode(out) != nil {
-			return 0
-		}
-		return resp.StatusCode
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode
-}
-
 // RunFailover executes the full scenario. The returned error covers
 // harness-level failures (a server never came up, the follower never
 // caught up, promotion failed); correctness verdicts — lost writes, oracle
@@ -164,50 +92,44 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	res := &FailoverResult{}
+	// send POSTs body to url until it answers 200 (decoded into out) or
+	// the readiness window passes, reporting which.
+	send := func(url string, body, out interface{}) bool {
+		return poll(cfg.WaitReady, 25*time.Millisecond, func() bool {
+			code, _ := call(client, http.MethodPost, url, body, out)
+			return code == http.StatusOK
+		})
+	}
 
 	// Start the follower first, against a leader that does not exist yet.
 	// Its listener binds immediately while the bootstrap fetch retries with
 	// backoff, so /readyz is guaranteed to answer 503 — the catch-up gate is
 	// observed deterministically instead of racing a fast local bootstrap
 	// that can finish between two polls.
-	follower, err := startProc("follower", cfg.FollowerCommand, cfg.ServerOut)
+	follower, err := startProc(cfg.FollowerCommand, cfg.ServerOut)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("failover: starting follower: %w", err)
 	}
 	defer follower.term()
-	deadline := time.Now().Add(cfg.WaitReady)
-	for {
-		if getJSON(client, cfg.FollowerURL+"/readyz", nil) == http.StatusServiceUnavailable {
-			res.ReadinessGated = true
-			break
-		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("failover: follower never answered /readyz at %s", cfg.FollowerURL)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !poll(cfg.WaitReady, 5*time.Millisecond,
+		answers(client, cfg.FollowerURL+"/readyz", http.StatusServiceUnavailable)) {
+		return res, fmt.Errorf("failover: follower never answered /readyz at %s", cfg.FollowerURL)
 	}
+	res.ReadinessGated = true
 
-	leader, err := startProc("leader", cfg.LeaderCommand, cfg.ServerOut)
+	leader, err := startProc(cfg.LeaderCommand, cfg.ServerOut)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("failover: starting leader: %w", err)
 	}
 	defer leader.kill() // no-op once the scenario has killed it
-	if !waitHealthy(client, cfg.LeaderURL, cfg.WaitReady) {
+	if !poll(cfg.WaitReady, 50*time.Millisecond, answers(client, cfg.LeaderURL+"/healthz", http.StatusOK)) {
 		return nil, fmt.Errorf("failover: leader never became healthy at %s", cfg.LeaderURL)
 	}
 
 	// Watch the follower's /readyz converge: bootstrapping, then catching up
 	// past -max-lag, then 200.
-	deadline = time.Now().Add(cfg.WaitReady)
-	for {
-		code := getJSON(client, cfg.FollowerURL+"/readyz", nil)
-		if code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("failover: follower never became ready at %s", cfg.FollowerURL)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if !poll(cfg.WaitReady, 25*time.Millisecond, answers(client, cfg.FollowerURL+"/readyz", http.StatusOK)) {
+		return res, fmt.Errorf("failover: follower never became ready at %s", cfg.FollowerURL)
 	}
 
 	// Concurrent read load over both servers for the rest of the scenario.
@@ -230,26 +152,23 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	// The harness writer: acknowledged inserts against the leader. Each
 	// object sits at a workload query's center with an ID above
 	// LoadgenWriteBase, so the concurrent oracle comparison ignores it.
-	var discard, errs atomic.Int64
-	lc := &loadgenClient{
-		cfg:    &LoadgenConfig{BaseURL: cfg.LeaderURL, MaxRetries: 200},
-		client: client, rejected: &discard, unavailable: &discard,
-		transport: &discard, errors: &errs,
-	}
+	// IDs are disjoint from both loadgen write-cycle ranges (they start at
+	// LoadgenWriteBase + a sub-2^28 nonce and stay below +2^29).
 	nonce := int32(time.Now().UnixNano() & (1<<27 - 1))
-	acked := make([]geom.Object, 0, cfg.AckWrites)
-	for i := 0; i < cfg.AckWrites; i++ {
-		q := cfg.Queries[i%len(cfg.Queries)]
+	insert := func(url string, i int) (geom.Object, bool) {
 		obj := geom.Object{
-			Box: geom.BoxAt(q.Center(), 1),
-			// Disjoint from both loadgen write-cycle ranges (they start at
-			// LoadgenWriteBase + a sub-2^28 nonce and stay below +2^29).
-			ID: LoadgenWriteBase + 1<<29 + nonce + int32(i),
+			Box: geom.BoxAt(cfg.Queries[i%len(cfg.Queries)].Center(), 1),
+			ID:  LoadgenWriteBase + 1<<29 + nonce + int32(i),
 		}
 		var iresp server.InsertResponse
-		if !lc.post("/insert", server.InsertRequest{
+		return obj, send(url+"/insert", server.InsertRequest{
 			Objects: []server.ObjectJSON{{ID: obj.ID, BoxJSON: server.BoxToJSON(obj.Box)}},
-		}, &iresp) {
+		}, &iresp)
+	}
+	acked := make([]geom.Object, 0, cfg.AckWrites)
+	for i := 0; i < cfg.AckWrites; i++ {
+		obj, ok := insert(cfg.LeaderURL, i)
+		if !ok {
 			return res, fmt.Errorf("failover: leader refused harness insert %d", i)
 		}
 		acked = append(acked, obj)
@@ -262,9 +181,8 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		ID:      LoadgenWriteBase + 1<<29 + nonce + int32(cfg.AckWrites),
 		BoxJSON: server.BoxToJSON(geom.BoxAt(cfg.Queries[0].Center(), 1)),
 	}}}
-	if code := postStatus(client, cfg.FollowerURL+"/insert", probe); code == http.StatusServiceUnavailable {
-		res.FollowerRejectedWrites = true
-	}
+	code, _ := call(client, http.MethodPost, cfg.FollowerURL+"/insert", probe, nil)
+	res.FollowerRejectedWrites = code == http.StatusServiceUnavailable
 
 	// Gate the kill on the follower having applied every acknowledged
 	// record, measured against the leader's own sequence counter. The
@@ -274,22 +192,28 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	// killing inside that window sheds the record legitimately (replication
 	// is asynchronous) but fails the zero-loss audit this harness exists to
 	// make. The harness writer has stopped, so the leader's counter is
-	// stable and the comparison is race-free.
-	deadline = time.Now().Add(cfg.WaitReady)
-	for {
+	// stable and the comparison is race-free. The leader's next sequence is
+	// the X-Quasii-Next-Seq header of a zero-wait /repl/wal probe from the
+	// follower's applied+1, a sequence the leader still retains (the
+	// follower received it moments ago); a 410 (just garbage-collected)
+	// re-polls.
+	caughtUp := poll(cfg.WaitReady, 25*time.Millisecond, func() bool {
 		var st server.StatsResponse
-		code := getJSON(client, cfg.FollowerURL+"/stats", &st)
-		if code == http.StatusOK && st.Repl != nil &&
-			st.Repl.Bootstrapped && st.Repl.LagRecords == 0 {
-			next, ok := leaderNextSeq(client, cfg.LeaderURL, st.Repl.AppliedSeq+1)
-			if ok && st.Repl.AppliedSeq+1 >= next {
-				break
-			}
+		if code, _ := call(client, http.MethodGet, cfg.FollowerURL+"/stats", nil, &st); code != http.StatusOK ||
+			st.Repl == nil || !st.Repl.Bootstrapped || st.Repl.LagRecords != 0 {
+			return false
 		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("failover: follower never reached zero lag")
+		from := st.Repl.AppliedSeq + 1
+		code, h := call(client, http.MethodGet,
+			fmt.Sprintf("%s%s?from=%d&wait=0", cfg.LeaderURL, repl.PathWAL, from), nil, nil)
+		if code != http.StatusOK && code != http.StatusNoContent {
+			return false
 		}
-		time.Sleep(25 * time.Millisecond)
+		next, err := strconv.ParseUint(h.Get(repl.HdrNextSeq), 10, 64)
+		return err == nil && from >= next
+	})
+	if !caughtUp {
+		return res, fmt.Errorf("failover: follower never reached zero lag")
 	}
 
 	// Machine crash: SIGKILL the leader mid-run, shrink the read pool so
@@ -297,34 +221,16 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	leader.kill()
 	pool.Set(cfg.FollowerURL)
 	var presp server.PromoteResponse
-	preq, err := http.NewRequest(http.MethodPost, cfg.FollowerURL+repl.PathPromote, nil)
-	if err != nil {
-		return res, err
-	}
-	presp2, err := client.Do(preq)
-	if err != nil {
-		return res, fmt.Errorf("failover: promote request: %w", err)
-	}
-	defer presp2.Body.Close()
-	if presp2.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(presp2.Body, 512))
-		return res, fmt.Errorf("failover: promote answered %s: %s", presp2.Status, body)
-	}
-	if err := json.NewDecoder(presp2.Body).Decode(&presp); err != nil {
-		return res, fmt.Errorf("failover: decoding promote response: %w", err)
+	if code, _ := call(client, http.MethodPost, cfg.FollowerURL+repl.PathPromote, nil, &presp); code != http.StatusOK {
+		return res, fmt.Errorf("failover: promote answered %d", code)
 	}
 	res.PromoteSeq = presp.Seq
 
 	// Zero-loss audit: every acknowledged object must answer on the
 	// promoted follower.
-	flc := &loadgenClient{
-		cfg:    &LoadgenConfig{BaseURL: cfg.FollowerURL, MaxRetries: 200},
-		client: client, rejected: &discard, unavailable: &discard,
-		transport: &discard, errors: &errs,
-	}
 	for _, obj := range acked {
 		var qresp server.QueryResponse
-		if !flc.post("/query", server.QueryRequest{BoxJSON: server.BoxToJSON(obj.Box)}, &qresp) ||
+		if !send(cfg.FollowerURL+"/query", server.QueryRequest{BoxJSON: server.BoxToJSON(obj.Box)}, &qresp) ||
 			!containsID(qresp.IDs, obj.ID) {
 			res.LostWrites++
 		}
@@ -332,56 +238,13 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 
 	// The promoted follower is the new leader: writes must flow again.
 	for i := 0; i < 3; i++ {
-		obj := geom.Object{
-			Box: geom.BoxAt(cfg.Queries[i%len(cfg.Queries)].Center(), 1),
-			ID:  LoadgenWriteBase + 1<<29 + nonce + int32(cfg.AckWrites) + 1 + int32(i),
-		}
-		var iresp server.InsertResponse
-		if flc.post("/insert", server.InsertRequest{
-			Objects: []server.ObjectJSON{{ID: obj.ID, BoxJSON: server.BoxToJSON(obj.Box)}},
-		}, &iresp) {
+		if _, ok := insert(cfg.FollowerURL, cfg.AckWrites+1+i); ok {
 			res.PostPromoteWrites++
 		}
 	}
 
 	res.Load = <-loadDone
 	return res, nil
-}
-
-// leaderNextSeq reads the leader's next WAL sequence from the
-// X-Quasii-Next-Seq header of a zero-wait /repl/wal probe. from must be a
-// sequence the leader plausibly retains — a follower's applied+1 qualifies,
-// since the follower received it from the leader's retained log moments
-// ago. A 410 (just garbage-collected) reports failure and the caller
-// re-polls.
-func leaderNextSeq(client *http.Client, base string, from uint64) (uint64, bool) {
-	resp, err := client.Get(fmt.Sprintf("%s%s?from=%d&wait=0", base, repl.PathWAL, from))
-	if err != nil {
-		return 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		io.Copy(io.Discard, resp.Body)
-		return 0, false
-	}
-	next, err := strconv.ParseUint(resp.Header.Get(repl.HdrNextSeq), 10, 64)
-	return next, err == nil
-}
-
-// postStatus POSTs body as JSON and returns the raw status code (0 on
-// transport or encoding failure), for probes that assert on rejections.
-func postStatus(client *http.Client, url string, body interface{}) int {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode
 }
 
 // PrintFailover writes the failover run summary in the greppable shape

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,7 +23,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/server"
-	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // LoadgenWriteBase is the first object ID the load generator uses for its
@@ -138,8 +139,19 @@ type LoadgenResult struct {
 	// visible. Always 0 violations on a correct server.
 	AuditedWrites        int64
 	VisibilityViolations int64
-	Wall                 time.Duration   // wall clock for the whole run
-	Latencies            []time.Duration // per successful range query, all clients
+	Wall                 time.Duration // wall clock for the whole run
+	// Latencies holds every successful range query's latency, all clients,
+	// over telemetry.DurationBuckets — the server's own layout, so the
+	// client's quantiles and the server's come from one estimator.
+	Latencies  *telemetry.Histogram
+	MaxLatency time.Duration // exact, not bucketed
+}
+
+// newLatencies returns an empty client latency histogram. It lives in a
+// private registry: the load generator exports no metrics.
+func newLatencies() *telemetry.Histogram {
+	return telemetry.NewRegistry().Histogram("loadgen_query_seconds",
+		"Client-side latency of successful range queries.", telemetry.DurationBuckets)
 }
 
 // QPS returns successful range queries per second of wall time.
@@ -152,15 +164,14 @@ func (r *LoadgenResult) QPS() float64 {
 
 // loadgenClient wraps the per-request mechanics: JSON round-trip plus
 // bounded-backoff retry on 429, 503 and (in chaos mode) transport errors.
+// One client is shared by every goroutine of a run; its counters are the
+// run's.
 type loadgenClient struct {
-	cfg         *LoadgenConfig
-	client      *http.Client
-	rejected    *atomic.Int64
-	unavailable *atomic.Int64
-	transport   *atomic.Int64
-	errors      *atomic.Int64
-	audited     *atomic.Int64
-	violations  *atomic.Int64
+	cfg    *LoadgenConfig
+	client *http.Client
+
+	rejected, unavailable, transport, errors atomic.Int64
+	mismatches, audited, violations          atomic.Int64
 }
 
 // retryAfter reads the response's Retry-After header as whole seconds,
@@ -272,17 +283,13 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 		}
 	}
 	if cfg.WaitReady > 0 {
-		waitHealthy(httpClient, cfg.BaseURL, cfg.WaitReady)
+		// The run proceeds (and fails fast) if the server never turns healthy.
+		poll(cfg.WaitReady, 50*time.Millisecond, answers(httpClient, cfg.BaseURL+"/healthz", http.StatusOK))
 	}
-	res := &LoadgenResult{Clients: clients, Writers: cfg.Writers}
-	var queriesOK, writesOK, writerCycles, rejected, unavailable, transport, errors, mismatches atomic.Int64
-	var audited, violations atomic.Int64
-	newClient := func() *loadgenClient {
-		return &loadgenClient{cfg: &cfg, client: httpClient, rejected: &rejected,
-			unavailable: &unavailable, transport: &transport, errors: &errors,
-			audited: &audited, violations: &violations}
-	}
-	perClient := make([][]time.Duration, clients)
+	res := &LoadgenResult{Clients: clients, Writers: cfg.Writers, Latencies: newLatencies()}
+	var queriesOK, writesOK, writerCycles atomic.Int64
+	lc := &loadgenClient{cfg: &cfg, client: httpClient}
+	maxLat := make([]time.Duration, clients)
 	// Per-run nonce for write IDs: a run that dies between insert and
 	// delete leaves its object on a long-lived server, and a later run
 	// reusing the same ID would fail its delete-verification through no
@@ -303,7 +310,6 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 		wwg.Add(1)
 		go func(w int) {
 			defer wwg.Done()
-			lc := newClient()
 			base := nonce + int32(len(cfg.Queries)) + int32(w)*10_000_000
 			for i := 0; ; i++ {
 				select {
@@ -312,7 +318,7 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 				default:
 				}
 				q := cfg.Queries[(i*cfg.Writers+w)%len(cfg.Queries)]
-				if lc.writeCycle(q, base+int32(i%10_000_000), cfg.Oracle, &mismatches) {
+				if lc.writeCycle(q, base+int32(i%10_000_000)) {
 					writerCycles.Add(1)
 				}
 			}
@@ -322,8 +328,6 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			lc := newClient()
-			lats := make([]time.Duration, 0, len(cfg.Queries)/clients+1)
 			for {
 				qi := int(next.Add(1)) - 1
 				if qi >= len(cfg.Queries) {
@@ -335,37 +339,36 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 				if !lc.post("/query", server.QueryRequest{BoxJSON: server.BoxToJSON(q)}, &qresp) {
 					continue
 				}
-				lats = append(lats, time.Since(qt0))
+				lat := time.Since(qt0)
+				res.Latencies.ObserveDuration(lat)
+				maxLat[c] = max(maxLat[c], lat)
 				queriesOK.Add(1)
 				if cfg.Oracle != nil && !oracleMatch(qresp.IDs, cfg.Oracle(q)) {
-					mismatches.Add(1)
+					lc.mismatches.Add(1)
 				}
 				if cfg.WriteEvery > 0 && qi%cfg.WriteEvery == 0 {
-					if lc.writeCycle(q, nonce+int32(qi), cfg.Oracle, &mismatches) {
+					if lc.writeCycle(q, nonce+int32(qi)) {
 						writesOK.Add(1)
 					}
 				}
 			}
-			perClient[c] = lats
 		}(c)
 	}
 	wg.Wait()
 	res.Wall = time.Since(t0)
 	close(stop)
 	wwg.Wait()
-	for _, lats := range perClient {
-		res.Latencies = append(res.Latencies, lats...)
-	}
+	res.MaxLatency = slices.Max(maxLat)
 	res.Queries = int(queriesOK.Load())
 	res.Writes = int(writesOK.Load())
 	res.WriterCycles = int(writerCycles.Load())
-	res.Rejected = rejected.Load()
-	res.Unavailable = unavailable.Load()
-	res.Transport = transport.Load()
-	res.Errors = errors.Load()
-	res.Mismatches = mismatches.Load()
-	res.AuditedWrites = audited.Load()
-	res.VisibilityViolations = violations.Load()
+	res.Rejected = lc.rejected.Load()
+	res.Unavailable = lc.unavailable.Load()
+	res.Transport = lc.transport.Load()
+	res.Errors = lc.errors.Load()
+	res.Mismatches = lc.mismatches.Load()
+	res.AuditedWrites = lc.audited.Load()
+	res.VisibilityViolations = lc.violations.Load()
 	return res
 }
 
@@ -373,7 +376,7 @@ func RunLoadgen(cfg LoadgenConfig) *LoadgenResult {
 // read-your-write, deletes it, and verifies it is gone. The object's ID is
 // LoadgenWriteBase plus the run nonce plus the query index (unique within
 // a run, collision-resistant across runs against the same server).
-func (lc *loadgenClient) writeCycle(q geom.Box, id int32, oracle func(geom.Box) []int32, mismatches *atomic.Int64) bool {
+func (lc *loadgenClient) writeCycle(q geom.Box, id int32) bool {
 	obj := geom.Object{Box: geom.BoxAt(q.Center(), 1), ID: LoadgenWriteBase + id}
 	var iresp server.InsertResponse
 	if !lc.post("/insert", server.InsertRequest{
@@ -389,20 +392,20 @@ func (lc *loadgenClient) writeCycle(q geom.Box, id int32, oracle func(geom.Box) 
 		lc.audited.Add(1)
 	}
 	if !containsID(qresp.IDs, obj.ID) {
-		mismatches.Add(1)
+		lc.mismatches.Add(1)
 		if lc.cfg.AuditVisibility {
 			lc.violations.Add(1)
 		}
 	}
-	if oracle != nil && !oracleMatch(qresp.IDs, oracle(obj.Box)) {
-		mismatches.Add(1)
+	if lc.cfg.Oracle != nil && !oracleMatch(qresp.IDs, lc.cfg.Oracle(obj.Box)) {
+		lc.mismatches.Add(1)
 	}
 	var dresp server.DeleteResponse
 	if !lc.post("/delete", server.DeleteRequest{ID: obj.ID, Hint: server.BoxToJSON(obj.Box)}, &dresp) {
 		return false
 	}
 	if !dresp.Deleted {
-		mismatches.Add(1)
+		lc.mismatches.Add(1)
 		return false
 	}
 	if !lc.post("/query", server.QueryRequest{BoxJSON: server.BoxToJSON(obj.Box)}, &qresp) {
@@ -412,33 +415,12 @@ func (lc *loadgenClient) writeCycle(q geom.Box, id int32, oracle func(geom.Box) 
 		lc.audited.Add(1)
 	}
 	if containsID(qresp.IDs, obj.ID) {
-		mismatches.Add(1)
+		lc.mismatches.Add(1)
 		if lc.cfg.AuditVisibility {
 			lc.violations.Add(1)
 		}
 	}
 	return true
-}
-
-// waitHealthy polls GET /healthz until it answers 200 or the deadline
-// passes, reporting which. Transport errors (server not yet listening) are
-// expected and retried; they are what the wait exists to absorb.
-func waitHealthy(client *http.Client, baseURL string, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := client.Get(baseURL + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return true
-			}
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }
 
 // oracleMatch compares a response against the oracle's expected base IDs,
@@ -464,6 +446,12 @@ func oracleMatch(got, want []int32) bool {
 	return true
 }
 
+// seconds converts a float seconds value, as histograms hold them, to a
+// duration rounded to the microsecond.
+func seconds(v float64) time.Duration {
+	return time.Duration(v * float64(time.Second)).Round(time.Microsecond)
+}
+
 func containsID(ids []int32, id int32) bool {
 	for _, v := range ids {
 		if v == id {
@@ -482,10 +470,16 @@ func PrintLoadgen(w io.Writer, r *LoadgenResult) {
 		fmt.Fprintf(w, "writers: %d goroutines completed %d insert→verify→delete cycles (%.0f cycles/s)\n",
 			r.Writers, r.WriterCycles, float64(r.WriterCycles)/r.Wall.Seconds())
 	}
-	fmt.Fprintf(w, "latency: mean %v  p50 %v  p95 %v  p99 %v  max %v\n",
-		stats.Mean(r.Latencies), stats.Percentile(r.Latencies, 50),
-		stats.Percentile(r.Latencies, 95), stats.Percentile(r.Latencies, 99),
-		stats.Max(r.Latencies))
+	var mean time.Duration
+	if n := r.Latencies.Count(); n > 0 {
+		mean = seconds(r.Latencies.Sum() / float64(n))
+	}
+	quantile := func(q float64) time.Duration {
+		v, _ := r.Latencies.Quantile(q) // 0 when no query succeeded
+		return seconds(v)
+	}
+	fmt.Fprintf(w, "latency: mean %v  max %v  p50 %v  p95 %v  p99 %v (from histogram buckets)\n",
+		mean, r.MaxLatency.Round(time.Microsecond), quantile(0.50), quantile(0.95), quantile(0.99))
 	fmt.Fprintf(w, "backpressure: %d rejections (429) and %d unavailable (503) absorbed; %d errors, %d oracle mismatches\n",
 		r.Rejected, r.Unavailable, r.Errors, r.Mismatches)
 	if r.Transport > 0 {

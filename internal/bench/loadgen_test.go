@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +82,59 @@ func TestLoadgenAbsorbsBackpressure(t *testing.T) {
 	}
 	if res.Mismatches != 0 {
 		t.Errorf("%d oracle mismatches", res.Mismatches)
+	}
+}
+
+// latencyLine returns PrintLoadgen's client latency line for r.
+func latencyLine(t *testing.T, r *LoadgenResult) string {
+	t.Helper()
+	var sb strings.Builder
+	PrintLoadgen(&sb, r)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "latency: ") {
+			return line
+		}
+	}
+	t.Fatalf("no latency line in:\n%s", sb.String())
+	return ""
+}
+
+// TestLoadgenLatencyLine pins the client latency line: its quantiles are
+// the histogram's own estimate (the estimator behind the server-side line),
+// its mean and max are exact, and a run with no successful query prints
+// zeros.
+func TestLoadgenLatencyLine(t *testing.T) {
+	r := &LoadgenResult{Latencies: newLatencies(), MaxLatency: 40 * time.Millisecond}
+	for _, d := range []time.Duration{300 * time.Microsecond, 700 * time.Microsecond,
+		2 * time.Millisecond, 40 * time.Millisecond} {
+		r.Latencies.ObserveDuration(d)
+	}
+	q := func(p float64) time.Duration {
+		v, ok := r.Latencies.Quantile(p)
+		if !ok {
+			t.Fatalf("Quantile(%g) not computable", p)
+		}
+		return time.Duration(v * float64(time.Second)).Round(time.Microsecond)
+	}
+	want := fmt.Sprintf("latency: mean 10.75ms  max 40ms  p50 %v  p95 %v  p99 %v (from histogram buckets)",
+		q(0.50), q(0.95), q(0.99))
+	if got := latencyLine(t, r); got != want {
+		t.Errorf("latency line\n got %q\nwant %q", got, want)
+	}
+
+	// A server that fails every query: nothing is observed, all zeros.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "broken", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	r = RunLoadgen(LoadgenConfig{BaseURL: ts.URL, Clients: 2,
+		Queries: workload.Uniform(dataset.Universe(), 3, 1e-3, 41)})
+	if r.Queries != 0 || r.Errors != 3 {
+		t.Fatalf("queries=%d errors=%d against an always-500 server, want 0/3", r.Queries, r.Errors)
+	}
+	if got, want := latencyLine(t, r),
+		"latency: mean 0s  max 0s  p50 0s  p95 0s  p99 0s (from histogram buckets)"; got != want {
+		t.Errorf("latency line\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -82,7 +82,7 @@ func ScrapeMetrics(client *http.Client, baseURL string, res *LoadgenResult) (*Me
 				fmt.Sprintf("request duration p%g not computable from histogram buckets", q*100))
 			return 0
 		}
-		return time.Duration(v * float64(time.Second))
+		return seconds(v)
 	}
 	r.ServerP50 = quantile(0.50)
 	r.ServerP95 = quantile(0.95)
@@ -139,8 +139,7 @@ func ScrapeMetrics(client *http.Client, baseURL string, res *LoadgenResult) (*Me
 // and any cross-check problems.
 func PrintMetricsReport(w io.Writer, r *MetricsReport) {
 	fmt.Fprintf(w, "server /metrics: %.0f /query requests, latency p50 %v  p95 %v  p99 %v (from histogram buckets)\n",
-		r.QueryRequests, r.ServerP50.Round(time.Microsecond),
-		r.ServerP95.Round(time.Microsecond), r.ServerP99.Round(time.Microsecond))
+		r.QueryRequests, r.ServerP50, r.ServerP95, r.ServerP99)
 	fmt.Fprintf(w, "convergence: %.0f slices refined, shared-path ratio %.3f\n",
 		r.SlicesRefined, r.SharedRatio)
 	if r.DurableChecked {

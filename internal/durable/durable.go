@@ -126,11 +126,9 @@ type Options struct {
 	FS faultfs.FS
 	// AppendRetries bounds how many times a transiently-failed WAL append
 	// (ENOSPC, EAGAIN, EINTR) is retried before the store gives up and
-	// enters degraded mode. 0 selects 3; negative disables retries.
+	// enters degraded mode. 0 selects 3; negative disables retries. The
+	// first retry sleeps 5ms, and each later one doubles that.
 	AppendRetries int
-	// RetryBackoff is the first retry's sleep; it doubles per attempt.
-	// 0 selects 5ms.
-	RetryBackoff time.Duration
 	// RecoverEvery is the cadence at which a degraded store probes the
 	// disk (by attempting a checkpoint to a fresh generation) to discover
 	// the fault has cleared. 0 selects 5s.
@@ -553,10 +551,7 @@ func (s *Store) appendRetry(r *wal.Record) error {
 	if retries == 0 {
 		retries = 3
 	}
-	backoff := s.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
-	}
+	backoff := 5 * time.Millisecond
 	for i := 0; i < retries; i++ {
 		if ioerr.Classify(err) != ioerr.Transient || s.log.Broken() != nil {
 			return err

@@ -203,7 +203,6 @@ func TestDegradedModeOnPersistentFsyncFailure(t *testing.T) {
 		Fsync:        FsyncAlways,
 		FS:           ff,
 		RecoverEvery: 20 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,11 +272,10 @@ func TestDegradedModeOnPersistentFsyncFailure(t *testing.T) {
 func TestTransientENOSPCRetriesWithoutDegrading(t *testing.T) {
 	ff := faultfs.New(nil, faultfs.Config{})
 	store, err := Open(t.TempDir(), Options{
-		Shard:        shard.Config{Shards: 2},
-		Bootstrap:    func() []geom.Object { return dataset.Uniform(100, 93) },
-		Fsync:        FsyncNever,
-		FS:           ff,
-		RetryBackoff: time.Millisecond,
+		Shard:     shard.Config{Shards: 2},
+		Bootstrap: func() []geom.Object { return dataset.Uniform(100, 93) },
+		Fsync:     FsyncNever,
+		FS:        ff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +310,6 @@ func TestExhaustedRetriesDegrade(t *testing.T) {
 		Fsync:         FsyncNever,
 		FS:            ff,
 		AppendRetries: 2,
-		RetryBackoff:  time.Millisecond,
 		RecoverEvery:  time.Hour,
 	})
 	if err != nil {

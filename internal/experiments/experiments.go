@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/scan"
 	"repro/internal/sfc"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -153,11 +153,11 @@ func Fig6a(w io.Writer, sc Scale) (*Result, error) {
 	fmt.Fprintf(w, "Figure 6a — query execution time (%d clustered queries, sel %.3g%%, neuro %d objects)\n",
 		len(queries), selClustered*100, len(data))
 	for _, s := range r.Series {
-		fmt.Fprintf(w, "  %-16s query-time %v\n", s.Name, stats.Sum(s.PerQuery))
+		fmt.Fprintf(w, "  %-16s query-time %v\n", s.Name, s.QueryTime())
 	}
 	rt, gq, gr := r.byName("R-Tree"), r.byName("GridQueryExt"), r.byName("GridReplication")
-	r.note("R-Tree speedup vs GridQueryExt: %.2fx", stats.Ratio(stats.Sum(gq.PerQuery), stats.Sum(rt.PerQuery)))
-	r.note("R-Tree speedup vs GridReplication: %.2fx", stats.Ratio(stats.Sum(gr.PerQuery), stats.Sum(rt.PerQuery)))
+	r.note("R-Tree speedup vs GridQueryExt: %.2fx", ratio(gq.QueryTime(), rt.QueryTime()))
+	r.note("R-Tree speedup vs GridReplication: %.2fx", ratio(gr.QueryTime(), rt.QueryTime()))
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "  note:", n)
 	}
@@ -193,12 +193,12 @@ func Fig6b(w io.Writer, sc Scale) (*Result, error) {
 	}
 	fmt.Fprintf(w, "Figure 6b — grid configuration sensitivity (query time, %d clustered queries)\n", len(uniQ))
 	for _, s := range r.Series {
-		fmt.Fprintf(w, "  %-16s query-time %v\n", s.Name, stats.Sum(s.PerQuery))
+		fmt.Fprintf(w, "  %-16s query-time %v\n", s.Name, s.QueryTime())
 	}
 	r.note("uniform dataset: resolution %d vs %d -> %v vs %v", sc.GridUniform, sc.GridNeuro,
-		stats.Sum(uniA.PerQuery), stats.Sum(uniB.PerQuery))
+		uniA.QueryTime(), uniB.QueryTime())
 	r.note("neuro dataset: resolution %d vs %d -> %v vs %v", sc.GridUniform, sc.GridNeuro,
-		stats.Sum(neuroA.PerQuery), stats.Sum(neuroB.PerQuery))
+		neuroA.QueryTime(), neuroB.QueryTime())
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "  note:", n)
 	}
@@ -323,19 +323,19 @@ func Fig9(w io.Writer, sc Scale) (*Result, error) {
 	mo, sf := r.byName("Mosaic"), r.byName("SFCracker")
 	rt, gr := r.byName("R-Tree"), r.byName("Grid")
 	r.note("first query: Scan %v, QUASII %v (%.1fx), Mosaic %v (%.1fx), SFCracker %v (%.1fx)",
-		scanS.FirstQuery(), q.FirstQuery(), stats.Ratio(q.FirstQuery(), scanS.FirstQuery()),
-		mo.FirstQuery(), stats.Ratio(mo.FirstQuery(), scanS.FirstQuery()),
-		sf.FirstQuery(), stats.Ratio(sf.FirstQuery(), scanS.FirstQuery()))
+		scanS.FirstQuery(), q.FirstQuery(), ratio(q.FirstQuery(), scanS.FirstQuery()),
+		mo.FirstQuery(), ratio(mo.FirstQuery(), scanS.FirstQuery()),
+		sf.FirstQuery(), ratio(sf.FirstQuery(), scanS.FirstQuery()))
 	r.note("data-to-insight: QUASII %.1fx faster than R-Tree, %.1fx faster than Grid",
-		stats.Ratio(rt.FirstQuery(), q.FirstQuery()), stats.Ratio(gr.FirstQuery(), q.FirstQuery()))
+		ratio(rt.FirstQuery(), q.FirstQuery()), ratio(gr.FirstQuery(), q.FirstQuery()))
 	tail := len(queries) / 10
 	r.note("converged tail mean: QUASII %v, R-Tree %v, Mosaic %v (%.2fx), SFCracker %v (%.2fx)",
 		q.TailMean(tail), rt.TailMean(tail),
-		mo.TailMean(tail), stats.Ratio(mo.TailMean(tail), q.TailMean(tail)),
-		sf.TailMean(tail), stats.Ratio(sf.TailMean(tail), q.TailMean(tail)))
+		mo.TailMean(tail), ratio(mo.TailMean(tail), q.TailMean(tail)),
+		sf.TailMean(tail), ratio(sf.TailMean(tail), q.TailMean(tail)))
 	r.note("cumulative after %d queries: QUASII %v = %.0f%% of R-Tree %v, %.0f%% of Grid %v",
-		len(queries), q.Total(), 100*stats.Ratio(q.Total(), rt.Total()), rt.Total(),
-		100*stats.Ratio(q.Total(), gr.Total()), gr.Total())
+		len(queries), q.Total(), 100*ratio(q.Total(), rt.Total()), rt.Total(),
+		100*ratio(q.Total(), gr.Total()), gr.Total())
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "note:", n)
 	}
@@ -382,8 +382,9 @@ func Fig10(w io.Writer, sc Scale) (*Result, error) {
 	}
 	tailSeries := func(s *bench.Series) *bench.Series {
 		n := len(s.PerQuery)
-		return &bench.Series{Name: s.Name, Build: s.Build + stats.Sum(s.PerQuery[:n-tailN]),
-			PerQuery: s.PerQuery[n-tailN:], Counts: s.Counts[n-tailN:]}
+		tail := &bench.Series{Name: s.Name, PerQuery: s.PerQuery[n-tailN:], Counts: s.Counts[n-tailN:]}
+		tail.Build = s.Total() - tail.QueryTime()
+		return tail
 	}
 	fmt.Fprintf(w, "Figure 10 — uniform workload (%d queries, sel %.3g%%, uniform %d objects)\n",
 		len(queries), selUniform*100, sc.UniformN)
@@ -405,15 +406,24 @@ func Fig10(w io.Writer, sc Scale) (*Result, error) {
 	bench.PrintCumulative(w, sc.PrintEvery/2+1, tailSeries(rt), tailSeries(q), tailSeries(gr))
 
 	r.note("after %d queries QUASII cumulative = %.0f%% of R-Tree, %.0f%% of Grid",
-		len(queries), 100*stats.Ratio(q.Total(), rt.Total()), 100*stats.Ratio(q.Total(), gr.Total()))
+		len(queries), 100*ratio(q.Total(), rt.Total()), 100*ratio(q.Total(), gr.Total()))
 	r.note("data-to-insight: %.1fx vs R-Tree, %.1fx vs Grid",
-		stats.Ratio(rt.FirstQuery(), q.FirstQuery()), stats.Ratio(gr.FirstQuery(), q.FirstQuery()))
+		ratio(rt.FirstQuery(), q.FirstQuery()), ratio(gr.FirstQuery(), q.FirstQuery()))
 	r.note("QUASII tail-%d mean %v vs R-Tree %v (%s)",
-		tailN, q.TailMean(tailN), rt.TailMean(tailN), gap(stats.Ratio(q.TailMean(tailN), rt.TailMean(tailN))))
+		tailN, q.TailMean(tailN), rt.TailMean(tailN), gap(ratio(q.TailMean(tailN), rt.TailMean(tailN))))
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "note:", n)
 	}
 	return r, nil
+}
+
+// ratio returns a/b, or 0 when b is 0 (a figure whose baseline measured
+// nothing reports no speedup rather than dividing by zero).
+func ratio(a, b time.Duration) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 // gap words a time ratio (ours ÷ theirs) as a percentage by its sign: 0.566
@@ -446,12 +456,12 @@ func Fig11(w io.Writer, sc Scale) (*Result, error) {
 		}
 		r.Series = append(r.Series, rt, q)
 		fmt.Fprintf(w, "  %-12s build %12v  query %12v  total %12v\n",
-			rt.Name, rt.Build, stats.Sum(rt.PerQuery), rt.Total())
+			rt.Name, rt.Build, rt.QueryTime(), rt.Total())
 		fmt.Fprintf(w, "  %-12s build %12v  query %12v  total %12v\n",
-			q.Name, q.Build, stats.Sum(q.PerQuery), q.Total())
+			q.Name, q.Build, q.QueryTime(), q.Total())
 		r.note("%dx (%d objects): QUASII total = %.0f%% of R-Tree; data-to-insight %.1fx",
-			mult, n, 100*stats.Ratio(q.Total(), rt.Total()),
-			stats.Ratio(rt.FirstQuery(), q.FirstQuery()))
+			mult, n, 100*ratio(q.Total(), rt.Total()),
+			ratio(rt.FirstQuery(), q.FirstQuery()))
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "note:", n)
@@ -483,16 +493,16 @@ func Fig12(w io.Writer, sc Scale) (*Result, error) {
 		}
 		r.Series = append(r.Series, rt, q)
 		fmt.Fprintf(w, "  %-14s build %12v  query %12v  total %12v\n",
-			rt.Name, rt.Build, stats.Sum(rt.PerQuery), rt.Total())
+			rt.Name, rt.Build, rt.QueryTime(), rt.Total())
 		fmt.Fprintf(w, "  %-14s build %12v  query %12v  total %12v\n",
-			q.Name, q.Build, stats.Sum(q.PerQuery), q.Total())
+			q.Name, q.Build, q.QueryTime(), q.Total())
 		be := bench.BreakEven(q, rt)
 		beStr := "never"
 		if be >= 0 {
 			beStr = fmt.Sprintf("after %d queries", be)
 		}
 		r.note("sel %.3g%%: QUASII total = %.0f%% of R-Tree, break-even %s",
-			sel*100, 100*stats.Ratio(q.Total(), rt.Total()), beStr)
+			sel*100, 100*ratio(q.Total(), rt.Total()), beStr)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintln(w, "note:", n)
@@ -516,7 +526,7 @@ func GridSweep(w io.Writer, sc Scale) (*Result, error) {
 				return grid.New(ds.data, grid.Config{Partitions: parts, Universe: dataset.Universe()})
 			}, queries)
 			r.Series = append(r.Series, s)
-			fmt.Fprintf(w, "    partitions %4d: build %12v query %12v\n", parts, s.Build, stats.Sum(s.PerQuery))
+			fmt.Fprintf(w, "    partitions %4d: build %12v query %12v\n", parts, s.Build, s.QueryTime())
 		}
 	}
 	return r, nil
@@ -579,7 +589,7 @@ func Patterns(w io.Writer, sc Scale) (*Result, error) {
 		fmt.Fprintf(w, "  %-18s total %12v (R-Tree %12v), tail mean %10v (R-Tree %10v), break-even %s\n",
 			k.name, q.Total(), rt.Total(), q.TailMean(n/10), rt.TailMean(n/10), beStr)
 		r.note("%s: QUASII total = %.0f%% of R-Tree, break-even %s",
-			k.name, 100*stats.Ratio(q.Total(), rt.Total()), beStr)
+			k.name, 100*ratio(q.Total(), rt.Total()), beStr)
 	}
 	for _, note := range r.Notes {
 		fmt.Fprintln(w, "note:", note)

@@ -48,6 +48,16 @@ func TestGapWordsTheSign(t *testing.T) {
 	}
 }
 
+// TestRatio: a zero baseline reports no speedup instead of dividing by zero.
+func TestRatio(t *testing.T) {
+	if got := ratio(10, 4); got != 2.5 {
+		t.Errorf("ratio(10, 4) = %g, want 2.5", got)
+	}
+	if got := ratio(10, 0); got != 0 {
+		t.Errorf("ratio(10, 0) = %g, want 0", got)
+	}
+}
+
 func TestGridSweepRuns(t *testing.T) {
 	r, err := GridSweep(io.Discard, tiny)
 	if err != nil {

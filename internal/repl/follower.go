@@ -22,6 +22,14 @@ import (
 // safe recovery is a fresh bootstrap.
 var errRebootstrap = errors.New("repl: leader cannot serve resume point, re-bootstrap required")
 
+const (
+	// requestHeadroom is what one WAL fetch may take beyond its long-poll
+	// window: transfer and decode of the shipped frames.
+	requestHeadroom = 10 * time.Second
+	// snapshotTimeout bounds the bootstrap snapshot fetch.
+	snapshotTimeout = 5 * time.Minute
+)
+
 // FollowerOptions configures Open.
 type FollowerOptions struct {
 	// LeaderURL is the leader's base URL (e.g. "http://10.0.0.1:8080").
@@ -37,19 +45,15 @@ type FollowerOptions struct {
 	Store durable.Options
 
 	// PollWait is the long-poll window a tail fetch asks the leader to
-	// hold. 0 selects 2s.
+	// hold. 0 selects 2s. One WAL fetch may take PollWait + 10s end to end
+	// (the poll window plus transfer headroom); the bootstrap snapshot
+	// fetch may take 5m.
 	PollWait time.Duration
-	// RequestTimeout bounds one WAL fetch end to end. 0 selects
-	// PollWait + 10s (the poll window plus transfer headroom).
-	RequestTimeout time.Duration
-	// SnapshotTimeout bounds the bootstrap snapshot fetch. 0 selects 5m.
-	SnapshotTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential retry backoff between
-	// failed fetches. 0 selects 50ms / 3s.
+	// failed fetches. 0 selects 50ms / 3s. The jitter added to each wait
+	// comes from a fixed seed, so retry schedules are reproducible.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Seed drives the backoff jitter (reproducible tests). 0 selects 1.
-	Seed int64
 
 	// Transport is the HTTP transport for leader fetches; nil selects
 	// http.DefaultTransport. Tests install a FaultTransport here.
@@ -68,20 +72,11 @@ func (o *FollowerOptions) withDefaults() FollowerOptions {
 	if d.PollWait <= 0 {
 		d.PollWait = 2 * time.Second
 	}
-	if d.RequestTimeout <= 0 {
-		d.RequestTimeout = d.PollWait + 10*time.Second
-	}
-	if d.SnapshotTimeout <= 0 {
-		d.SnapshotTimeout = 5 * time.Minute
-	}
 	if d.BackoffMin <= 0 {
 		d.BackoffMin = 50 * time.Millisecond
 	}
 	if d.BackoffMax <= 0 {
 		d.BackoffMax = 3 * time.Second
-	}
-	if d.Seed == 0 {
-		d.Seed = 1
 	}
 	if d.Logger == nil {
 		d.Logger = slog.New(slog.DiscardHandler)
@@ -144,7 +139,7 @@ func Open(ctx context.Context, opts FollowerOptions) (*Follower, error) {
 		logger:  o.Logger,
 		m:       o.Metrics,
 		client:  &http.Client{Transport: o.Transport},
-		rng:     rand.New(rand.NewSource(o.Seed)),
+		rng:     rand.New(rand.NewSource(1)),
 		stopCh:  make(chan struct{}),
 		runDone: make(chan struct{}),
 	}
@@ -297,7 +292,7 @@ func (f *Follower) pollOnce() error {
 	from := st.NextSeq()
 	url := fmt.Sprintf("%s%s?from=%d&wait=%d",
 		f.opts.LeaderURL, PathWAL, from, f.opts.PollWait.Milliseconds())
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.opts.PollWait+requestHeadroom)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -397,7 +392,7 @@ func (f *Follower) bootstrapRetry(ctx context.Context) error {
 // it, open the store. Any failure leaves a directory the next attempt (or
 // a process restart) wipes again — never a half-installed CURRENT.
 func (f *Follower) bootstrapOnce(ctx context.Context) error {
-	fctx, cancel := context.WithTimeout(ctx, f.opts.SnapshotTimeout)
+	fctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet, f.opts.LeaderURL+PathSnapshot, nil)
 	if err != nil {
@@ -452,7 +447,7 @@ func (f *Follower) rebootstrap() error {
 			f.logger.Warn("closing stale follower store", "err", err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.SnapshotTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), snapshotTimeout)
 	defer cancel()
 	if err := f.bootstrapOnce(ctx); err != nil {
 		return err

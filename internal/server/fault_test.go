@@ -33,7 +33,6 @@ func TestDegradedStoreWritesShedReadsServe(t *testing.T) {
 		Fsync:        durable.FsyncAlways,
 		FS:           ff,
 		RecoverEvery: 20 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"io"
 	"os"
-
-	"repro/internal/faultfs"
 )
 
 // Reader streams the intact prefix of a log file as raw, CRC-verified
@@ -17,19 +15,14 @@ import (
 // boundary, or a crash footprint), and the caller resumes from the next
 // frame on a later read.
 type Reader struct {
-	f   faultfs.File
+	f   *os.File
 	br  *bufio.Reader
 	buf []byte // frame scratch, reused across calls
 }
 
 // OpenReader opens the log at path for raw frame reads.
 func OpenReader(path string) (*Reader, error) {
-	return OpenReaderFS(faultfs.OS{}, path)
-}
-
-// OpenReaderFS is OpenReader over an injectable file system.
-func OpenReaderFS(fsys faultfs.FS, path string) (*Reader, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,8 @@
 // truncate before appending again.
 //
 // readFrame is the only parser of a frame (header, length bound, CRC) and
-// replay the only loop over a log's intact prefix: Replay, OpenReplay and
-// Create (OpenReplay that validates without decoding) run it, and the
+// replay the only loop over a log's intact prefix: Replay, OpenReplayFS and
+// CreateFS (OpenReplayFS that validates without decoding) run it, and the
 // replication Reader and StreamDecoder read through the same readFrame, so
 // recovery, leader and follower cannot disagree about where a log ends.
 package wal
@@ -140,31 +140,22 @@ func (l *Log) SetMetrics(m *Metrics) {
 	l.mu.Unlock()
 }
 
-// Create opens path for appending, creating it if absent. If the file has a
-// torn tail (from a crash mid-append), it is truncated to the last intact
-// record first — call Replay before Create to apply the surviving records.
-func Create(path string, policy SyncPolicy) (*Log, error) {
-	return CreateFS(faultfs.OS{}, path, policy)
-}
-
-// CreateFS is Create over an injectable file system.
+// CreateFS opens path on fsys for appending, creating it if absent. If the
+// file has a torn tail (from a crash mid-append), it is truncated to the
+// last intact record first — call Replay before CreateFS to apply the
+// surviving records.
 func CreateFS(fsys faultfs.FS, path string, policy SyncPolicy) (*Log, error) {
 	l, _, err := OpenReplayFS(fsys, path, policy, nil)
 	return l, err
 }
 
-// OpenReplay opens the log at path for appending after replaying it: every
-// intact record is passed to apply in order, a torn or corrupt tail is
-// truncated, and the returned Log appends after the last intact record —
-// recovery and reopen in a single pass over the file. A missing file is
-// created empty (apply is never called). A nil apply validates the frames
-// without decoding them. It returns the number of records replayed
+// OpenReplayFS opens the log at path on fsys for appending after replaying
+// it: every intact record is passed to apply in order, a torn or corrupt
+// tail is truncated, and the returned Log appends after the last intact
+// record — recovery and reopen in a single pass over the file. A missing
+// file is created empty (apply is never called). A nil apply validates the
+// frames without decoding them. It returns the number of records replayed
 // alongside the log.
-func OpenReplay(path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
-	return OpenReplayFS(faultfs.OS{}, path, policy, apply)
-}
-
-// OpenReplayFS is OpenReplay over an injectable file system.
 func OpenReplayFS(fsys faultfs.FS, path string, policy SyncPolicy, apply func(*Record) error) (*Log, int, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -205,12 +196,7 @@ func tornTail(f faultfs.File, good int64) (int64, error) {
 // ends replay cleanly; the error return is reserved for I/O failures and
 // apply errors.
 func Replay(path string, apply func(*Record) error) (int, error) {
-	return ReplayFS(faultfs.OS{}, path, apply)
-}
-
-// ReplayFS is Replay over an injectable file system.
-func ReplayFS(fsys faultfs.FS, path string, apply func(*Record) error) (int, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}

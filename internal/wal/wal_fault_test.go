@@ -20,7 +20,7 @@ import (
 func writeRecords(t *testing.T, n int) (string, []int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func writeRecords(t *testing.T, n int) (string, []int64) {
 
 func replayIDs(t *testing.T, path string) (ids []int32, truncated int64) {
 	t.Helper()
-	l, _, err := OpenReplay(path, SyncNever, func(r *Record) error {
+	l, _, err := OpenReplayFS(faultfs.OS{}, path, SyncNever, func(r *Record) error {
 		for i := range r.Objects {
 			ids = append(ids, r.Objects[i].ID)
 		}
@@ -98,7 +98,7 @@ func TestTornTailCRCFieldCorruption(t *testing.T) {
 	}
 	// Recovery equivalence: after the cut, a fresh append + replay sees the
 	// surviving prefix plus the new record, nothing else.
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTornTailZeroLengthFile(t *testing.T) {
 		t.Fatalf("TruncatedBytes = %d, want 0", truncated)
 	}
 	// And it must accept appends afterwards.
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/geom"
 )
 
@@ -17,7 +18,7 @@ import (
 func mixedLog(t testing.TB) (data []byte, lastStart int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seed.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +141,9 @@ func FuzzWALFrames(f *testing.F) {
 		// Opening truncates to exactly the prefix each mode accepted.
 		reopen := func(name string, apply func(*Record) error, wantN int, wantOff int64) {
 			p := write(name)
-			l, n, err := OpenReplay(p, SyncNever, apply)
+			l, n, err := OpenReplayFS(faultfs.OS{}, p, SyncNever, apply)
 			if err != nil {
-				t.Fatalf("OpenReplay(%s): %v", name, err)
+				t.Fatalf("OpenReplayFS(%s): %v", name, err)
 			}
 			defer l.Close()
 			fi, err := os.Stat(p)
@@ -150,7 +151,7 @@ func FuzzWALFrames(f *testing.F) {
 				t.Fatal(err)
 			}
 			if n != wantN || fi.Size() != wantOff || l.Size() != wantOff || l.TruncatedBytes() != int64(len(data))-wantOff {
-				t.Fatalf("OpenReplay(%s) = %d records, file %d bytes, log size %d, truncated %d; want %d records at offset %d of %d",
+				t.Fatalf("OpenReplayFS(%s) = %d records, file %d bytes, log size %d, truncated %d; want %d records at offset %d of %d",
 					name, n, fi.Size(), l.Size(), l.TruncatedBytes(), wantN, wantOff, len(data))
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/geom"
 )
 
@@ -15,7 +16,7 @@ func obj(id int32, x float64) geom.Object {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +67,21 @@ func TestReplayMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
+// TestOpenErrors: a path that is not a readable log file is an error for
+// Replay and OpenReader alike — only a missing log reads as empty.
+func TestOpenErrors(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Replay(dir, func(*Record) error { return nil }); err == nil {
+		t.Error("Replay of a directory succeeded")
+	}
+	if _, err := OpenReader(filepath.Join(dir, "absent.log")); err == nil {
+		t.Error("OpenReader of a missing file succeeded")
+	}
+}
+
 func TestTornTailTruncatedOnReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +107,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("replayed %d records (err=%v), want 4", n, err)
 	}
 	// ...and reopening truncates it so new appends follow intact records.
-	l2, err := Create(path, SyncNever)
+	l2, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 
 func TestOpenReplaySinglePassRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +150,7 @@ func TestOpenReplaySinglePassRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []int32
-	l2, n, err := OpenReplay(path, SyncNever, func(r *Record) error {
+	l2, n, err := OpenReplayFS(faultfs.OS{}, path, SyncNever, func(r *Record) error {
 		ids = append(ids, r.Objects[0].ID)
 		return nil
 	})
@@ -159,7 +172,7 @@ func TestOpenReplaySinglePassRecovery(t *testing.T) {
 		t.Fatalf("replayed %d records (err=%v), want 4", total, err)
 	}
 	// A missing file is created empty, apply never runs.
-	l3, n, err := OpenReplay(filepath.Join(t.TempDir(), "fresh.log"), SyncNever, func(*Record) error {
+	l3, n, err := OpenReplayFS(faultfs.OS{}, filepath.Join(t.TempDir(), "fresh.log"), SyncNever, func(*Record) error {
 		t.Fatal("apply called on fresh log")
 		return nil
 	})
@@ -171,7 +184,7 @@ func TestOpenReplaySinglePassRecovery(t *testing.T) {
 
 func TestCorruptPayloadStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +213,7 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 
 func TestConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, SyncNever)
+	l, err := CreateFS(faultfs.OS{}, path, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}

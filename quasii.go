@@ -335,7 +335,9 @@ type (
 	// straight to Store.Index() — durability adds no read-path overhead.
 	Store = durable.Store
 	// StoreConfig configures OpenStore: engine knobs, the bootstrap
-	// dataset, the fsync policy, and the automatic checkpoint cadence.
+	// dataset, the fsync policy, the automatic checkpoint cadence, the
+	// WAL append retry budget (its backoff is fixed: 5ms, doubling), the
+	// degraded-mode recovery probe and snapshot retention.
 	StoreConfig = durable.Options
 	// FsyncPolicy selects the WAL durability/latency trade-off.
 	FsyncPolicy = durable.FsyncPolicy
@@ -373,7 +375,11 @@ type (
 	// ReplFollower keeps a local durable store in sync with a leader;
 	// ServerConfig.ReplFollower puts the server in follower mode over it.
 	ReplFollower = repl.Follower
-	// ReplFollowerConfig configures OpenReplFollower.
+	// ReplFollowerConfig configures OpenReplFollower: the leader URL, the
+	// follower's own data dir and store knobs, the long-poll window and
+	// the retry backoff bounds. The fetch timeouts (poll window + 10s per
+	// WAL fetch, 5m for the bootstrap snapshot) and the backoff jitter's
+	// seed are fixed.
 	ReplFollowerConfig = repl.FollowerOptions
 	// ReplMetrics is the quasii_repl_* metric family, shared by both ends.
 	ReplMetrics = repl.Metrics
